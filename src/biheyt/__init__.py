@@ -9,7 +9,7 @@ and outer daseinisation mapping lattice elements into it.
 from .biheyting import (bottom, coheyting_not, coheyting_subtract,
                         double_coheyting_not, double_heyting_not,
                         heyting_implies, heyting_not, is_coheyting_regular,
-                        is_heyting_regular, is_tight, join, leq, meet, top)
+                        is_heyting_regular, is_tight, join, meet, top)
 from .contexts import (Context, ContextPoset, delta, delta_global,
                        enumerate_contexts, maximal_above, minimal_below)
 from .daseinisation import daseinise, daseinise_meet_defect
@@ -23,13 +23,13 @@ from .limits import DEFAULT_LIMITS, Limits
 from .oml import (CABELLO18_BLOCKS, LATTICE, PASTED, Block, OrthoStructure,
                   from_greechie, generate, validate)
 from .oracle import (AdjunctionReport, brute_coheyting_subtract,
-                     brute_heyting_implies, brute_negations, check_adjunctions)
+                     brute_heyting_implies, brute_negations, check_adjunctions,
+                     restriction_image_projection)
 from .presheaf import (ClopenSubobject, GlobalSection, SpectrumPoint, alpha,
                        alpha_inv, enumerate_subobjects, global_sections,
-                       make_subobject, restrict, restriction_image_projection,
-                       spectrum)
+                       make_subobject, restrict, spectrum)
 from .serialize import (builtin_structure, canonical_json, contexts_dot,
-                        load_structure, subobject_dot, subobject_from_mapping,
+                        subobject_dot, subobject_from_mapping,
                         subobject_to_json)
 
 __version__ = "0.1.0"
@@ -50,7 +50,7 @@ __all__ = [
     "double_heyting_not", "enumerate_contexts", "enumerate_subobjects",
     "from_greechie", "generate", "global_sections", "heyting_implies",
     "heyting_not", "is_coheyting_regular", "is_heyting_regular", "is_tight",
-    "join", "leq", "load_structure", "make_subobject", "maximal_above",
+    "join", "make_subobject", "maximal_above",
     "meet", "minimal_below", "restrict", "restriction_image_projection",
     "spectrum", "subobject_dot", "subobject_from_mapping",
     "subobject_to_json", "top", "validate",

@@ -4,14 +4,19 @@ Meet and join are stagewise set operations on the spectra, so on the packed
 representation they are single int ops.  The two negations have closed local
 forms:
 
-* Heyting: the component of ``heyting_not(S)`` at V is the complement in V of
-  the join of the components of S at the minimal subcontexts of V, and the
-  double negation is the meet of those components.  Right adjoint to meet:
-  ``R ^ S <= T  iff  R <= heyting_implies(S, T)``.
-* co-Heyting: the component of ``coheyting_not(S)`` at V is the join over the
-  maximal contexts above V of the coarse-grained complements of S there, and
-  the double negation drops the complement.  Left adjoint to join:
+* Heyting: ``heyting_not`` is implication into the bottom.  Its component at
+  V is the complement in V of the join of the pullbacks of S from the minimal
+  subcontexts of V, and the double negation is the meet of those pullbacks.
+  Right adjoint to meet: ``R ^ S <= T  iff  R <= heyting_implies(S, T)``.
+* co-Heyting: ``coheyting_not`` is subtraction from the top.  Its component
+  at V is the join over the maximal contexts above V of the restriction images
+  of the complements of S there, and the double negation drops the
+  complement.  Left adjoint to join:
   ``coheyting_subtract(S, T) <= R  iff  S <= T v R``.
+
+Implication and subtraction unpack each operand once into per-context atom
+masks and join over every inclusion; by monotonicity that agrees with the
+extremal forms above, which the tests pin.
 
 ``coheyting_not(S) ^ S`` need not be empty: the co-Heyting side is
 paraconsistent.  ``heyting_not`` is always below ``coheyting_not``.
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .contexts import ContextPoset, delta
+from .contexts import ContextPoset
 from .errors import PosetMismatch, UsageError
 from .presheaf import ClopenSubobject, _same_poset
 
@@ -49,10 +54,6 @@ def bottom(poset: ContextPoset) -> ClopenSubobject:
     return ClopenSubobject(poset, 0)
 
 
-def leq(s: ClopenSubobject, t: ClopenSubobject) -> bool:
-    return s <= t
-
-
 def meet(subobjects: Iterable[ClopenSubobject], *,
          poset: ContextPoset | None = None) -> ClopenSubobject:
     poset, subs = _poset_of(subobjects, poset)
@@ -71,53 +72,38 @@ def join(subobjects: Iterable[ClopenSubobject], *,
     return ClopenSubobject(poset, bits)
 
 
+def _components(poset: ContextPoset, bits: int) -> list[int]:
+    """The atom mask of packed bits at every context, in context order."""
+    return [(bits >> off) & full for off, full in zip(poset._offsets, poset._full)]
+
+
 def heyting_implies(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobject:
     """Stagewise implication: keep the points of V all of whose restrictions
     that land in S also land in T."""
     _same_poset(s, t)
     poset = s.poset
+    diff = _components(poset, s.bits & ~t.bits)
     bits = 0
     for i in range(len(poset.contexts)):
-        comp = 0
+        bad = 0
         dm = poset._down[i]
-        for p in range(len(poset.contexts[i].atoms)):
-            ok = True
-            m = dm
-            while m:
-                low = m & -m
-                m ^= low
-                j = low.bit_length() - 1
-                r = poset._restr[(i, j)][p]
-                if (s.mask_at(j) >> r) & 1 and not (t.mask_at(j) >> r) & 1:
-                    ok = False
-                    break
-            if ok:
-                comp |= 1 << p
-        bits |= comp << poset._offsets[i]
+        while dm:
+            low = dm & -dm
+            dm ^= low
+            j = low.bit_length() - 1
+            if diff[j]:
+                bad |= poset.pullback_mask(i, j, diff[j])
+        bits |= (poset._full[i] & ~bad) << poset._offsets[i]
     return ClopenSubobject(poset, bits)
 
 
 def heyting_not(s: ClopenSubobject) -> ClopenSubobject:
     """Largest subobject meeting S in the empty subobject."""
-    poset = s.poset
-    bits = 0
-    for i in range(len(poset.contexts)):
-        joined = 0
-        for j in poset._m[i]:
-            joined |= poset.pullback_mask(i, j, s.mask_at(j))
-        bits |= (poset._full[i] & ~joined) << poset._offsets[i]
-    return ClopenSubobject(poset, bits)
+    return heyting_implies(s, bottom(s.poset))
 
 
 def double_heyting_not(s: ClopenSubobject) -> ClopenSubobject:
-    poset = s.poset
-    bits = 0
-    for i in range(len(poset.contexts)):
-        comp = poset._full[i]
-        for j in poset._m[i]:
-            comp &= poset.pullback_mask(i, j, s.mask_at(j))
-        bits |= comp << poset._offsets[i]
-    return ClopenSubobject(poset, bits)
+    return heyting_not(heyting_not(s))
 
 
 def coheyting_subtract(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobject:
@@ -125,6 +111,7 @@ def coheyting_subtract(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobjec
     restriction images of the points of S at W missing from T at W."""
     _same_poset(s, t)
     poset = s.poset
+    diff = _components(poset, s.bits & ~t.bits)
     bits = 0
     for i in range(len(poset.contexts)):
         comp = 0
@@ -133,37 +120,19 @@ def coheyting_subtract(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobjec
             low = um & -um
             um ^= low
             w = low.bit_length() - 1
-            diff = s.mask_at(w) & ~t.mask_at(w)
-            if diff:
-                comp |= poset.image_mask(w, i, diff)
+            if diff[w]:
+                comp |= poset.image_mask(w, i, diff[w])
         bits |= comp << poset._offsets[i]
     return ClopenSubobject(poset, bits)
 
 
 def coheyting_not(s: ClopenSubobject) -> ClopenSubobject:
     """Smallest subobject joining with S to the whole presheaf."""
-    poset = s.poset
-    bits = 0
-    for i in range(len(poset.contexts)):
-        comp = 0
-        for t_ix in poset._M[i]:
-            c = poset._mask_to_elem[t_ix][poset._full[t_ix] & ~s.mask_at(t_ix)]
-            d = delta(poset, t_ix, i, c)
-            comp |= poset._elem_mask[i][d]
-        bits |= comp << poset._offsets[i]
-    return ClopenSubobject(poset, bits)
+    return coheyting_subtract(top(s.poset), s)
 
 
 def double_coheyting_not(s: ClopenSubobject) -> ClopenSubobject:
-    poset = s.poset
-    bits = 0
-    for i in range(len(poset.contexts)):
-        comp = 0
-        for t_ix in poset._M[i]:
-            d = delta(poset, t_ix, i, s.element_at(t_ix))
-            comp |= poset._elem_mask[i][d]
-        bits |= comp << poset._offsets[i]
-    return ClopenSubobject(poset, bits)
+    return coheyting_not(coheyting_not(s))
 
 
 def is_heyting_regular(s: ClopenSubobject) -> bool:
@@ -182,12 +151,13 @@ def is_tight(s: ClopenSubobject) -> bool:
     Tight subobjects are regular for both negations; the converse fails.
     """
     poset = s.poset
+    masks = _components(poset, s.bits)
     for i in range(len(poset.contexts)):
         dm = poset._down[i] & ~(1 << i)
         while dm:
             low = dm & -dm
             dm ^= low
             j = low.bit_length() - 1
-            if s.element_at(j) != delta(poset, i, j, s.element_at(i)):
+            if poset.image_mask(i, j, masks[i]) != masks[j]:
                 return False
     return True

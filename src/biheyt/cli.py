@@ -21,11 +21,12 @@ from .contexts import ContextPoset, enumerate_contexts
 from .daseinisation import daseinise
 from .errors import BiheytError, SizeGuard, UsageError, ValidationError
 from .limits import DEFAULT_LIMITS, Limits
+from .oml import validate
 from .oracle import (brute_coheyting_subtract, brute_heyting_implies,
-                     brute_negations, check_adjunctions)
+                     brute_negations, check_adjunctions, oracle_comparison)
 from .presheaf import enumerate_subobjects, global_sections
 from .serialize import (builtin_structure, canonical_json, contexts_dot,
-                        load_structure, subobject_dot, subobject_from_mapping,
+                        subobject_dot, subobject_from_mapping,
                         subobject_to_json)
 
 _BINARY_OPS = ("meet", "join", "implies", "subtract")
@@ -145,7 +146,7 @@ def _load_json(path: str):
 
 def _structure(args, limits):
     if args.input is not None:
-        return load_structure(_load_json(args.input), limits=limits)
+        return validate(_load_json(args.input), limits=limits)
     if args.builtin is not None:
         return builtin_structure(args.builtin, limits=limits)
     raise UsageError("one of --input or --builtin is required")
@@ -233,45 +234,13 @@ def _cmd_check(args, limits) -> str:
         report = check_adjunctions(poset, limits=limits)
         payload = {"adjunctions": report.to_json(), "oracle": None}
         if args.oracle:
-            payload["oracle"] = _oracle_comparison(poset, limits)
+            payload["oracle"] = oracle_comparison(poset, limits)
         return canonical_json(payload)
     s = _subobject_arg(poset, args.subobject, "--subobject")
     result = {"regular": is_heyting_regular,
               "coregular": is_coheyting_regular,
               "tight": is_tight}[args.predicate](s)
     return canonical_json({"check": args.predicate, "result": result})
-
-
-def _oracle_comparison(poset, limits) -> dict:
-    """Compare every production operation against its brute-force twin."""
-    subs = enumerate_subobjects(poset, limits=limits)
-    mismatches = 0
-    first = None
-    for s in subs:
-        neg, coneg = brute_negations(s, limits=limits)
-        for name, got, want in (("not", heyting_not(s), neg),
-                                ("conot", coheyting_not(s), coneg)):
-            if got != want:
-                mismatches += 1
-                if first is None:
-                    first = {"op": name, "subobject": s.to_mapping()}
-    pair_checks = 0
-    for s in subs:
-        for t in subs:
-            pair_checks += 2
-            for name, got, want in (
-                    ("implies", heyting_implies(s, t),
-                     brute_heyting_implies(s, t, limits=limits)),
-                    ("subtract", coheyting_subtract(s, t),
-                     brute_coheyting_subtract(s, t, limits=limits))):
-                if got != want:
-                    mismatches += 1
-                    if first is None:
-                        first = {"op": name, "subobject": s.to_mapping(),
-                                 "other": t.to_mapping()}
-    return {"first_mismatch": first, "mismatches": mismatches,
-            "negation_checks": 2 * len(subs), "pair_checks": pair_checks,
-            "passed": mismatches == 0}
 
 
 def _cmd_sections(args, limits) -> str:
@@ -346,9 +315,5 @@ def run(argv=None) -> int:
         return 1
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -7,9 +7,11 @@ the partitions of its atom set, so enumeration walks block-atom partitions and
 deduplicates by element set.
 
 Context ids are the sorted atom labels joined with "|".  Coarse-graining
-``delta(V, V', P)`` is the least element of V' dominating P, computed by
-scanning V' (the scan is deliberate: ``restriction_image_projection`` in the
-presheaf module cross-checks it against an independent pointwise computation).
+``delta(V, V', P)`` is the least element of V' dominating P.  For P in V it is
+the restriction image of P's atoms, so it is a lookup in the per-inclusion
+tables.  The scan for a least dominator survives only where P may lie outside
+the context (``delta_global``) and in the oracle's
+``restriction_image_projection``, which checks the table against it.
 """
 from __future__ import annotations
 
@@ -46,8 +48,10 @@ class ContextPoset:
 
     Built by ``enumerate_contexts``.  Contexts are indexed in canonical order
     (sorted by id); per-context tables translate between elements and atom
-    bitmasks, and restriction tables map atoms of a context to the unique
-    dominating atom of each subcontext.  Immutable and safe to share.
+    bitmasks, restriction tables map atoms of a context to the unique
+    dominating atom of each subcontext, and preimage tables map each atom of
+    the subcontext back to the mask of atoms restricting to it.  Immutable and
+    safe to share.
     """
 
     def __init__(self, structure: OrthoStructure, contexts: tuple[Context, ...]):
@@ -119,6 +123,7 @@ class ContextPoset:
         self._elem_mask = tuple(elem_mask)
 
         restr: dict[tuple[int, int], tuple[int, ...]] = {}
+        pre: dict[tuple[int, int], tuple[int, ...]] = {}
         for i in range(n):
             dm = down[i]
             while dm:
@@ -126,13 +131,18 @@ class ContextPoset:
                 dm ^= low
                 j = low.bit_length() - 1
                 table = []
-                for a in contexts[i].atoms:
-                    hits = [p for p, b in enumerate(contexts[j].atoms) if st.leq(a, b)]
+                back = [0] * len(contexts[j].atoms)
+                for p, a in enumerate(contexts[i].atoms):
+                    hits = [q for q, b in enumerate(contexts[j].atoms) if st.leq(a, b)]
                     if len(hits) != 1:
                         raise AssertionError("atom restriction not unique (bug)")
                     table.append(hits[0])
-                restr[(i, j)] = tuple(table)
+                    back[hits[0]] |= 1 << p
+                key = (i, j)
+                restr[key] = tuple(table)
+                pre[key] = tuple(back)
         self._restr = restr
+        self._pre = pre
         self._subobjects_cache: tuple | None = None
 
     def __repr__(self):
@@ -179,9 +189,13 @@ class ContextPoset:
 
     def pullback_mask(self, i: int, j: int, mask_j: int) -> int:
         """Atoms of context i whose restriction lands inside mask_j."""
-        table = self._restr[(i, j)]
-        return sum(1 << p for p in range(len(self.contexts[i].atoms))
-                   if (mask_j >> table[p]) & 1)
+        table = self._pre[(i, j)]
+        out = 0
+        while mask_j:
+            low = mask_j & -mask_j
+            mask_j ^= low
+            out |= table[low.bit_length() - 1]
+        return out
 
 
 def enumerate_contexts(structure: OrthoStructure, *,
@@ -250,7 +264,7 @@ def delta(poset: ContextPoset, big, small, p: int | str) -> int:
     """Coarse-graining: least element of the subcontext dominating p.
 
     Requires p in V and V' <= V; under those preconditions the minimum always
-    exists (candidates are closed under the subcontext's meet).
+    exists and is the join of the restrictions of p's atoms.
     """
     i, j = poset.index(big), poset.index(small)
     st = poset.structure
@@ -261,10 +275,7 @@ def delta(poset: ContextPoset, big, small, p: int | str) -> int:
     if p not in poset.contexts[i].elements:
         raise UsageError(f"element {st.label(p)!r} not in context "
                          f"{poset.contexts[i].id!r}")
-    out = _least_dominating(st, poset.contexts[j], p)
-    if out is None:
-        raise AssertionError("no least dominator inside a common block (bug)")
-    return out
+    return poset._mask_to_elem[j][poset.image_mask(i, j, poset._elem_mask[i][p])]
 
 
 def delta_global(poset: ContextPoset, ctx, p: int | str) -> int:

@@ -5,7 +5,10 @@ their defining extremal properties by scanning every clopen subobject.  They
 are deliberately independent of the closed-form production code so the two
 can certify each other; ``check_adjunctions`` verifies both adjunctions over
 every triple and accepts replacement operation hooks so a corrupted operation
-is caught with a concrete counterexample.
+is caught with a concrete counterexample, and ``oracle_comparison`` compares
+every production operation with its brute-force twin.
+``restriction_image_projection`` checks the table-driven coarse-graining
+against a scan of the subcontext for the least dominating element.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from . import biheyting
-from .contexts import ContextPoset
+from .contexts import ContextPoset, _least_dominating, delta
 from .limits import DEFAULT_LIMITS, Limits
 from .presheaf import ClopenSubobject, _same_poset, enumerate_subobjects
 
@@ -110,3 +113,55 @@ def check_adjunctions(poset: ContextPoset, *,
                         "S": s.to_mapping(), "T": t.to_mapping(), "R": r.to_mapping(),
                         "inside_join": inside_join, "subtraction_below": sub_below})
     return AdjunctionReport(len(subs), triples, None)
+
+
+def oracle_comparison(poset: ContextPoset, limits: Limits) -> dict:
+    """Compare every production operation against its brute-force twin."""
+    subs = enumerate_subobjects(poset, limits=limits)
+    mismatches = 0
+    first = None
+    for s in subs:
+        neg, coneg = brute_negations(s, limits=limits)
+        for name, got, want in (("not", biheyting.heyting_not(s), neg),
+                                ("conot", biheyting.coheyting_not(s), coneg)):
+            if got != want:
+                mismatches += 1
+                if first is None:
+                    first = {"op": name, "subobject": s.to_mapping()}
+    pair_checks = 0
+    for s in subs:
+        for t in subs:
+            pair_checks += 2
+            for name, got, want in (
+                    ("implies", biheyting.heyting_implies(s, t),
+                     brute_heyting_implies(s, t, limits=limits)),
+                    ("subtract", biheyting.coheyting_subtract(s, t),
+                     brute_coheyting_subtract(s, t, limits=limits))):
+                if got != want:
+                    mismatches += 1
+                    if first is None:
+                        first = {"op": name, "subobject": s.to_mapping(),
+                                 "other": t.to_mapping()}
+    return {"first_mismatch": first, "mismatches": mismatches,
+            "negation_checks": 2 * len(subs), "pair_checks": pair_checks,
+            "passed": mismatches == 0}
+
+
+def restriction_image_projection(poset: ContextPoset, s: ClopenSubobject,
+                                 big, small) -> int:
+    """Project the component at V into V' two independent ways and compare.
+
+    The table-driven coarse-graining (the restriction image of the
+    component's atoms) must equal the least element of V' dominating the
+    component, found by scanning V'; disagreement means an implementation
+    bug, so it raises AssertionError rather than a validation error.
+    """
+    i, j = poset.index(big), poset.index(small)
+    p = s.element_at(i)
+    via_table = delta(poset, i, j, p)
+    via_scan = _least_dominating(poset.structure, poset.contexts[j], p)
+    if via_table != via_scan:
+        raise AssertionError(
+            f"restriction image {poset.structure.label(via_table)!r} is not the "
+            f"least dominator in {poset.contexts[j].id!r} (bug)")
+    return via_table

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .contexts import Context, ContextPoset, delta
+from .contexts import Context, ContextPoset
 from .errors import NotASubobject, PosetMismatch, SizeGuard, UsageError
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -260,24 +260,6 @@ def enumerate_subobjects(poset: ContextPoset, *,
                         key=ClopenSubobject.key))
     poset._subobjects_cache = subs
     return subs
-
-
-def restriction_image_projection(poset: ContextPoset, s: ClopenSubobject,
-                                 big, small) -> int:
-    """Project the component at V into V' two independent ways and compare.
-
-    The pointwise restriction image of the component's atoms must equal the
-    coarse-graining of its element; disagreement means an implementation bug,
-    so it raises AssertionError rather than a validation error.
-    """
-    i, j = poset.index(big), poset.index(small)
-    via_points = poset._mask_to_elem[j][poset.image_mask(i, j, s.mask_at(i))]
-    via_delta = delta(poset, i, j, s.element_at(i))
-    if via_points != via_delta:
-        raise AssertionError(
-            f"restriction image {poset.structure.label(via_points)!r} disagrees "
-            f"with coarse-graining {poset.structure.label(via_delta)!r} (bug)")
-    return via_points
 
 
 # -- global sections -------------------------------------------------------------

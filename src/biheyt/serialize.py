@@ -12,16 +12,12 @@ from typing import Any
 from .contexts import ContextPoset
 from .errors import UsageError
 from .limits import DEFAULT_LIMITS, Limits
-from .oml import OrthoStructure, generate, validate
+from .oml import OrthoStructure, generate
 from .presheaf import ClopenSubobject, make_subobject
 
 
 def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def load_structure(raw: Any, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
-    return validate(raw, limits=limits)
 
 
 def builtin_structure(spec: str, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
@@ -55,12 +51,10 @@ def _quote(name: str) -> str:
     return '"' + body + '"'
 
 
-def contexts_dot(poset: ContextPoset, *, title: str = "contexts") -> str:
-    """Hasse diagram of the context poset (covering edges, subcontext below)."""
+def _dot(poset: ContextPoset, title: str, nodes: list[str]) -> str:
+    """DOT digraph: header, the given node lines, sorted covering edges."""
     lines = [f"digraph {_quote(title)} {{", "  rankdir=BT;",
-             "  node [shape=box];"]
-    for c in poset.contexts:
-        lines.append(f"  {_quote(c.id)};")
+             "  node [shape=box];", *nodes]
     edges = []
     for i, c in enumerate(poset.contexts):
         for sup in poset._covers_up[i]:
@@ -69,23 +63,20 @@ def contexts_dot(poset: ContextPoset, *, title: str = "contexts") -> str:
         lines.append(f"  {_quote(a)} -> {_quote(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def contexts_dot(poset: ContextPoset, *, title: str = "contexts") -> str:
+    """Hasse diagram of the context poset (covering edges, subcontext below)."""
+    return _dot(poset, title, [f"  {_quote(c.id)};" for c in poset.contexts])
 
 
 def subobject_dot(s: ClopenSubobject, *, title: str = "subobject") -> str:
     """Context Hasse diagram with each node annotated by the component."""
     poset = s.poset
     st = poset.structure
-    lines = [f"digraph {_quote(title)} {{", "  rankdir=BT;",
-             "  node [shape=box];"]
+    nodes = []
     for i, c in enumerate(poset.contexts):
         atoms = ", ".join(p.label for p in s.points_at(i))
         label = f"{c.id}\n{st.label(s.element_at(i))} = {{{atoms}}}"
-        lines.append(f"  {_quote(c.id)} [label={_quote(label)}];")
-    edges = []
-    for i, c in enumerate(poset.contexts):
-        for sup in poset._covers_up[i]:
-            edges.append((c.id, poset.contexts[sup].id))
-    for a, b in sorted(edges):
-        lines.append(f"  {_quote(a)} -> {_quote(b)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        nodes.append(f"  {_quote(c.id)} [label={_quote(label)}];")
+    return _dot(poset, title, nodes)
