@@ -85,12 +85,8 @@ def heyting_implies(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobject:
     diff = _components(poset, s.bits & ~t.bits)
     bits = 0
     for i in range(len(poset.contexts)):
-        bad = 0
-        dm = poset._down[i]
-        while dm:
-            low = dm & -dm
-            dm ^= low
-            j = low.bit_length() - 1
+        bad = diff[i]
+        for j in poset._below[i]:
             if diff[j]:
                 bad |= poset.pullback_mask(i, j, diff[j])
         bits |= (poset._full[i] & ~bad) << poset._offsets[i]
@@ -114,12 +110,8 @@ def coheyting_subtract(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobjec
     diff = _components(poset, s.bits & ~t.bits)
     bits = 0
     for i in range(len(poset.contexts)):
-        comp = 0
-        um = poset._up[i]
-        while um:
-            low = um & -um
-            um ^= low
-            w = low.bit_length() - 1
+        comp = diff[i]
+        for w in poset._above[i]:
             if diff[w]:
                 comp |= poset.image_mask(w, i, diff[w])
         bits |= comp << poset._offsets[i]
@@ -153,11 +145,7 @@ def is_tight(s: ClopenSubobject) -> bool:
     poset = s.poset
     masks = _components(poset, s.bits)
     for i in range(len(poset.contexts)):
-        dm = poset._down[i] & ~(1 << i)
-        while dm:
-            low = dm & -dm
-            dm ^= low
-            j = low.bit_length() - 1
+        for j in poset._below[i]:
             if poset.image_mask(i, j, masks[i]) != masks[j]:
                 return False
     return True

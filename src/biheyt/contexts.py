@@ -6,12 +6,15 @@ lies inside some block, and the Boolean subalgebras of a block correspond to
 the partitions of its atom set, so enumeration walks block-atom partitions and
 deduplicates by element set.
 
-Context ids are the sorted atom labels joined with "|".  Coarse-graining
+Context ids are the sorted atom labels joined with "|".  Each context keeps
+the ascending lists of its strict subcontexts and strict supercontexts, and
+every walk over inclusions elsewhere iterates those lists.  Coarse-graining
 ``delta(V, V', P)`` is the least element of V' dominating P.  For P in V it is
 the restriction image of P's atoms, so it is a lookup in the per-inclusion
-tables.  The scan for a least dominator survives only where P may lie outside
-the context (``delta_global``) and in the oracle's
-``restriction_image_projection``, which checks the table against it.
+tables.  For P anywhere in the structure (``delta_global``) it is the least
+element of the mask of V's elements above P, found as in ``oml``'s glb and
+lub tables.  Scanning V' with ``leq`` is left to the oracle, which checks
+both against it.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import NoLeastUpperWitness, SizeGuard, UsageError
 from .limits import DEFAULT_LIMITS, Limits
-from .oml import LATTICE, OrthoStructure
+from .oml import LATTICE, OrthoStructure, _extremum
 
 
 @dataclass(frozen=True)
@@ -47,11 +50,12 @@ class ContextPoset:
     """All contexts of a structure, ordered by inclusion, with caches.
 
     Built by ``enumerate_contexts``.  Contexts are indexed in canonical order
-    (sorted by id); per-context tables translate between elements and atom
-    bitmasks, restriction tables map atoms of a context to the unique
-    dominating atom of each subcontext, and preimage tables map each atom of
-    the subcontext back to the mask of atoms restricting to it.  Immutable and
-    safe to share.
+    (sorted by id); ``_below[i]`` and ``_above[i]`` list the strict
+    subcontexts and supercontexts of context i in ascending order.
+    Per-context tables translate between elements and atom bitmasks,
+    restriction tables map atoms of a context to the unique dominating atom
+    of each subcontext, and preimage tables map each atom of the subcontext
+    back to the mask of atoms restricting to it.  Immutable and safe to share.
     """
 
     def __init__(self, structure: OrthoStructure, contexts: tuple[Context, ...]):
@@ -62,28 +66,30 @@ class ContextPoset:
 
         down = [0] * n   # bit j set iff contexts[j] <= contexts[i]
         up = [0] * n
+        below: list[list[int]] = [[] for _ in range(n)]
+        above: list[list[int]] = [[] for _ in range(n)]
         for i, ci in enumerate(contexts):
             for j, cj in enumerate(contexts):
                 if cj.elements <= ci.elements:
                     down[i] |= 1 << j
                     up[j] |= 1 << i
+                    if i != j:
+                        below[i].append(j)
+                        above[j].append(i)
         self._down, self._up = tuple(down), tuple(up)
+        self._below = tuple(map(tuple, below))
+        self._above = tuple(map(tuple, above))
 
-        self.minimal = tuple(i for i in range(n) if down[i] == 1 << i)
-        self.maximal = tuple(i for i in range(n) if up[i] == 1 << i)
-        self._m = tuple(tuple(j for j in range(n) if (down[i] >> j) & 1 and j in set(self.minimal))
+        self.minimal = tuple(i for i in range(n) if not below[i])
+        self.maximal = tuple(i for i in range(n) if not above[i])
+        self._m = tuple(tuple(j for j in self.minimal if (down[i] >> j) & 1)
                         for i in range(n))
-        self._M = tuple(tuple(j for j in range(n) if (up[i] >> j) & 1 and j in set(self.maximal))
+        self._M = tuple(tuple(j for j in self.maximal if (up[i] >> j) & 1)
                         for i in range(n))
-
-        covers_up: list[tuple[int, ...]] = []
-        for i in range(n):
-            sups = [j for j in range(n) if j != i and (up[i] >> j) & 1]
-            covers_up.append(tuple(
-                j for j in sups
-                if not any(k != i and k != j and (up[i] >> k) & 1 and (up[k] >> j) & 1
-                           for k in sups)))
-        self._covers_up = tuple(covers_up)
+        # j covers i iff no strict supercontext of i lies strictly below j
+        self._covers_up = tuple(
+            tuple(j for j in above[i] if not down[j] & up[i] & ~(1 << i | 1 << j))
+            for i in range(n))
 
         offsets = []
         total = 0
@@ -93,6 +99,7 @@ class ContextPoset:
         self._offsets = tuple(offsets)
         self.total_bits = total
         self._full = tuple((1 << len(c.atoms)) - 1 for c in contexts)
+        self._elements = tuple(sum(1 << e for e in c.elements) for c in contexts)
 
         st = structure
         mask_to_elem: list[dict[int, int]] = []
@@ -125,15 +132,12 @@ class ContextPoset:
         restr: dict[tuple[int, int], tuple[int, ...]] = {}
         pre: dict[tuple[int, int], tuple[int, ...]] = {}
         for i in range(n):
-            dm = down[i]
-            while dm:
-                low = dm & -dm
-                dm ^= low
-                j = low.bit_length() - 1
+            for j in (i, *below[i]):
                 table = []
                 back = [0] * len(contexts[j].atoms)
                 for p, a in enumerate(contexts[i].atoms):
-                    hits = [q for q, b in enumerate(contexts[j].atoms) if st.leq(a, b)]
+                    hits = [q for q, b in enumerate(contexts[j].atoms)
+                            if (st._down[b] >> a) & 1]
                     if len(hits) != 1:
                         raise AssertionError("atom restriction not unique (bug)")
                     table.append(hits[0])
@@ -252,14 +256,6 @@ def maximal_above(poset: ContextPoset, ctx) -> tuple[Context, ...]:
     return tuple(poset.contexts[j] for j in poset._M[poset.index(ctx)])
 
 
-def _least_dominating(structure: OrthoStructure, target: Context, p: int) -> int | None:
-    cands = [q for q in sorted(target.elements) if structure.leq(p, q)]
-    for c in cands:
-        if all(structure.leq(c, q) for q in cands):
-            return c
-    return None
-
-
 def delta(poset: ContextPoset, big, small, p: int | str) -> int:
     """Coarse-graining: least element of the subcontext dominating p.
 
@@ -287,7 +283,7 @@ def delta_global(poset: ContextPoset, ctx, p: int | str) -> int:
     j = poset.index(ctx)
     st = poset.structure
     p = st.el(p)
-    out = _least_dominating(st, poset.contexts[j], p)
+    out = _extremum(st._up[p] & poset._elements[j], st._up)
     if out is None:
         if st.kind == LATTICE:
             raise AssertionError("no least dominator in a lattice (bug)")

@@ -12,7 +12,10 @@ kinds are distinguished after validation:
 Blocks are the maximal pairwise-commuting, operation-closed subsets; each is a
 finite Boolean algebra determined by a maximal pairwise-orthogonal set of
 atoms.  Orders are stored as integer bitmasks (``_down[i]`` has bit ``j`` set
-iff ``j <= i``), which keeps every check here a handful of int ops.
+iff ``j <= i``), which keeps every check here a handful of int ops.  Global
+meets and joins, and the least dominator of an element in a context, are all
+one ``_extremum`` call: the first element of a candidate mask whose row
+covers the whole mask.
 
 Structures are immutable once built and safe to share across threads.
 """
@@ -165,25 +168,17 @@ def _close_order(n: int, up: list[int]) -> None:
                 changed = True
 
 
-def _greatest(mask: int, down: tuple[int, ...] | list[int]) -> int | None:
-    """Greatest element of a downward-closed candidate mask, if one exists."""
+def _extremum(mask: int, rows: tuple[int, ...] | list[int]) -> int | None:
+    """First element of ``mask`` whose row covers all of ``mask``, if any.
+
+    With ``_down`` rows this is the greatest element of a downward-closed
+    mask, with ``_up`` rows the least element of any mask.
+    """
     m = mask
     while m:
         low = m & -m
         i = low.bit_length() - 1
-        if down[i] == mask:
-            return i
-        m ^= low
-    return None
-
-
-def _least(mask: int, up: tuple[int, ...] | list[int]) -> int | None:
-    """Least element of an upward-closed candidate mask, if one exists."""
-    m = mask
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        if up[i] == mask:
+        if rows[i] & mask == mask:
             return i
         m ^= low
     return None
@@ -349,8 +344,8 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
     unbounded: list[str] | None = None
     for i in range(n):
         for j in range(i, n):
-            g = _greatest(down_t[i] & down_t[j], down_t)
-            l = _least(up_t[i] & up_t[j], up_t)
+            g = _extremum(down_t[i] & down_t[j], down_t)
+            l = _extremum(up_t[i] & up_t[j], up_t)
             glb[i][j] = glb[j][i] = g
             lub[i][j] = lub[j][i] = l
             if unbounded is None and (g is None or l is None):

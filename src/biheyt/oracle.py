@@ -8,7 +8,8 @@ every triple and accepts replacement operation hooks so a corrupted operation
 is caught with a concrete counterexample, and ``oracle_comparison`` compares
 every production operation with its brute-force twin.
 ``restriction_image_projection`` checks the table-driven coarse-graining
-against a scan of the subcontext for the least dominating element.
+against ``_least_dominating``, a scan of the subcontext for the least
+dominating element; the tests hold ``delta_global`` to the same scan.
 """
 from __future__ import annotations
 
@@ -16,8 +17,9 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from . import biheyting
-from .contexts import ContextPoset, _least_dominating, delta
+from .contexts import Context, ContextPoset, delta
 from .limits import DEFAULT_LIMITS, Limits
+from .oml import OrthoStructure
 from .presheaf import ClopenSubobject, _same_poset, enumerate_subobjects
 
 
@@ -145,6 +147,15 @@ def oracle_comparison(poset: ContextPoset, limits: Limits) -> dict:
     return {"first_mismatch": first, "mismatches": mismatches,
             "negation_checks": 2 * len(subs), "pair_checks": pair_checks,
             "passed": mismatches == 0}
+
+
+def _least_dominating(structure: OrthoStructure, target: Context, p: int) -> int | None:
+    """Least element of the context dominating p, by scanning its elements."""
+    cands = [q for q in sorted(target.elements) if structure.leq(p, q)]
+    for c in cands:
+        if all(structure.leq(c, q) for q in cands):
+            return c
+    return None
 
 
 def restriction_image_projection(poset: ContextPoset, s: ClopenSubobject,

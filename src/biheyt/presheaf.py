@@ -68,9 +68,6 @@ class ClopenSubobject:
         return {c.id: st.label(self.element_at(i))
                 for i, c in enumerate(self.poset.contexts)}
 
-    def key(self) -> tuple[int, ...]:
-        return tuple(self.mask_at(i) for i in range(len(self.poset.contexts)))
-
     def __eq__(self, other):
         return (isinstance(other, ClopenSubobject)
                 and self.poset is other.poset and self.bits == other.bits)
@@ -172,13 +169,8 @@ def alpha_inv(poset: ContextPoset, ctx, atoms: Iterable[int | str]) -> int:
 
 def _monotone_witness(poset: ContextPoset, masks: list[int]) -> tuple[int, int] | None:
     """First inclusion pair (sub, super) violating monotonicity, if any."""
-    n = len(poset.contexts)
-    for i in range(n):
-        dm = poset._down[i] & ~(1 << i)
-        while dm:
-            low = dm & -dm
-            dm ^= low
-            j = low.bit_length() - 1
+    for i, below in enumerate(poset._below):
+        for j in below:
             if poset.image_mask(i, j, masks[i]) & ~masks[j]:
                 return (j, i)
     return None
@@ -218,48 +210,55 @@ def make_subobject(poset: ContextPoset, family: Mapping) -> ClopenSubobject:
 
 def enumerate_subobjects(poset: ContextPoset, *,
                          limits: Limits = DEFAULT_LIMITS) -> tuple[ClopenSubobject, ...]:
-    """All clopen subobjects, canonically ordered.
+    """All clopen subobjects, in canonical order.
 
-    Contexts are assigned from largest to smallest; each assignment is bounded
-    below by the restriction images of the already-assigned supersets, so only
-    monotone families are generated.  Cached on the poset after first success.
+    Contexts are assigned in index order and each component runs through its
+    masks in ascending order, so the subobjects come out sorted by their
+    tuple of component masks without a sort.  The component at V is bounded
+    by the contexts already assigned: below by the restriction images of
+    their supercontexts of V, above by the meet of the pullbacks of their
+    subcontexts of V.  Only monotone families are generated, and no branch
+    dead-ends: restrictions compose, so for assigned W >= V >= V' the image
+    of the component at W already lies in the pullback of the one at V'.
+    Cached on the poset after first success.
     """
     if poset._subobjects_cache is not None:
         return poset._subobjects_cache
     n = len(poset.contexts)
-    order = sorted(range(n), key=lambda i: (-len(poset.contexts[i].elements),
-                                            poset.contexts[i].id))
-    results: list[int] = []
+    sups = [tuple(w for w in poset._above[i] if w < i) for i in range(n)]
+    subs = [tuple(j for j in poset._below[i] if j < i) for i in range(n)]
+    image, pullback = poset.image_mask, poset.pullback_mask
+    full, offsets = poset._full, poset._offsets
+    out: list[ClopenSubobject] = []
     masks = [0] * n
     budget = limits.max_subobjects
 
-    def rec(pos: int) -> None:
-        if pos == n:
-            if len(results) >= budget:
+    def rec(i: int, bits: int) -> None:
+        if i == n:
+            if len(out) >= budget:
                 raise SizeGuard(f"subobject count exceeds limit {budget}")
-            bits = 0
-            for i in range(n):
-                bits |= masks[i] << poset._offsets[i]
-            results.append(bits)
+            out.append(ClopenSubobject(poset, bits))
             return
-        i = order[pos]
-        bound = 0
-        for sup in poset._covers_up[i]:
-            bound |= poset.image_mask(sup, i, masks[sup])
-        free = poset._full[i] & ~bound
+        lower = 0
+        for w in sups[i]:
+            lower |= image(w, i, masks[w])
+        upper = full[i]
+        for j in subs[i]:
+            upper &= pullback(i, j, masks[j])
+        if lower & ~upper:
+            raise AssertionError("subobject bounds crossed (bug)")
+        free = upper & ~lower
         s = 0
         while True:
-            masks[i] = bound | s
-            rec(pos + 1)
+            masks[i] = m = lower | s
+            rec(i + 1, bits | m << offsets[i])
             if s == free:
                 break
             s = (s - free) & free
 
-    rec(0)
-    subs = tuple(sorted((ClopenSubobject(poset, b) for b in results),
-                        key=ClopenSubobject.key))
-    poset._subobjects_cache = subs
-    return subs
+    rec(0, 0)
+    poset._subobjects_cache = result = tuple(out)
+    return result
 
 
 # -- global sections -------------------------------------------------------------
@@ -281,13 +280,8 @@ def global_sections(poset: ContextPoset, *,
     for t, mt in enumerate(maxs):
         row = []
         for s in range(t):
-            common = poset._down[mt] & poset._down[maxs[s]]
-            ctxs = []
-            cm = common
-            while cm:
-                low = cm & -cm
-                cm ^= low
-                ctxs.append(low.bit_length() - 1)
+            down_s = poset._down[maxs[s]]
+            ctxs = [j for j in poset._below[mt] if (down_s >> j) & 1]
             if ctxs:
                 row.append((s, ctxs))
         shared.append(row)
@@ -300,21 +294,13 @@ def global_sections(poset: ContextPoset, *,
         atoms = [None] * n
         for t, mt in enumerate(maxs):
             p = chosen[t]
-            dm = poset._down[mt]
-            while dm:
-                low = dm & -dm
-                dm ^= low
-                j = low.bit_length() - 1
+            for j in (mt, *poset._below[mt]):
                 atoms[j] = poset.contexts[j].atoms[poset._restr[(mt, j)][p]]
         if any(a is None for a in atoms):
             raise AssertionError("context below no maximal context (bug)")
         for i in range(n):
-            dm = poset._down[i] & ~(1 << i)
-            while dm:
-                low = dm & -dm
-                dm ^= low
-                j = low.bit_length() - 1
-                p = atom_pos[i][atoms[i]]
+            p = atom_pos[i][atoms[i]]
+            for j in poset._below[i]:
                 if poset.contexts[j].atoms[poset._restr[(i, j)][p]] != atoms[j]:
                     raise AssertionError("incompatible section escaped pruning (bug)")
         out.append(GlobalSection(poset=poset, atoms=tuple(atoms)))

@@ -6,9 +6,10 @@ exactly one four-element context per shared atom.
 """
 import pytest
 
-from biheyt import (Limits, NoLeastUpperWitness, SizeGuard, UsageError, delta,
-                    delta_global, enumerate_contexts, generate, maximal_above,
-                    minimal_below)
+from biheyt import (Limits, NoLeastUpperWitness, SizeGuard, UsageError,
+                    builtin_structure, delta, delta_global, enumerate_contexts,
+                    generate, maximal_above, minimal_below)
+from biheyt.oracle import _least_dominating
 
 BOOLEAN3_IDS = ["p+q|r", "p+r|q", "p|q+r", "p|q|r"]
 MO2_IDS = ["a|a'", "b|b'"]
@@ -117,6 +118,19 @@ def test_covers_in_boolean3(boolean3_poset):
         assert poset._covers_up[i] == expect
 
 
+def test_inclusion_lists_and_covers(boolean4_poset, cabello18_poset):
+    for poset in (boolean4_poset, cabello18_poset):
+        n = len(poset.contexts)
+        for i in range(n):
+            below = tuple(j for j in poset.down_indices(i) if j != i)
+            above = tuple(j for j in poset.up_indices(i) if j != i)
+            assert poset._below[i] == below and poset._above[i] == above
+            assert poset._covers_up[i] == tuple(
+                j for j in above
+                if not any(k in above and i != k != j and poset.includes(j, k)
+                           for k in range(n)))
+
+
 def test_delta_to_smaller_context(boolean3_poset):
     st = boolean3_poset.structure
     out = delta(boolean3_poset, "p|q|r", "p+r|q", "p")
@@ -215,6 +229,20 @@ def test_delta_global_can_fail_on_pastings(cabello18_poset):
         delta_global(cabello18_poset, "0001|0010|1100|1m00", "0100")
     out = delta_global(cabello18_poset, SHARED_ATOM_CTX, "0010")
     assert st.label(out) == "0010+1100+1m00"
+
+
+@pytest.mark.parametrize("spec", ["boolean:4", "mo:3", "cabello18"])
+def test_delta_global_matches_the_dominator_scan(spec):
+    poset = enumerate_contexts(builtin_structure(spec))
+    st = poset.structure
+    for j, c in enumerate(poset.contexts):
+        for p in range(st.n):
+            want = _least_dominating(st, c, p)
+            if want is None:
+                with pytest.raises(NoLeastUpperWitness):
+                    delta_global(poset, j, p)
+            else:
+                assert delta_global(poset, j, p) == want
 
 
 def test_context_limit_guard(boolean3):

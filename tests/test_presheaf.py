@@ -4,14 +4,18 @@ Subobject counts are verified against a brute-force generate-and-filter
 oracle that never touches the production enumerator's pruning logic.
 """
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from biheyt import (Limits, NotASubobject, PosetMismatch, SizeGuard,
-                    UsageError, alpha, alpha_inv, delta, enumerate_contexts,
-                    enumerate_subobjects, generate, global_sections,
-                    make_subobject, restrict, restriction_image_projection,
-                    spectrum)
+from biheyt import (ContextPoset, Limits, NotASubobject, PosetMismatch,
+                    SizeGuard, UsageError, alpha, alpha_inv, delta,
+                    enumerate_contexts, enumerate_subobjects, from_greechie,
+                    generate, global_sections, make_subobject, restrict,
+                    restriction_image_projection, spectrum)
+
+from test_oml import tree_pasting
 
 DAS_P = {"p+q|r": "p+q", "p+r|q": "p+r", "p|q+r": "p", "p|q|r": "p"}
 
@@ -19,12 +23,14 @@ DAS_P = {"p+q|r": "p+q", "p+r|q": "p+r", "p|q+r": "p", "p|q|r": "p"}
 SECTION_P = {"p+q|r": "p+q", "p+r|q": "p+r", "p|q+r": "p", "p|q|r": "p"}
 
 
-def _brute_families(poset):
-    """Every monotone projection family, by product-and-filter."""
+def _brute(poset):
+    """Every monotone projection family, by product-and-filter, as a set of
+    (context id, element) pairs."""
     n = len(poset.contexts)
+    ids = [c.id for c in poset.contexts]
     pools = [sorted(c.elements) for c in poset.contexts]
     st = poset.structure
-    good = []
+    good = set()
     for fam in itertools.product(*pools):
         ok = True
         for i in range(n):
@@ -36,8 +42,24 @@ def _brute_families(poset):
             if not ok:
                 break
         if ok:
-            good.append(fam)
+            good.add(frozenset(zip(ids, fam)))
     return good
+
+
+def _masks(s):
+    """The component mask at every context, in context order."""
+    return tuple(s.mask_at(i) for i in range(len(s.poset.contexts)))
+
+
+def _enumerated(poset):
+    """The enumeration as (context id, element) families, after checking it
+    is strictly ascending in mask tuples and cached."""
+    subs = enumerate_subobjects(poset)
+    keys = [_masks(s) for s in subs]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert enumerate_subobjects(poset) is subs
+    return {frozenset((c.id, s.element_at(i)) for i, c in enumerate(poset.contexts))
+            for s in subs}
 
 
 def test_spectrum_is_the_atom_set(boolean3_poset, mo2_poset):
@@ -141,26 +163,70 @@ def test_subobject_counts_against_brute_oracle(boolean2_poset, boolean3_poset,
     assert len(mo2_subs) == 4 * 4
     # 64 + 24 + 6 + 1 families grouped by the top-context projection
     assert len(boolean3_subs) == 95
-    for poset, subs in [(boolean2_poset, enumerate_subobjects(boolean2_poset)),
-                        (boolean3_poset, boolean3_subs),
-                        (mo2_poset, mo2_subs)]:
-        brute = _brute_families(poset)
-        assert len(brute) == len(subs)
-        keys = {s.key() for s in subs}
-        assert len(keys) == len(subs)
-        for fam in brute:
-            assert make_subobject(
-                poset, {c.id: fam[i] for i, c in enumerate(poset.contexts)}
-            ).key() in keys
+    for poset in (boolean2_poset, boolean3_poset, mo2_poset):
+        assert _enumerated(poset) == _brute(poset)
 
 
 def test_enumeration_is_cached_and_canonically_ordered(boolean3_poset,
                                                        boolean3_subs):
     assert enumerate_subobjects(boolean3_poset) is boolean3_subs
-    assert list(boolean3_subs) == sorted(boolean3_subs, key=lambda s: s.key())
+    assert list(boolean3_subs) == sorted(boolean3_subs, key=_masks)
     bottoms = [s for s in boolean3_subs if s.bits == 0]
     assert len(bottoms) == 1 and bottoms[0].to_mapping() == {
         c.id: "0" for c in boolean3_poset.contexts}
+
+
+def test_enumeration_matches_brute_on_mo4():
+    poset = enumerate_contexts(generate("mo", 4))
+    assert _enumerated(poset) == _brute(poset)
+
+
+def test_enumeration_in_every_index_order():
+    """Five contexts of boolean:4 with two chains of three, and p+q|r+s under
+    the incomparable p+q|r|s and p|q|r+s.  In id order subcontexts come
+    first; the other orders make the lower bound act, alone and together
+    with the upper bound."""
+    full = enumerate_contexts(generate("boolean", 4))
+    picked = [full.context(c) for c in ("p|q|r|s", "p+q|r|s", "p|q|r+s",
+                                        "p+q|r+s", "p+q+r|s")]
+    want = _brute(ContextPoset(full.structure, tuple(picked)))
+    for order in itertools.permutations(picked):
+        assert _enumerated(ContextPoset(full.structure, order)) == want
+
+
+@st.composite
+def context_subposet(draw):
+    """Some contexts of a random tree pasting, as a poset of their own.
+
+    Taking a subset keeps the brute product small.  The contexts come in a
+    random index order: on every builtin, id order puts each subcontext
+    before its supercontexts, and then the enumeration's lower bound (from
+    supercontexts assigned earlier) never acts.
+    """
+    structure = from_greechie(draw(tree_pasting()))
+    contexts = enumerate_contexts(structure).contexts
+    picked = draw(st.lists(st.sampled_from(contexts), min_size=1, max_size=6,
+                           unique_by=lambda c: c.id))
+    kept = []
+    for c in picked:
+        if math.prod(len(k.elements) for k in kept) * len(c.elements) <= 1 << 15:
+            kept.append(c)
+    return ContextPoset(structure, tuple(draw(st.permutations(kept))))
+
+
+@given(context_subposet())
+@settings(max_examples=40, deadline=None)
+def test_enumeration_matches_brute_on_tree_pasting_subposets(poset):
+    assert _enumerated(poset) == _brute(poset)
+
+
+def test_enumeration_budget_counts_every_subobject():
+    structure = generate("boolean", 3)
+    assert len(enumerate_subobjects(enumerate_contexts(structure),
+                                    limits=Limits(max_subobjects=95))) == 95
+    with pytest.raises(SizeGuard):
+        enumerate_subobjects(enumerate_contexts(structure),
+                             limits=Limits(max_subobjects=94))
 
 
 def test_restriction_image_agrees_with_coarse_graining(boolean3_poset,
