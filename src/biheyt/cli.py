@@ -287,9 +287,13 @@ def _emit(text: str, output: "str | None") -> None:
         text += "\n"
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {output}: {exc.strerror or exc}",
+                         path=output) from None
 
 
 def run(argv=None) -> int:

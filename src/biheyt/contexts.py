@@ -6,15 +6,17 @@ lies inside some block, and the Boolean subalgebras of a block correspond to
 the partitions of its atom set, so enumeration walks block-atom partitions and
 deduplicates by element set.
 
-Context ids are the sorted atom labels joined with "|".  Each context keeps
-the ascending lists of its strict subcontexts and strict supercontexts, and
-every walk over inclusions elsewhere iterates those lists.  Coarse-graining
-``delta(V, V', P)`` is the least element of V' dominating P.  For P in V it is
-the restriction image of P's atoms, so it is a lookup in the per-inclusion
-tables.  For P anywhere in the structure (``delta_global``) it is the least
-element of the mask of V's elements above P, found as in ``oml``'s glb and
-lub tables.  Scanning V' with ``leq`` is left to the oracle, which checks
-both against it.
+Context ids are the sorted atom labels joined with "|".  The spectrum of a
+context V is its atom set, and each P in V is the clopen set alpha_V(P) of
+the atoms of V below P.  ``ContextPoset`` derives every table from that one
+rule and the structure's order rows: element <-> atom mask per context, and
+per inclusion V' <= V the preimage of each atom of V' (alpha_V of it) and
+the restriction of each atom of V (the atom of V' whose preimage holds it).
+Coarse-graining ``delta(V, V', P)``, the least element of V' dominating P,
+is then the restriction image of alpha_V(P).  For P anywhere in the
+structure (``delta_global``) it is the least element of the mask of V's
+elements above P.  Scanning V' with ``leq`` is left to the oracle, which
+checks both against it.
 """
 from __future__ import annotations
 
@@ -50,12 +52,15 @@ class ContextPoset:
     """All contexts of a structure, ordered by inclusion, with caches.
 
     Built by ``enumerate_contexts``.  Contexts are indexed in canonical order
-    (sorted by id); ``_below[i]`` and ``_above[i]`` list the strict
-    subcontexts and supercontexts of context i in ascending order.
-    Per-context tables translate between elements and atom bitmasks,
-    restriction tables map atoms of a context to the unique dominating atom
-    of each subcontext, and preimage tables map each atom of the subcontext
-    back to the mask of atoms restricting to it.  Immutable and safe to share.
+    (sorted by id).  Every table is alpha read off the structure's order
+    rows: ``_elem_mask[i][e]`` is the mask of the atoms of context i below
+    e, and ``_mask_to_elem[i]`` is its inverse.  The atoms of a subcontext j
+    are elements of i, so ``_pre[(i, j)]`` is ``_elem_mask[i]`` of j's atoms
+    (the atoms of i restricting to each of them) and ``_restr[(i, j)]`` is
+    its inverse.  V' <= V iff V' has no element outside V; the pairs are
+    the keys of ``_restr``, and ``_below[i]`` and ``_above[i]`` list the
+    strict subcontexts and supercontexts of i in ascending order.
+    Immutable and safe to share.
     """
 
     def __init__(self, structure: OrthoStructure, contexts: tuple[Context, ...]):
@@ -63,33 +68,8 @@ class ContextPoset:
         self.contexts = contexts
         self._by_id = {c.id: i for i, c in enumerate(contexts)}
         n = len(contexts)
-
-        down = [0] * n   # bit j set iff contexts[j] <= contexts[i]
-        up = [0] * n
-        below: list[list[int]] = [[] for _ in range(n)]
-        above: list[list[int]] = [[] for _ in range(n)]
-        for i, ci in enumerate(contexts):
-            for j, cj in enumerate(contexts):
-                if cj.elements <= ci.elements:
-                    down[i] |= 1 << j
-                    up[j] |= 1 << i
-                    if i != j:
-                        below[i].append(j)
-                        above[j].append(i)
-        self._down, self._up = tuple(down), tuple(up)
-        self._below = tuple(map(tuple, below))
-        self._above = tuple(map(tuple, above))
-
-        self.minimal = tuple(i for i in range(n) if not below[i])
-        self.maximal = tuple(i for i in range(n) if not above[i])
-        self._m = tuple(tuple(j for j in self.minimal if (down[i] >> j) & 1)
-                        for i in range(n))
-        self._M = tuple(tuple(j for j in self.maximal if (up[i] >> j) & 1)
-                        for i in range(n))
-        # j covers i iff no strict supercontext of i lies strictly below j
-        self._covers_up = tuple(
-            tuple(j for j in above[i] if not down[j] & up[i] & ~(1 << i | 1 << j))
-            for i in range(n))
+        self._elements = elements = tuple(sum(1 << e for e in c.elements)
+                                          for c in contexts)
 
         offsets = []
         total = 0
@@ -98,55 +78,56 @@ class ContextPoset:
             total += len(c.atoms)
         self._offsets = tuple(offsets)
         self.total_bits = total
-        self._full = tuple((1 << len(c.atoms)) - 1 for c in contexts)
-        self._elements = tuple(sum(1 << e for e in c.elements) for c in contexts)
+        self._full = full = tuple((1 << len(c.atoms)) - 1 for c in contexts)
 
-        st = structure
-        mask_to_elem: list[dict[int, int]] = []
+        down = structure._down
         elem_mask: list[dict[int, int]] = []
+        mask_to_elem: list[tuple[int, ...]] = []
         for c in contexts:
-            # Find a block whose closure contains the whole context, then
-            # compute subset joins through that block's join table.
-            bmask = -1
-            for e in c.elements:
-                bmask &= st._elem_blocks[e]
-            if bmask == 0:
-                raise AssertionError("context not inside any block (bug)")
-            bi = (bmask & -bmask).bit_length() - 1
-            supp = st._block_supp[bi]
-            joins = st._block_joins[bi]
-            table: dict[int, int] = {}
-            for mask in range(1 << len(c.atoms)):
-                bm = 0
-                mm = mask
-                while mm:
-                    low = mm & -mm
-                    mm ^= low
-                    bm |= supp[c.atoms[low.bit_length() - 1]]
-                table[mask] = joins[bm]
-            mask_to_elem.append(table)
-            elem_mask.append({e: m for m, e in table.items()})
-        self._mask_to_elem = tuple(mask_to_elem)
+            table = {e: sum(1 << p for p, a in enumerate(c.atoms) if (down[e] >> a) & 1)
+                     for e in c.elements}
+            inverse = [None] * (1 << len(c.atoms))
+            for e, m in table.items():
+                inverse[m] = e
+            if len(table) != len(inverse) or None in inverse:
+                raise AssertionError(f"context {c.id!r} is not Boolean (bug)")
+            elem_mask.append(table)
+            mask_to_elem.append(tuple(inverse))
         self._elem_mask = tuple(elem_mask)
+        self._mask_to_elem = tuple(mask_to_elem)
 
+        below: list[list[int]] = [[] for _ in range(n)]
+        above: list[list[int]] = [[] for _ in range(n)]
         restr: dict[tuple[int, int], tuple[int, ...]] = {}
         pre: dict[tuple[int, int], tuple[int, ...]] = {}
-        for i in range(n):
-            for j in (i, *below[i]):
-                table = []
-                back = [0] * len(contexts[j].atoms)
-                for p, a in enumerate(contexts[i].atoms):
-                    hits = [q for q, b in enumerate(contexts[j].atoms)
-                            if (st._down[b] >> a) & 1]
-                    if len(hits) != 1:
-                        raise AssertionError("atom restriction not unique (bug)")
-                    table.append(hits[0])
-                    back[hits[0]] |= 1 << p
-                key = (i, j)
-                restr[key] = tuple(table)
-                pre[key] = tuple(back)
+        for i, ei in enumerate(elements):
+            for j, ej in enumerate(elements):
+                if ej & ~ei:
+                    continue
+                if i != j:
+                    below[i].append(j)
+                    above[j].append(i)
+                back = tuple(elem_mask[i][b] for b in contexts[j].atoms)
+                table = [None] * len(contexts[i].atoms)
+                for q, m in enumerate(back):
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        table[low.bit_length() - 1] = q
+                if None in table or sum(back) != full[i]:
+                    raise AssertionError("preimages do not partition the atoms (bug)")
+                restr[(i, j)] = tuple(table)
+                pre[(i, j)] = back
         self._restr = restr
         self._pre = pre
+        self._below = tuple(map(tuple, below))
+        self._above = tuple(map(tuple, above))
+        self.minimal = tuple(i for i in range(n) if not below[i])
+        self.maximal = tuple(i for i in range(n) if not above[i])
+        # j covers i iff no strict supercontext of i lies strictly below j
+        self._covers_up = tuple(
+            tuple(j for j in up if not any((j, k) in restr for k in up if k != j))
+            for up in above)
         self._subobjects_cache: tuple | None = None
 
     def __repr__(self):
@@ -169,15 +150,15 @@ class ContextPoset:
         return self.contexts[self.index(ctx)]
 
     def includes(self, big, small) -> bool:
-        return bool((self._down[self.index(big)] >> self.index(small)) & 1)
+        return (self.index(big), self.index(small)) in self._restr
 
     def down_indices(self, ctx) -> tuple[int, ...]:
         i = self.index(ctx)
-        return tuple(j for j in range(len(self.contexts)) if (self._down[i] >> j) & 1)
+        return tuple(sorted((i, *self._below[i])))
 
     def up_indices(self, ctx) -> tuple[int, ...]:
         i = self.index(ctx)
-        return tuple(j for j in range(len(self.contexts)) if (self._up[i] >> j) & 1)
+        return tuple(sorted((i, *self._above[i])))
 
     # -- bitmask plumbing shared with the presheaf layer ----------------------
 
@@ -248,12 +229,14 @@ def enumerate_contexts(structure: OrthoStructure, *,
 
 def minimal_below(poset: ContextPoset, ctx) -> tuple[Context, ...]:
     """The minimal contexts at or below V (the four-element ones)."""
-    return tuple(poset.contexts[j] for j in poset._m[poset.index(ctx)])
+    return tuple(poset.contexts[j] for j in poset.down_indices(ctx)
+                 if not poset._below[j])
 
 
 def maximal_above(poset: ContextPoset, ctx) -> tuple[Context, ...]:
     """The maximal contexts at or above V (one per containing block)."""
-    return tuple(poset.contexts[j] for j in poset._M[poset.index(ctx)])
+    return tuple(poset.contexts[j] for j in poset.up_indices(ctx)
+                 if not poset._above[j])
 
 
 def delta(poset: ContextPoset, big, small, p: int | str) -> int:
@@ -265,7 +248,7 @@ def delta(poset: ContextPoset, big, small, p: int | str) -> int:
     i, j = poset.index(big), poset.index(small)
     st = poset.structure
     p = st.el(p)
-    if not (poset._down[i] >> j) & 1:
+    if (i, j) not in poset._restr:
         raise UsageError(f"{poset.contexts[j].id!r} is not a subcontext of "
                          f"{poset.contexts[i].id!r}")
     if p not in poset.contexts[i].elements:

@@ -76,8 +76,8 @@ class OrthoStructure:
 
     __slots__ = (
         "labels", "n", "zero", "one", "kind", "ortho", "blocks",
-        "_index", "_down", "_up", "_glb", "_lub", "_atoms", "_atom_set",
-        "_block_joins", "_block_supp", "_elem_blocks",
+        "_index", "_down", "_up", "_glb", "_lub", "_atoms",
+        "_block_joins", "_elem_blocks",
     )
 
     def __init__(self, **fields):
@@ -126,9 +126,6 @@ class OrthoStructure:
 
     def atoms(self) -> tuple[int, ...]:
         return self._atoms
-
-    def is_atom(self, a: int | str) -> bool:
-        return self.el(a) in self._atom_set
 
     def commutes(self, a: int | str, b: int | str) -> bool:
         """True iff a and b generate a Boolean subalgebra.
@@ -208,7 +205,7 @@ def _maximal_cliques(vertices: list[int], neighbors: dict[int, set[int]]) -> lis
 def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
            origin: str = "explicit",
            given_blocks: list[tuple[tuple[str, ...], dict[int, str]]] | None = None,
-           limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
+           ) -> OrthoStructure:
     """Validate and assemble a structure from label-level data.
 
     ``given_blocks`` carries block provenance from a pasting: per block, the
@@ -370,11 +367,9 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
 
     atoms = tuple(i for i in range(n)
                   if i != zero and down_t[i] == (1 << zero) | (1 << i))
-    atom_set = frozenset(atoms)
 
     blocks: list[Block] = []
     block_joins: list[dict[int, int]] = []
-    block_supp: list[dict[int, int]] = []
     if given_blocks is not None:
         # Adopt the pasting's own blocks, verifying each join table restricts
         # to a Boolean algebra: atoms are structure atoms, 2^k distinct
@@ -385,7 +380,7 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
             k = len(cand)
             top_mask = (1 << k) - 1
             joins = {mask: ix[table[mask]] for mask in range(1 << k)}
-            ok = all(a in atom_set for a in cand)
+            ok = all(a in atoms for a in cand)
             if ok and len(set(joins.values())) != 1 << k:
                 ok = False
             if ok:
@@ -406,7 +401,6 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
                     block=sorted(atom_labels))
             blocks.append(Block(atoms=cand, elements=frozenset(joins.values())))
             block_joins.append(joins)
-            block_supp.append({e: m for m, e in joins.items()})
         for i, bi in enumerate(blocks):
             for j, bj in enumerate(blocks):
                 if i != j and bi.elements <= bj.elements:
@@ -450,7 +444,6 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
                 joins[mask] = hits[0]
             blocks.append(Block(atoms=cand, elements=frozenset(joins.values())))
             block_joins.append(joins)
-            block_supp.append({e: m for m, e in joins.items()})
 
     covered = set()
     for b in blocks:
@@ -468,7 +461,6 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
                       key=lambda bi: tuple(new_labels[a] for a in blocks[bi].atoms))
     blocks = [blocks[bi] for bi in sort_key]
     block_joins = [block_joins[bi] for bi in sort_key]
-    block_supp = [block_supp[bi] for bi in sort_key]
 
     elem_blocks = [0] * n
     for bi, b in enumerate(blocks):
@@ -480,8 +472,7 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
         blocks=tuple(blocks), _index={lab: i for i, lab in enumerate(new_labels)},
         _down=down_t, _up=up_t,
         _glb=tuple(tuple(row) for row in glb), _lub=tuple(tuple(row) for row in lub),
-        _atoms=atoms, _atom_set=atom_set,
-        _block_joins=tuple(block_joins), _block_supp=tuple(block_supp),
+        _atoms=atoms, _block_joins=tuple(block_joins),
         _elem_blocks=tuple(elem_blocks))
 
 
@@ -513,7 +504,7 @@ def validate(raw: dict, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
     ortho = raw.get("ortho")
     if not isinstance(ortho, dict):
         raise UsageError("'ortho' must be an object mapping labels to labels")
-    return _build(list(elements), [tuple(p) for p in pairs], dict(ortho), limits=limits)
+    return _build(list(elements), [tuple(p) for p in pairs], dict(ortho))
 
 
 def from_greechie(blocks, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
@@ -648,7 +639,7 @@ def from_greechie(blocks, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
         given_blocks.append((final_atoms, table))
 
     return _build(labels, sorted(order_pairs), ortho_map, origin="greechie",
-                  given_blocks=given_blocks, limits=limits)
+                  given_blocks=given_blocks)
 
 
 def generate(name: str, n: int | None = None, *,
@@ -680,7 +671,7 @@ def generate(name: str, n: int | None = None, *,
         labels = [lab(s) for s in subsets]
         pairs = [(lab(s), lab(s | {i})) for s in subsets for i in range(n) if i not in s]
         ortho = {lab(s): lab(frozenset(range(n)) - s) for s in subsets}
-        return _build(labels, pairs, ortho, origin="builtin", limits=limits)
+        return _build(labels, pairs, ortho, origin="builtin")
     if name == "mo":
         if n is None or n < 1:
             raise UsageError("mo requires n >= 1")
@@ -694,5 +685,5 @@ def generate(name: str, n: int | None = None, *,
             labels += [a, b]
             pairs += [("0", a), ("0", b), (a, "1"), (b, "1")]
             ortho[a], ortho[b] = b, a
-        return _build(labels, pairs, ortho, origin="builtin", limits=limits)
+        return _build(labels, pairs, ortho, origin="builtin")
     raise UsageError(f"unknown builtin {name!r}")

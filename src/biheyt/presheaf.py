@@ -127,7 +127,7 @@ def restrict(poset: ContextPoset, point: SpectrumPoint, sub) -> SpectrumPoint:
     """Restrict a spectrum point to a subcontext (unique dominating atom)."""
     i = poset.index(point.context_id)
     j = poset.index(sub)
-    if not (poset._down[i] >> j) & 1:
+    if (i, j) not in poset._restr:
         raise UsageError(f"{poset.contexts[j].id!r} is not a subcontext of "
                          f"{poset.contexts[i].id!r}")
     try:
@@ -220,10 +220,15 @@ def enumerate_subobjects(poset: ContextPoset, *,
     subcontexts of V.  Only monotone families are generated, and no branch
     dead-ends: restrictions compose, so for assigned W >= V >= V' the image
     of the component at W already lies in the pullback of the one at V'.
-    Cached on the poset after first success.
+    Cached on the poset after first success; the cache is checked against
+    ``limits`` like a fresh run.
     """
-    if poset._subobjects_cache is not None:
-        return poset._subobjects_cache
+    budget = limits.max_subobjects
+    cached = poset._subobjects_cache
+    if cached is not None:
+        if len(cached) > budget:
+            raise SizeGuard(f"subobject count exceeds limit {budget}")
+        return cached
     n = len(poset.contexts)
     sups = [tuple(w for w in poset._above[i] if w < i) for i in range(n)]
     subs = [tuple(j for j in poset._below[i] if j < i) for i in range(n)]
@@ -231,7 +236,6 @@ def enumerate_subobjects(poset: ContextPoset, *,
     full, offsets = poset._full, poset._offsets
     out: list[ClopenSubobject] = []
     masks = [0] * n
-    budget = limits.max_subobjects
 
     def rec(i: int, bits: int) -> None:
         if i == n:
@@ -280,8 +284,7 @@ def global_sections(poset: ContextPoset, *,
     for t, mt in enumerate(maxs):
         row = []
         for s in range(t):
-            down_s = poset._down[maxs[s]]
-            ctxs = [j for j in poset._below[mt] if (down_s >> j) & 1]
+            ctxs = [j for j in poset._below[mt] if (maxs[s], j) in poset._restr]
             if ctxs:
                 row.append((s, ctxs))
         shared.append(row)

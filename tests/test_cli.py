@@ -266,6 +266,17 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 3
 
 
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    path = str(tmp_path / "missing" / "x.json")
+    code, out, err = _run(capsys, "validate", "--builtin", "boolean:3",
+                          "--output", path)
+    assert code == 3 and out == "" and err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "UsageError"
+    assert payload["details"] == {"path": path}
+    assert payload["message"].startswith(f"cannot write {path}: ")
+
+
 def test_missing_subcommand_mentions_help(capsys):
     code, _, err = _run(capsys)
     assert code == 3

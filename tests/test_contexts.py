@@ -5,11 +5,15 @@ block has Bell(n) - 1 nontrivial subalgebras, and pasted structures share
 exactly one four-element context per shared atom.
 """
 import pytest
+from hypothesis import given, settings
 
-from biheyt import (Limits, NoLeastUpperWitness, SizeGuard, UsageError,
-                    builtin_structure, delta, delta_global, enumerate_contexts,
-                    generate, maximal_above, minimal_below)
+from biheyt import (Context, ContextPoset, Limits, NoLeastUpperWitness,
+                    SizeGuard, UsageError, builtin_structure, delta,
+                    delta_global, enumerate_contexts, from_greechie, generate,
+                    maximal_above, minimal_below)
 from biheyt.oracle import _least_dominating
+
+from test_oml import tree_pasting
 
 BOOLEAN3_IDS = ["p+q|r", "p+r|q", "p|q+r", "p|q|r"]
 MO2_IDS = ["a|a'", "b|b'"]
@@ -18,6 +22,9 @@ MO2_IDS = ["a|a'", "b|b'"]
 # below exactly the two block contexts that contain the atom.
 SHARED_ATOM_CTX = "0001|0010+1100+1m00"
 SHARED_ATOM_BLOCKS = ["0001|0010|1100|1m00", "0001|0100|1010|10m0"]
+
+# Four three-atom blocks in a loop: a pasting with missing bounds.
+FOUR_LOOP = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"], ["g", "h", "a"]]
 
 
 def _bell(n):
@@ -103,11 +110,25 @@ def test_maximal_contexts(boolean3_poset, mo2_poset, cabello18_poset):
     assert len(tops) == 9 and all(len(c.atoms) == 4 for c in tops)
 
 
-def test_inclusion_matches_element_subsets(boolean4_poset):
-    poset = boolean4_poset
-    for ci in poset.contexts:
-        for cj in poset.contexts:
-            assert poset.includes(ci, cj) == (cj.elements <= ci.elements)
+def _poset(spec):
+    if isinstance(spec, str):
+        return enumerate_contexts(builtin_structure(spec))
+    return enumerate_contexts(from_greechie(spec))
+
+
+def test_inclusion_matches_element_subsets(boolean4_poset, cabello18_poset):
+    for poset in (boolean4_poset, cabello18_poset, _poset(FOUR_LOOP)):
+        n = len(poset.contexts)
+        for i, ci in enumerate(poset.contexts):
+            down = tuple(j for j, cj in enumerate(poset.contexts)
+                         if cj.elements <= ci.elements)
+            up = tuple(j for j, cj in enumerate(poset.contexts)
+                       if ci.elements <= cj.elements)
+            assert poset.down_indices(i) == down and poset.up_indices(i) == up
+            for j in range(n):
+                assert poset.includes(i, j) == (j in down)
+                assert ((i, j) in poset._restr) == (j in down)
+                assert ((i, j) in poset._pre) == (j in down)
 
 
 def test_covers_in_boolean3(boolean3_poset):
@@ -120,15 +141,67 @@ def test_covers_in_boolean3(boolean3_poset):
 
 def test_inclusion_lists_and_covers(boolean4_poset, cabello18_poset):
     for poset in (boolean4_poset, cabello18_poset):
-        n = len(poset.contexts)
-        for i in range(n):
-            below = tuple(j for j in poset.down_indices(i) if j != i)
-            above = tuple(j for j in poset.up_indices(i) if j != i)
-            assert poset._below[i] == below and poset._above[i] == above
+        els = [c.elements for c in poset.contexts]
+        for i, ei in enumerate(els):
+            above = [j for j, ej in enumerate(els) if ei < ej]
+            assert poset._below[i] == tuple(
+                j for j, ej in enumerate(els) if ej < ei)
+            assert poset._above[i] == tuple(above)
             assert poset._covers_up[i] == tuple(
-                j for j in above
-                if not any(k in above and i != k != j and poset.includes(j, k)
-                           for k in range(n)))
+                j for j in above if not any(ei < els[k] < els[j] for k in above))
+
+
+def _check_tables(poset):
+    """The alpha tables against references that never read ``_down``: the
+    block join of the chosen atoms, and an ``leq`` scan for restrictions."""
+    st = poset.structure
+    for i, ci in enumerate(poset.contexts):
+        bi = next(b for b, blk in enumerate(st.blocks)
+                  if ci.elements <= blk.elements)
+        joins = st._block_joins[bi]
+        supp = {e: m for m, e in joins.items()}
+        for m in range(1 << len(ci.atoms)):
+            bm = 0
+            for p, a in enumerate(ci.atoms):
+                if (m >> p) & 1:
+                    bm |= supp[a]
+            assert poset._mask_to_elem[i][m] == joins[bm]
+        for j, cj in enumerate(poset.contexts):
+            if not cj.elements <= ci.elements:
+                continue
+            restr, pre = poset._restr[(i, j)], poset._pre[(i, j)]
+            for p, a in enumerate(ci.atoms):
+                hits = [q for q, b in enumerate(cj.atoms) if st.leq(a, b)]
+                assert hits == [restr[p]]
+            assert pre == tuple(
+                sum(1 << p for p, r in enumerate(restr) if r == q)
+                for q in range(len(cj.atoms)))
+
+
+@pytest.mark.parametrize("spec", ["boolean:4", "mo:3", "cabello18"])
+def test_alpha_tables_against_block_joins_and_leq(spec):
+    _check_tables(_poset(spec))
+
+
+@given(blocks=tree_pasting())
+@settings(max_examples=40, deadline=None)
+def test_alpha_tables_on_tree_pastings(blocks):
+    _check_tables(_poset(blocks))
+
+
+def test_corrupt_contexts_are_bugs(boolean3_poset):
+    st = boolean3_poset.structure
+    top = boolean3_poset.context("p|q|r")
+    p, q = st.el("p"), st.el("q")
+    # alpha is a bijection on {0, p, q, 1}, but p and q do not cover the top
+    # context's atoms, so their preimages there are no partition
+    fake = Context("p|q", (p, q), frozenset({st.zero, st.one, p, q}))
+    ContextPoset(st, (fake,))
+    with pytest.raises(AssertionError, match="partition"):
+        ContextPoset(st, (top, fake))
+    lone = Context("p", (p,), boolean3_poset.context("p|q+r").elements)
+    with pytest.raises(AssertionError, match="not Boolean"):
+        ContextPoset(st, (lone,))
 
 
 def test_delta_to_smaller_context(boolean3_poset):

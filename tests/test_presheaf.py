@@ -229,6 +229,14 @@ def test_enumeration_budget_counts_every_subobject():
                              limits=Limits(max_subobjects=94))
 
 
+def test_cached_enumeration_keeps_the_budget():
+    poset = enumerate_contexts(generate("boolean", 3))
+    subs = enumerate_subobjects(poset)
+    with pytest.raises(SizeGuard):
+        enumerate_subobjects(poset, limits=Limits(max_subobjects=94))
+    assert enumerate_subobjects(poset, limits=Limits(max_subobjects=95)) is subs
+
+
 def test_restriction_image_agrees_with_coarse_graining(boolean3_poset,
                                                        boolean3_subs):
     poset = boolean3_poset
