@@ -56,7 +56,8 @@ def _build_parser() -> _Parser:
                              f"{DEFAULT_LIMITS.max_subobjects})")
     common.add_argument("--search-budget", type=int, metavar="N",
                         default=DEFAULT_LIMITS.search_budget,
-                        help="cap on section-search nodes")
+                        help="cap on section-search nodes and on the "
+                             "subobject triples of `check laws`")
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 

@@ -18,6 +18,7 @@ from typing import Any, Callable
 
 from . import biheyting
 from .contexts import Context, ContextPoset, delta
+from .errors import SizeGuard
 from .limits import DEFAULT_LIMITS, Limits
 from .oml import OrthoStructure
 from .presheaf import ClopenSubobject, _same_poset, enumerate_subobjects
@@ -79,6 +80,20 @@ class AdjunctionReport:
                 "counterexample": self.counterexample}
 
 
+def _law_check_subobjects(poset: ContextPoset,
+                          limits: Limits) -> tuple[ClopenSubobject, ...]:
+    """All subobjects, if a check over every triple of them is within
+    ``search_budget``; otherwise ``SizeGuard``."""
+    subs = enumerate_subobjects(poset, limits=limits)
+    needed = len(subs) ** 3
+    if needed > limits.search_budget:
+        raise SizeGuard(f"law check needs {needed} subobject triples, over "
+                        f"search budget {limits.search_budget}",
+                        limit="search_budget", value=limits.search_budget,
+                        needed=needed)
+    return subs
+
+
 def check_adjunctions(poset: ContextPoset, *,
                       heyting_impl: Callable[[ClopenSubobject, ClopenSubobject], ClopenSubobject] | None = None,
                       coheyting_sub: Callable[[ClopenSubobject, ClopenSubobject], ClopenSubobject] | None = None,
@@ -88,11 +103,12 @@ def check_adjunctions(poset: ContextPoset, *,
     ``R ^ S <= T iff R <= (S => T)`` and ``(S <= T v R iff (S - T) <= R``.
     The operation hooks default to the production implementations; passing a
     deliberately wrong one must yield a counterexample (first in canonical
-    order), which is how the oracle itself is tested.
+    order), which is how the oracle itself is tested.  Raises ``SizeGuard``
+    before checking anything when the triples exceed ``search_budget``.
     """
     impl = heyting_impl or biheyting.heyting_implies
     sub = coheyting_sub or biheyting.coheyting_subtract
-    subs = enumerate_subobjects(poset, limits=limits)
+    subs = _law_check_subobjects(poset, limits)
     triples = 0
     for s in subs:
         for t in subs:
@@ -118,8 +134,12 @@ def check_adjunctions(poset: ContextPoset, *,
 
 
 def oracle_comparison(poset: ContextPoset, limits: Limits) -> dict:
-    """Compare every production operation against its brute-force twin."""
-    subs = enumerate_subobjects(poset, limits=limits)
+    """Compare every production operation against its brute-force twin.
+
+    The brute binary operations scan every subobject for every pair, so this
+    is cubic too and has the same ``search_budget`` guard.
+    """
+    subs = _law_check_subobjects(poset, limits)
     mismatches = 0
     first = None
     for s in subs:

@@ -214,55 +214,92 @@ def enumerate_subobjects(poset: ContextPoset, *,
 
     Contexts are assigned in index order and each component runs through its
     masks in ascending order, so the subobjects come out sorted by their
-    tuple of component masks without a sort.  The component at V is bounded
-    by the contexts already assigned: below by the restriction images of
-    their supercontexts of V, above by the meet of the pullbacks of their
-    subcontexts of V.  Only monotone families are generated, and no branch
-    dead-ends: restrictions compose, so for assigned W >= V >= V' the image
-    of the component at W already lies in the pullback of the one at V'.
-    Cached on the poset after first success; the cache is checked against
-    ``limits`` like a fresh run.
+    tuple of component masks without a sort.  The walk carries a lower and
+    an upper bound for every context, each packed like a subobject.
+    Assigning mask m at context j pins j's component to m, ORs the
+    restriction image of m into the lower bound of each later subcontext of
+    j and ANDs the pullback of m into the upper bound of each later
+    supercontext, so once every context is assigned the lower bound is the
+    subobject.  Both updates are lookups in tables built per call from
+    ``image_mask``/``pullback_mask`` for every mask of j; the bounds are
+    passed down by value, so backtracking restores nothing.  Only monotone
+    families are generated, and no branch dead-ends: restrictions compose,
+    so for assigned W >= V >= V' the image of the component at W already
+    lies in the pullback of the one at V'.  The choices at the last context
+    are added as one batch after one budget check.  Cached on the poset
+    after first success; the cache is checked against ``limits`` like a
+    fresh run.
     """
     budget = limits.max_subobjects
     cached = poset._subobjects_cache
     if cached is not None:
         if len(cached) > budget:
-            raise SizeGuard(f"subobject count exceeds limit {budget}")
+            raise _over_budget(budget, len(cached))
         return cached
     n = len(poset.contexts)
-    sups = [tuple(w for w in poset._above[i] if w < i) for i in range(n)]
-    subs = [tuple(j for j in poset._below[i] if j < i) for i in range(n)]
-    image, pullback = poset.image_mask, poset.pullback_mask
     full, offsets = poset._full, poset._offsets
+    ones = (1 << poset.total_bits) - 1
+    raise_lower: list[tuple[int, ...]] = []
+    cut_upper: list[tuple[int, ...]] = []
+    for j in range(n):
+        subs = [v for v in (j, *poset._below[j]) if v >= j]
+        sups = [w for w in (j, *poset._above[j]) if w >= j]
+        masks = range(full[j] + 1)
+        raise_lower.append(tuple(
+            sum(poset.image_mask(j, v, m) << offsets[v] for v in subs)
+            for m in masks))
+        cut_upper.append(tuple(
+            ones ^ sum((full[w] & ~poset.pullback_mask(w, j, m)) << offsets[w]
+                       for w in sups)
+            for m in masks))
+    submasks = {f: tuple(tuple(_submasks(free)) for free in range(f + 1))
+                for f in set(full)}
+    last = n - 1
+    leaves = tuple(tuple(s << offsets[last] for s in t)
+                   for t in submasks[full[last]]) if n else ()
     out: list[ClopenSubobject] = []
-    masks = [0] * n
 
-    def rec(i: int, bits: int) -> None:
-        if i == n:
-            if len(out) >= budget:
-                raise SizeGuard(f"subobject count exceeds limit {budget}")
-            out.append(ClopenSubobject(poset, bits))
-            return
-        lower = 0
-        for w in sups[i]:
-            lower |= image(w, i, masks[w])
-        upper = full[i]
-        for j in subs[i]:
-            upper &= pullback(i, j, masks[j])
-        if lower & ~upper:
+    def rec(i: int, lower: int, upper: int) -> None:
+        off, f = offsets[i], full[i]
+        lo, up = lower >> off & f, upper >> off & f
+        if lo & ~up:
             raise AssertionError("subobject bounds crossed (bug)")
-        free = upper & ~lower
-        s = 0
-        while True:
-            masks[i] = m = lower | s
-            rec(i + 1, bits | m << offsets[i])
-            if s == free:
-                break
-            s = (s - free) & free
+        if i == last:
+            batch = leaves[up & ~lo]
+            reached = len(out) + len(batch)
+            if reached > budget:
+                raise _over_budget(budget, reached)
+            out.extend([ClopenSubobject(poset, lower | b) for b in batch])
+            return
+        raise_i, cut_i = raise_lower[i], cut_upper[i]
+        for s in submasks[f][up & ~lo]:
+            m = lo | s
+            rec(i + 1, lower | raise_i[m], upper & cut_i[m])
 
-    rec(0, 0)
+    if n:
+        rec(0, 0, ones)
+    elif budget < 1:
+        raise _over_budget(budget, 1)
+    else:   # no contexts: the empty family is the one subobject
+        out.append(ClopenSubobject(poset, 0))
     poset._subobjects_cache = result = tuple(out)
     return result
+
+
+def _submasks(free: int):
+    """Every submask of ``free``, ascending."""
+    s = 0
+    while True:
+        yield s
+        if s == free:
+            return
+        s = (s - free) & free
+
+
+def _over_budget(budget: int, reached: int) -> SizeGuard:
+    """The ``max_subobjects`` guard, with the count found when it tripped."""
+    return SizeGuard(f"subobject count exceeds limit {budget}",
+                     limit="max_subobjects", value=budget, reached=reached)
 
 
 # -- global sections -------------------------------------------------------------

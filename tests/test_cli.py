@@ -196,13 +196,35 @@ def test_size_guard_exit_code(capsys):
     code, out, err = _run(capsys, "enumerate", "--builtin", "boolean:3",
                           "--max-subobjects", "10")
     assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "SizeGuard"
+    blob = json.loads(err)
+    assert blob["error"] == "SizeGuard"
+    # the eleventh subobject comes in the first batch past the limit
+    assert blob["details"] == {"limit": "max_subobjects", "value": 10,
+                               "reached": 11}
+
+
+def test_law_check_on_the_loop_pasting_trips_the_search_budget(capsys,
+                                                                tmp_path):
+    """459,103 subobjects: about 9.7e16 triples, refused before any check."""
+    loop = _jfile(tmp_path, "loop.json", {
+        "format": "greechie",
+        "blocks": [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"],
+                   ["g", "h", "a"]]})
+    code, out, err = _run(capsys, "check", "laws", "--input", loop)
+    assert code == 2 and out == ""
+    blob = json.loads(err)
+    assert blob["error"] == "SizeGuard"
+    assert blob["details"] == {"limit": "search_budget", "value": 10_000_000,
+                               "needed": 459_103 ** 3}
+    code, _, err = _run(capsys, "check", "laws", "--builtin", "mo:4")
+    assert code == 2 and json.loads(err)["details"]["needed"] == 256 ** 3
 
 
 def test_env_var_mirrors_flag(capsys, monkeypatch):
     monkeypatch.setenv("BIHEYT_MAX_SUBOBJECTS", "10")
     code, _, err = _run(capsys, "enumerate", "--builtin", "boolean:3")
     assert code == 2 and json.loads(err)["error"] == "SizeGuard"
+    assert json.loads(err)["details"]["value"] == 10
     code, out, _ = _run(capsys, "enumerate", "--builtin", "boolean:3",
                         "--max-subobjects", "1000")
     assert code == 0 and out == '{"count":95}\n'

@@ -7,9 +7,13 @@ handed to the adjunction checker must surface a concrete counterexample.
 """
 import json
 
-from biheyt import (bottom, brute_coheyting_subtract, brute_heyting_implies,
-                    brute_negations, check_adjunctions, coheyting_not,
-                    coheyting_subtract, heyting_implies, heyting_not, top)
+import pytest
+
+from biheyt import (Limits, SizeGuard, bottom, brute_coheyting_subtract,
+                    brute_heyting_implies, brute_negations, check_adjunctions,
+                    coheyting_not, coheyting_subtract, enumerate_contexts,
+                    generate, heyting_implies, heyting_not, top)
+from biheyt.oracle import oracle_comparison
 
 
 def test_brute_implication_universal_cases(mo2_poset, mo2_subs):
@@ -74,3 +78,26 @@ def test_report_serializes(mo2_poset):
 
     bad = check_adjunctions(mo2_poset, heyting_impl=lambda s, u: top(mo2_poset))
     json.dumps(bad.to_json())
+
+
+def test_law_checks_stop_at_the_search_budget():
+    """boolean:3 has 95 subobjects, so 95**3 = 857,375 triples: that budget
+    passes with the same reports, one less raises before any triple."""
+    poset = enumerate_contexts(generate("boolean", 3))
+    enough = Limits(search_budget=857_375)
+    assert check_adjunctions(poset, limits=enough).to_json() == {
+        "subobjects": 95, "triples": 857_375, "passed": True,
+        "counterexample": None}
+    assert oracle_comparison(poset, enough) == {
+        "first_mismatch": None, "mismatches": 0, "negation_checks": 190,
+        "pair_checks": 18_050, "passed": True}
+    short = Limits(search_budget=857_374)
+    want = {"limit": "search_budget", "value": 857_374, "needed": 857_375}
+    calls = []
+    with pytest.raises(SizeGuard) as info:
+        check_adjunctions(poset, limits=short,
+                          heyting_impl=lambda s, t: calls.append(s))
+    assert info.value.details == want and calls == []
+    with pytest.raises(SizeGuard) as info:
+        oracle_comparison(poset, short)
+    assert info.value.details == want

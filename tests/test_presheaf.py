@@ -194,6 +194,30 @@ def test_enumeration_in_every_index_order():
         assert _enumerated(ContextPoset(full.structure, order)) == want
 
 
+def test_enumeration_in_every_index_order_of_boolean3(boolean3_poset):
+    """All 24 orders of the four contexts.  Among them, reversed id order
+    puts p|q|r before the three contexts below it, so no context has an
+    earlier subcontext and only the carried lower bounds act."""
+    want = _brute(boolean3_poset)
+    reversed_order = ContextPoset(boolean3_poset.structure,
+                                  boolean3_poset.contexts[::-1])
+    assert all(j > i for i in range(4) for j in reversed_order._below[i])
+    for order in itertools.permutations(boolean3_poset.contexts):
+        poset = ContextPoset(boolean3_poset.structure, order)
+        assert _enumerated(poset) == want
+
+
+def test_enumeration_without_contexts(boolean3):
+    """No contexts: the empty family is the one subobject."""
+    (only,) = enumerate_subobjects(ContextPoset(boolean3, ()))
+    assert only.bits == 0
+    with pytest.raises(SizeGuard) as info:
+        enumerate_subobjects(ContextPoset(boolean3, ()),
+                             limits=Limits(max_subobjects=0))
+    assert info.value.details == {"limit": "max_subobjects", "value": 0,
+                                  "reached": 1}
+
+
 @st.composite
 def context_subposet(draw):
     """Some contexts of a random tree pasting, as a poset of their own.
@@ -224,16 +248,20 @@ def test_enumeration_budget_counts_every_subobject():
     structure = generate("boolean", 3)
     assert len(enumerate_subobjects(enumerate_contexts(structure),
                                     limits=Limits(max_subobjects=95))) == 95
-    with pytest.raises(SizeGuard):
+    with pytest.raises(SizeGuard) as info:
         enumerate_subobjects(enumerate_contexts(structure),
                              limits=Limits(max_subobjects=94))
+    assert info.value.details == {"limit": "max_subobjects", "value": 94,
+                                  "reached": 95}
 
 
 def test_cached_enumeration_keeps_the_budget():
     poset = enumerate_contexts(generate("boolean", 3))
     subs = enumerate_subobjects(poset)
-    with pytest.raises(SizeGuard):
+    with pytest.raises(SizeGuard) as info:
         enumerate_subobjects(poset, limits=Limits(max_subobjects=94))
+    assert info.value.details == {"limit": "max_subobjects", "value": 94,
+                                  "reached": 95}
     assert enumerate_subobjects(poset, limits=Limits(max_subobjects=95)) is subs
 
 
