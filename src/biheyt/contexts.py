@@ -49,7 +49,7 @@ def _partitions(items: tuple):
 
 
 class ContextPoset:
-    """All contexts of a structure, ordered by inclusion, with caches.
+    """All contexts of a structure, ordered by inclusion, with their tables.
 
     Built by ``enumerate_contexts``.  Contexts are indexed in canonical order
     (sorted by id).  Every table is alpha read off the structure's order
@@ -60,7 +60,8 @@ class ContextPoset:
     its inverse.  V' <= V iff V' has no element outside V; the pairs are
     the keys of ``_restr``, and ``_below[i]`` and ``_above[i]`` list the
     strict subcontexts and supercontexts of i in ascending order.
-    Immutable and safe to share.
+    Every table is built here and never changed; the poset holds no cache
+    or other mutable state, so it is immutable and safe to share.
     """
 
     def __init__(self, structure: OrthoStructure, contexts: tuple[Context, ...]):
@@ -128,7 +129,6 @@ class ContextPoset:
         self._covers_up = tuple(
             tuple(j for j in up if not any((j, k) in restr for k in up if k != j))
             for up in above)
-        self._subobjects_cache: tuple | None = None
 
     def __repr__(self):
         return f"ContextPoset({len(self.contexts)} contexts over {self.structure!r})"
@@ -214,7 +214,9 @@ def enumerate_contexts(structure: OrthoStructure, *,
                 found[key] = atoms
                 if len(found) > limits.max_contexts:
                     raise SizeGuard(
-                        f"context count exceeds limit {limits.max_contexts}")
+                        f"context count exceeds limit {limits.max_contexts}",
+                        limit="max_contexts", value=limits.max_contexts,
+                        reached=len(found))
 
     contexts = [Context(id="|".join(structure.labels[a] for a in atoms),
                         atoms=atoms, elements=elems)

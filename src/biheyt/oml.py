@@ -534,7 +534,9 @@ def from_greechie(blocks, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
             raise UsageError(f"block {list(atoms)!r} needs at least two atoms")
         if len(atoms) > limits.max_block_atoms:
             raise SizeGuard(f"block with {len(atoms)} atoms exceeds limit "
-                            f"{limits.max_block_atoms}")
+                            f"{limits.max_block_atoms}",
+                            limit="max_block_atoms",
+                            value=limits.max_block_atoms, atoms=len(atoms))
         key = frozenset(atoms)
         if key not in seen_sets:
             seen_sets.add(key)
@@ -655,7 +657,9 @@ def generate(name: str, n: int | None = None, *,
             raise UsageError("boolean requires n >= 1")
         if n > limits.max_boolean_atoms:
             raise SizeGuard(f"boolean({n}) exceeds the configured bound "
-                            f"{limits.max_boolean_atoms}")
+                            f"{limits.max_boolean_atoms}",
+                            limit="max_boolean_atoms",
+                            value=limits.max_boolean_atoms, atoms=n)
         letters = [_BOOLEAN_LETTERS[i] if i < len(_BOOLEAN_LETTERS) else f"p{i}"
                    for i in range(n)]
 
@@ -676,7 +680,9 @@ def generate(name: str, n: int | None = None, *,
         if n is None or n < 1:
             raise UsageError("mo requires n >= 1")
         if n > len(_MO_LETTERS):
-            raise SizeGuard(f"mo({n}) exceeds {len(_MO_LETTERS)} blocks")
+            raise SizeGuard(f"mo({n}) exceeds {len(_MO_LETTERS)} blocks",
+                            limit="mo_blocks", value=len(_MO_LETTERS),
+                            blocks=n)
         labels = ["0", "1"]
         pairs = []
         ortho = {"0": "1", "1": "0"}

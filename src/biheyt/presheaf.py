@@ -13,6 +13,7 @@ component is a bitmask slice.
 """
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -41,8 +42,8 @@ class ClopenSubobject:
     __slots__ = ("poset", "bits")
 
     def __init__(self, poset: ContextPoset, bits: int):
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "bits", bits)
+        _set_poset(self, poset)
+        _set_bits(self, bits)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClopenSubobject is immutable")
@@ -91,6 +92,11 @@ class ClopenSubobject:
         parts = ", ".join(f"{c.id}: {self.poset.structure.label(self.element_at(i))}"
                           for i, c in enumerate(self.poset.contexts))
         return f"ClopenSubobject({parts})"
+
+
+# the slot descriptors' setters, which ``__setattr__`` above refuses
+_set_poset = ClopenSubobject.poset.__set__
+_set_bits = ClopenSubobject.bits.__set__
 
 
 def _same_poset(a: ClopenSubobject, b: ClopenSubobject) -> None:
@@ -210,7 +216,7 @@ def make_subobject(poset: ContextPoset, family: Mapping) -> ClopenSubobject:
 
 def enumerate_subobjects(poset: ContextPoset, *,
                          limits: Limits = DEFAULT_LIMITS) -> tuple[ClopenSubobject, ...]:
-    """All clopen subobjects, in canonical order.
+    """All clopen subobjects, in canonical order, as a fresh tuple.
 
     Contexts are assigned in index order and each component runs through its
     masks in ascending order, so the subobjects come out sorted by their
@@ -226,16 +232,18 @@ def enumerate_subobjects(poset: ContextPoset, *,
     families are generated, and no branch dead-ends: restrictions compose,
     so for assigned W >= V >= V' the image of the component at W already
     lies in the pullback of the one at V'.  The choices at the last context
-    are added as one batch after one budget check.  Cached on the poset
-    after first success; the cache is checked against ``limits`` like a
-    fresh run.
+    are added as one batch after one budget check, each object built
+    through the slot setters with no ``__init__`` call.
+
+    Nothing is cached: every call walks again and raises ``SizeGuard`` as
+    soon as the count passes ``limits.max_subobjects``.  The cyclic
+    collector is paused for the walk and the caller's setting restored
+    after it, also on an error.  The walk creates no reference cycles, so a
+    collection during it could only traverse the growing result and free
+    nothing; paused, the result costs its allocations alone, and dropping it
+    frees it by reference counting.
     """
     budget = limits.max_subobjects
-    cached = poset._subobjects_cache
-    if cached is not None:
-        if len(cached) > budget:
-            raise _over_budget(budget, len(cached))
-        return cached
     n = len(poset.contexts)
     full, offsets = poset._full, poset._offsets
     ones = (1 << poset.total_bits) - 1
@@ -258,6 +266,8 @@ def enumerate_subobjects(poset: ContextPoset, *,
     leaves = tuple(tuple(s << offsets[last] for s in t)
                    for t in submasks[full[last]]) if n else ()
     out: list[ClopenSubobject] = []
+    append, new, cls = out.append, object.__new__, ClopenSubobject
+    set_poset, set_bits = _set_poset, _set_bits
 
     def rec(i: int, lower: int, upper: int) -> None:
         off, f = offsets[i], full[i]
@@ -269,21 +279,31 @@ def enumerate_subobjects(poset: ContextPoset, *,
             reached = len(out) + len(batch)
             if reached > budget:
                 raise _over_budget(budget, reached)
-            out.extend([ClopenSubobject(poset, lower | b) for b in batch])
+            for b in batch:
+                s = new(cls)
+                set_poset(s, poset)
+                set_bits(s, lower | b)
+                append(s)
             return
         raise_i, cut_i = raise_lower[i], cut_upper[i]
         for s in submasks[f][up & ~lo]:
             m = lo | s
             rec(i + 1, lower | raise_i[m], upper & cut_i[m])
 
-    if n:
-        rec(0, 0, ones)
-    elif budget < 1:
-        raise _over_budget(budget, 1)
-    else:   # no contexts: the empty family is the one subobject
-        out.append(ClopenSubobject(poset, 0))
-    poset._subobjects_cache = result = tuple(out)
-    return result
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        if n:
+            rec(0, 0, ones)
+        elif budget < 1:
+            raise _over_budget(budget, 1)
+        else:   # no contexts: the empty family is the one subobject
+            append(ClopenSubobject(poset, 0))
+    finally:
+        rec = None   # the closure's own cell held it, and through it `out`
+        if collecting:
+            gc.enable()
+    return tuple(out)
 
 
 def _submasks(free: int):
@@ -354,7 +374,9 @@ def global_sections(poset: ContextPoset, *,
         for p in range(len(poset.contexts[mt].atoms)):
             nodes += 1
             if nodes > limits.search_budget:
-                raise SizeGuard(f"section search exceeded budget {limits.search_budget}")
+                raise SizeGuard(f"section search exceeded budget {limits.search_budget}",
+                                limit="search_budget",
+                                value=limits.search_budget, nodes=nodes)
             ok = True
             for s, ctxs in shared[t]:
                 ms = maxs[s]

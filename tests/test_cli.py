@@ -220,6 +220,20 @@ def test_law_check_on_the_loop_pasting_trips_the_search_budget(capsys,
     assert code == 2 and json.loads(err)["details"]["needed"] == 256 ** 3
 
 
+def test_structure_and_search_guards_report_details(capsys):
+    for argv, details in (
+            (("sections", "--builtin", "cabello18", "--search-budget", "5"),
+             {"limit": "search_budget", "value": 5, "nodes": 6}),
+            (("validate", "--builtin", "boolean:7"),
+             {"limit": "max_boolean_atoms", "value": 6, "atoms": 7}),
+            (("validate", "--builtin", "mo:27"),
+             {"limit": "mo_blocks", "value": 26, "blocks": 27})):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == ""
+        blob = json.loads(err)
+        assert blob["error"] == "SizeGuard" and blob["details"] == details
+
+
 def test_env_var_mirrors_flag(capsys, monkeypatch):
     monkeypatch.setenv("BIHEYT_MAX_SUBOBJECTS", "10")
     code, _, err = _run(capsys, "enumerate", "--builtin", "boolean:3")

@@ -319,8 +319,10 @@ def test_delta_global_matches_the_dominator_scan(spec):
 
 
 def test_context_limit_guard(boolean3):
-    with pytest.raises(SizeGuard):
+    with pytest.raises(SizeGuard) as info:
         enumerate_contexts(boolean3, limits=Limits(max_contexts=2))
+    assert info.value.details == {"limit": "max_contexts", "value": 2,
+                                  "reached": 3}
 
 
 def test_context_lookup_errors(boolean3_poset):

@@ -108,8 +108,14 @@ def test_generate_mo3_counts():
 
 
 def test_generate_guards():
-    with pytest.raises(SizeGuard):
+    with pytest.raises(SizeGuard) as info:
         generate("boolean", 7)
+    assert info.value.details == {"limit": "max_boolean_atoms", "value": 6,
+                                  "atoms": 7}
+    with pytest.raises(SizeGuard) as info:
+        generate("mo", 27)
+    assert info.value.details == {"limit": "mo_blocks", "value": 26,
+                                  "blocks": 27}
     with pytest.raises(UsageError):
         generate("boolean", 0)
     with pytest.raises(UsageError):
@@ -205,8 +211,10 @@ def test_greechie_input_shape_errors():
         from_greechie([["a", "0"]])
     with pytest.raises(UsageError):
         from_greechie([["a", "x|y"]])
-    with pytest.raises(SizeGuard):
+    with pytest.raises(SizeGuard) as info:
         from_greechie([[f"x{i}" for i in range(13)]])
+    assert info.value.details == {"limit": "max_block_atoms", "value": 12,
+                                  "atoms": 13}
 
 
 def test_degenerate_structures_rejected():

@@ -3,8 +3,10 @@
 Subobject counts are verified against a brute-force generate-and-filter
 oracle that never touches the production enumerator's pruning logic.
 """
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,11 +55,12 @@ def _masks(s):
 
 def _enumerated(poset):
     """The enumeration as (context id, element) families, after checking it
-    is strictly ascending in mask tuples and cached."""
+    is strictly ascending in mask tuples and that a second enumeration
+    gives the same subobjects in the same order."""
     subs = enumerate_subobjects(poset)
     keys = [_masks(s) for s in subs]
     assert all(a < b for a, b in zip(keys, keys[1:]))
-    assert enumerate_subobjects(poset) is subs
+    assert enumerate_subobjects(poset) == subs
     return {frozenset((c.id, s.element_at(i)) for i, c in enumerate(poset.contexts))
             for s in subs}
 
@@ -167,9 +170,10 @@ def test_subobject_counts_against_brute_oracle(boolean2_poset, boolean3_poset,
         assert _enumerated(poset) == _brute(poset)
 
 
-def test_enumeration_is_cached_and_canonically_ordered(boolean3_poset,
-                                                       boolean3_subs):
-    assert enumerate_subobjects(boolean3_poset) is boolean3_subs
+def test_enumeration_is_fresh_and_canonically_ordered(boolean3_poset,
+                                                      boolean3_subs):
+    again = enumerate_subobjects(boolean3_poset)
+    assert again is not boolean3_subs and again == boolean3_subs
     assert list(boolean3_subs) == sorted(boolean3_subs, key=_masks)
     bottoms = [s for s in boolean3_subs if s.bits == 0]
     assert len(bottoms) == 1 and bottoms[0].to_mapping() == {
@@ -255,14 +259,65 @@ def test_enumeration_budget_counts_every_subobject():
                                   "reached": 95}
 
 
-def test_cached_enumeration_keeps_the_budget():
+def test_repeated_enumeration_keeps_the_budget():
     poset = enumerate_contexts(generate("boolean", 3))
     subs = enumerate_subobjects(poset)
     with pytest.raises(SizeGuard) as info:
         enumerate_subobjects(poset, limits=Limits(max_subobjects=94))
     assert info.value.details == {"limit": "max_subobjects", "value": 94,
                                   "reached": 95}
-    assert enumerate_subobjects(poset, limits=Limits(max_subobjects=95)) is subs
+    assert enumerate_subobjects(poset, limits=Limits(max_subobjects=95)) == subs
+
+
+def _dropped_poset_dies(walk) -> bool:
+    """Whether a fresh boolean:3 poset is freed by reference counting alone
+    once ``walk(poset)`` has run and both are dropped."""
+    poset = enumerate_contexts(generate("boolean", 3))
+    ref = weakref.ref(poset)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        walk(poset)
+        del poset
+        return ref() is None
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def test_dropped_enumeration_is_freed_without_the_collector():
+    assert _dropped_poset_dies(enumerate_subobjects)
+
+
+def test_enumeration_stopped_by_its_guard_leaves_no_cycle():
+    def walk(poset):
+        try:
+            enumerate_subobjects(poset, limits=Limits(max_subobjects=40))
+        except SizeGuard:
+            pass
+        else:
+            raise AssertionError("guard did not trip")
+    assert _dropped_poset_dies(walk)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_enumeration_restores_the_collector_setting(boolean3_poset,
+                                                    collecting):
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert len(enumerate_subobjects(boolean3_poset)) == 95
+        assert gc.isenabled() is collecting
+        with pytest.raises(SizeGuard):
+            enumerate_subobjects(boolean3_poset,
+                                 limits=Limits(max_subobjects=40))
+        assert gc.isenabled() is collecting
+        with pytest.raises(SizeGuard):
+            enumerate_subobjects(ContextPoset(boolean3_poset.structure, ()),
+                                 limits=Limits(max_subobjects=0))
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
 
 
 def test_restriction_image_agrees_with_coarse_graining(boolean3_poset,
@@ -316,5 +371,7 @@ def test_enumeration_size_guard():
 
 
 def test_section_search_budget_guard(cabello18_poset):
-    with pytest.raises(SizeGuard):
+    with pytest.raises(SizeGuard) as info:
         global_sections(cabello18_poset, limits=Limits(search_budget=5))
+    assert info.value.details == {"limit": "search_budget", "value": 5,
+                                  "nodes": 6}
