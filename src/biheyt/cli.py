@@ -232,12 +232,10 @@ def _cmd_op(args, limits) -> str:
 def _cmd_check(args, limits) -> str:
     poset = _poset(args, limits)
     if args.predicate == "laws":
-        subs = enumerate_subobjects(poset, limits=limits)
-        report = check_adjunctions(poset, limits=limits, subobjects=subs)
+        report = check_adjunctions(poset, limits=limits)
         payload = {"adjunctions": report.to_json(), "oracle": None}
         if args.oracle:
-            payload["oracle"] = oracle_comparison(poset, limits,
-                                                  subobjects=subs)
+            payload["oracle"] = oracle_comparison(poset, limits)
         return canonical_json(payload)
     s = _subobject_arg(poset, args.subobject, "--subobject")
     result = {"regular": is_heyting_regular,

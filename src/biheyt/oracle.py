@@ -14,79 +14,65 @@ dominating element; the tests hold ``delta_global`` to the same scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from . import biheyting
 from .contexts import Context, ContextPoset, delta
-from .errors import PosetMismatch, SizeGuard
+from .errors import SizeGuard
 from .limits import DEFAULT_LIMITS, Limits
 from .oml import OrthoStructure
-from .presheaf import (ClopenSubobject, _over_budget, _same_poset,
-                       enumerate_subobjects)
-
-
-def _scanned(poset: ContextPoset, subobjects: Sequence[ClopenSubobject] | None,
-             limits: Limits) -> Sequence[ClopenSubobject]:
-    """The subobjects a brute operation scans: ``subobjects`` if given,
-    under the same ``max_subobjects`` guard as a fresh enumeration, else a
-    fresh enumeration of ``poset``.  A given tuple must be a whole
-    enumeration, so only its first member's poset is checked: checking
-    every member would cost as much as the scan it precedes."""
-    if subobjects is None:
-        return enumerate_subobjects(poset, limits=limits)
-    if len(subobjects) > limits.max_subobjects:
-        raise _over_budget(limits.max_subobjects, len(subobjects))
-    if not subobjects or subobjects[0].poset is not poset:
-        raise PosetMismatch("subobjects are not an enumeration of the "
-                            "operands' poset")
-    return subobjects
+from .presheaf import ClopenSubobject, _same_poset, enumerate_subobjects
 
 
 def brute_heyting_implies(s: ClopenSubobject, t: ClopenSubobject, *,
-                          limits: Limits = DEFAULT_LIMITS,
-                          subobjects: Sequence[ClopenSubobject] | None = None,
-                          ) -> ClopenSubobject:
-    """Join of every R with R ^ S <= T.
-
-    ``subobjects``, if given, must be every subobject of the operands'
-    poset, as ``enumerate_subobjects`` returns them; a caller making many
-    calls on one poset enumerates once and passes the tuple to each.
-    Otherwise every call enumerates afresh.  The same holds for
-    ``brute_coheyting_subtract`` and ``brute_negations``.
-    """
+                          limits: Limits = DEFAULT_LIMITS) -> ClopenSubobject:
+    """Join of every R with R ^ S <= T."""
     _same_poset(s, t)
+    return _brute_implies(s, t, enumerate_subobjects(s.poset, limits=limits))
+
+
+def brute_coheyting_subtract(s: ClopenSubobject, t: ClopenSubobject, *,
+                             limits: Limits = DEFAULT_LIMITS) -> ClopenSubobject:
+    """Meet of every R with S <= T v R."""
+    _same_poset(s, t)
+    return _brute_subtract(s, t, enumerate_subobjects(s.poset, limits=limits))
+
+
+def brute_negations(s: ClopenSubobject, *,
+                    limits: Limits = DEFAULT_LIMITS) -> tuple[ClopenSubobject, ClopenSubobject]:
+    """(largest R with R ^ S empty, smallest R with R v S everything)."""
+    return _brute_negations(s, enumerate_subobjects(s.poset, limits=limits))
+
+
+# The scans behind the three operations above.  ``subs`` must be the whole
+# enumeration of the operands' poset, which they cannot check;
+# ``oracle_comparison`` passes them the one enumeration it made.
+
+def _brute_implies(s: ClopenSubobject, t: ClopenSubobject,
+                   subs: tuple[ClopenSubobject, ...]) -> ClopenSubobject:
     bits = 0
-    for r in _scanned(s.poset, subobjects, limits):
+    for r in subs:
         if r.bits & s.bits & ~t.bits == 0:
             bits |= r.bits
     return ClopenSubobject(s.poset, bits)
 
 
-def brute_coheyting_subtract(s: ClopenSubobject, t: ClopenSubobject, *,
-                             limits: Limits = DEFAULT_LIMITS,
-                             subobjects: Sequence[ClopenSubobject] | None = None,
-                             ) -> ClopenSubobject:
-    """Meet of every R with S <= T v R; ``subobjects`` as for
-    ``brute_heyting_implies``."""
-    _same_poset(s, t)
+def _brute_subtract(s: ClopenSubobject, t: ClopenSubobject,
+                    subs: tuple[ClopenSubobject, ...]) -> ClopenSubobject:
     bits = (1 << s.poset.total_bits) - 1
-    for r in _scanned(s.poset, subobjects, limits):
+    for r in subs:
         if s.bits & ~(t.bits | r.bits) == 0:
             bits &= r.bits
     return ClopenSubobject(s.poset, bits)
 
 
-def brute_negations(s: ClopenSubobject, *,
-                    limits: Limits = DEFAULT_LIMITS,
-                    subobjects: Sequence[ClopenSubobject] | None = None,
-                    ) -> tuple[ClopenSubobject, ClopenSubobject]:
-    """(largest R with R ^ S empty, smallest R with R v S everything);
-    ``subobjects`` as for ``brute_heyting_implies``."""
+def _brute_negations(s: ClopenSubobject, subs: tuple[ClopenSubobject, ...],
+                     ) -> tuple[ClopenSubobject, ClopenSubobject]:
     poset = s.poset
     neg = 0
     coneg = (1 << poset.total_bits) - 1
     full = coneg
-    for r in _scanned(poset, subobjects, limits):
+    for r in subs:
         if r.bits & s.bits == 0:
             neg |= r.bits
         if r.bits | s.bits == full:
@@ -113,12 +99,11 @@ class AdjunctionReport:
                 "counterexample": self.counterexample}
 
 
-def _law_check_subobjects(poset: ContextPoset, limits: Limits,
-                          subobjects: Sequence[ClopenSubobject] | None,
-                          ) -> Sequence[ClopenSubobject]:
-    """All subobjects (``subobjects`` if given), if a check over every
-    triple of them is within ``search_budget``; otherwise ``SizeGuard``."""
-    subs = _scanned(poset, subobjects, limits)
+def _law_check_subobjects(poset: ContextPoset,
+                          limits: Limits) -> tuple[ClopenSubobject, ...]:
+    """All subobjects, if a check over every triple of them is within
+    ``search_budget``; otherwise ``SizeGuard``."""
+    subs = enumerate_subobjects(poset, limits=limits)
     needed = len(subs) ** 3
     if needed > limits.search_budget:
         raise SizeGuard(f"law check needs {needed} subobject triples, over "
@@ -131,22 +116,18 @@ def _law_check_subobjects(poset: ContextPoset, limits: Limits,
 def check_adjunctions(poset: ContextPoset, *,
                       heyting_impl: Callable[[ClopenSubobject, ClopenSubobject], ClopenSubobject] | None = None,
                       coheyting_sub: Callable[[ClopenSubobject, ClopenSubobject], ClopenSubobject] | None = None,
-                      limits: Limits = DEFAULT_LIMITS,
-                      subobjects: Sequence[ClopenSubobject] | None = None,
-                      ) -> AdjunctionReport:
+                      limits: Limits = DEFAULT_LIMITS) -> AdjunctionReport:
     """Exhaustively verify both adjunctions over all subobject triples.
 
     ``R ^ S <= T iff R <= (S => T)`` and ``(S <= T v R iff (S - T) <= R``.
     The operation hooks default to the production implementations; passing a
     deliberately wrong one must yield a counterexample (first in canonical
     order), which is how the oracle itself is tested.  Raises ``SizeGuard``
-    before checking anything when the triples exceed ``search_budget``,
-    also for a ``subobjects`` tuple passed in (as for
-    ``brute_heyting_implies``; otherwise the poset is enumerated once).
+    before checking anything when the triples exceed ``search_budget``.
     """
     impl = heyting_impl or biheyting.heyting_implies
     sub = coheyting_sub or biheyting.coheyting_subtract
-    subs = _law_check_subobjects(poset, limits, subobjects)
+    subs = _law_check_subobjects(poset, limits)
     triples = 0
     for s in subs:
         for t in subs:
@@ -171,20 +152,18 @@ def check_adjunctions(poset: ContextPoset, *,
     return AdjunctionReport(len(subs), triples, None)
 
 
-def oracle_comparison(poset: ContextPoset, limits: Limits, *,
-                      subobjects: Sequence[ClopenSubobject] | None = None) -> dict:
+def oracle_comparison(poset: ContextPoset, limits: Limits) -> dict:
     """Compare every production operation against its brute-force twin.
 
     The brute binary operations scan every subobject for every pair, so this
-    is cubic too and has the same ``search_budget`` guard.  The subobjects
-    (``subobjects`` if given) are enumerated once and passed to every brute
-    call.
+    is cubic too and has the same ``search_budget`` guard.  The poset is
+    enumerated once, and every brute scan runs over that one enumeration.
     """
-    subs = _law_check_subobjects(poset, limits, subobjects)
+    subs = _law_check_subobjects(poset, limits)
     mismatches = 0
     first = None
     for s in subs:
-        neg, coneg = brute_negations(s, limits=limits, subobjects=subs)
+        neg, coneg = _brute_negations(s, subs)
         for name, got, want in (("not", biheyting.heyting_not(s), neg),
                                 ("conot", biheyting.coheyting_not(s), coneg)):
             if got != want:
@@ -197,11 +176,9 @@ def oracle_comparison(poset: ContextPoset, limits: Limits, *,
             pair_checks += 2
             for name, got, want in (
                     ("implies", biheyting.heyting_implies(s, t),
-                     brute_heyting_implies(s, t, limits=limits,
-                                           subobjects=subs)),
+                     _brute_implies(s, t, subs)),
                     ("subtract", biheyting.coheyting_subtract(s, t),
-                     brute_coheyting_subtract(s, t, limits=limits,
-                                              subobjects=subs))):
+                     _brute_subtract(s, t, subs))):
                 if got != want:
                     mismatches += 1
                     if first is None:

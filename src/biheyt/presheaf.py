@@ -241,7 +241,9 @@ def enumerate_subobjects(poset: ContextPoset, *,
     after it, also on an error.  The walk creates no reference cycles, so a
     collection during it could only traverse the growing result and free
     nothing; paused, the result costs its allocations alone, and dropping it
-    frees it by reference counting.
+    frees it by reference counting.  The pause is process-wide, so it is
+    not safe across threads: a walk running beside another thread's
+    ``gc.disable()`` or ``gc.enable()`` may undo that call when it ends.
     """
     budget = limits.max_subobjects
     n = len(poset.contexts)

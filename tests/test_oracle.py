@@ -9,13 +9,12 @@ import json
 
 import pytest
 
-from biheyt import (Limits, PosetMismatch, SizeGuard, bottom,
-                    brute_coheyting_subtract, brute_heyting_implies,
-                    brute_negations, check_adjunctions, coheyting_not,
-                    coheyting_subtract, enumerate_contexts,
-                    enumerate_subobjects, generate, heyting_implies,
-                    heyting_not, top)
-from biheyt.oracle import oracle_comparison
+from biheyt import (Limits, SizeGuard, bottom, brute_coheyting_subtract,
+                    brute_heyting_implies, brute_negations, check_adjunctions,
+                    coheyting_not, coheyting_subtract, enumerate_contexts,
+                    generate, heyting_implies, heyting_not, top)
+from biheyt.oracle import (_brute_implies, _brute_negations, _brute_subtract,
+                           oracle_comparison)
 
 
 def test_brute_implication_universal_cases(mo2_poset, mo2_subs):
@@ -42,55 +41,26 @@ def test_production_matches_oracle_on_all_pairs(boolean3_subs, mo2_subs):
     for subs in (mo2_subs, boolean3_subs):
         for s in subs:
             for t in subs:
-                assert heyting_implies(s, t) == brute_heyting_implies(s, t)
-                assert coheyting_subtract(s, t) == brute_coheyting_subtract(s, t)
+                assert heyting_implies(s, t) == _brute_implies(s, t, subs)
+                assert coheyting_subtract(s, t) == _brute_subtract(s, t, subs)
 
 
-def test_brute_ops_given_the_enumeration_match_the_scan(boolean3_subs,
-                                                       mo2_subs):
+def test_brute_scans_over_one_enumeration_match_the_public_ops(boolean3_subs,
+                                                              mo2_subs):
     for subs in (mo2_subs, boolean3_subs):
         for s in subs:
-            assert (brute_negations(s, subobjects=subs)
-                    == brute_negations(s))
+            assert _brute_negations(s, subs) == brute_negations(s)
             for t in subs:
-                assert (brute_heyting_implies(s, t, subobjects=subs)
-                        == brute_heyting_implies(s, t))
-                assert (brute_coheyting_subtract(s, t, subobjects=subs)
+                assert _brute_implies(s, t, subs) == brute_heyting_implies(s, t)
+                assert (_brute_subtract(s, t, subs)
                         == brute_coheyting_subtract(s, t))
-
-
-def test_brute_ops_refuse_another_posets_enumeration(boolean3_subs,
-                                                     mo2_subs):
-    s, t = mo2_subs[3], mo2_subs[5]
-    fresh = enumerate_subobjects(enumerate_contexts(generate("mo", 2)))
-    for other in (boolean3_subs, fresh, ()):
-        with pytest.raises(PosetMismatch):
-            brute_heyting_implies(s, t, subobjects=other)
-        with pytest.raises(PosetMismatch):
-            brute_coheyting_subtract(s, t, subobjects=other)
-        with pytest.raises(PosetMismatch):
-            brute_negations(s, subobjects=other)
-
-
-def test_brute_ops_keep_the_budget_on_a_given_enumeration(boolean3_subs):
-    s, t = boolean3_subs[10], boolean3_subs[20]
-    short = Limits(max_subobjects=94)
-    for call in (lambda: brute_heyting_implies(s, t, limits=short,
-                                               subobjects=boolean3_subs),
-                 lambda: brute_coheyting_subtract(s, t, limits=short,
-                                                  subobjects=boolean3_subs),
-                 lambda: brute_negations(s, limits=short,
-                                         subobjects=boolean3_subs)):
-        with pytest.raises(SizeGuard) as info:
-            call()
-        assert info.value.details == {"limit": "max_subobjects",
-                                      "value": 94, "reached": 95}
 
 
 def test_production_negations_match_oracle(boolean3_subs, mo2_subs):
     for subs in (mo2_subs, boolean3_subs):
         for s in subs:
-            assert brute_negations(s) == (heyting_not(s), coheyting_not(s))
+            assert (_brute_negations(s, subs)
+                    == (heyting_not(s), coheyting_not(s)))
 
 
 def test_corrupted_implication_is_caught(mo2_poset):
@@ -143,13 +113,4 @@ def test_law_checks_stop_at_the_search_budget():
     assert info.value.details == want and calls == []
     with pytest.raises(SizeGuard) as info:
         oracle_comparison(poset, short)
-    assert info.value.details == want
-    # the same guard holds for an enumeration passed in
-    subs = enumerate_subobjects(poset)
-    assert check_adjunctions(poset, limits=enough, subobjects=subs).passed
-    with pytest.raises(SizeGuard) as info:
-        check_adjunctions(poset, limits=short, subobjects=subs)
-    assert info.value.details == want
-    with pytest.raises(SizeGuard) as info:
-        oracle_comparison(poset, short, subobjects=subs)
     assert info.value.details == want
