@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
     kind.add_argument("--coheyting", action="store_true",
                       help="with `not`: co-Heyting negation")
     p.add_argument("--oracle", action="store_true",
-                   help="use the brute-force reference implementation")
+                   help="brute-force reference (implies subtract not conot)")
 
     p = sub.add_parser("check", parents=[common],
                        help="predicates and law certification")
@@ -128,8 +128,11 @@ def _limits_from(args) -> Limits:
                                  value=env) from None
         else:
             max_sub = DEFAULT_LIMITS.max_subobjects
-    if max_sub <= 0 or args.search_budget <= 0:
-        raise UsageError("size limits must be positive")
+    for limit, value in (("max_subobjects", max_sub),
+                         ("search_budget", args.search_budget)):
+        if value <= 0:
+            raise UsageError("size limits must be positive", limit=limit,
+                             value=value)
     return dataclasses.replace(DEFAULT_LIMITS, max_subobjects=max_sub,
                                search_budget=args.search_budget)
 
@@ -203,6 +206,8 @@ def _cmd_das(args, limits) -> str:
 
 
 def _cmd_op(args, limits) -> str:
+    if args.oracle and args.verb in ("meet", "join"):
+        raise UsageError(f"op {args.verb} takes no --oracle")
     poset = _poset(args, limits)
     s = _subobject_arg(poset, args.subobject, "--subobject")
     if args.verb in _BINARY_OPS:
@@ -230,6 +235,10 @@ def _cmd_op(args, limits) -> str:
 
 
 def _cmd_check(args, limits) -> str:
+    if args.oracle and args.predicate != "laws":
+        raise UsageError(f"check {args.predicate} takes no --oracle")
+    if args.subobject is not None and args.predicate == "laws":
+        raise UsageError("check laws takes no --subobject")
     poset = _poset(args, limits)
     if args.predicate == "laws":
         report = check_adjunctions(poset, limits=limits)

@@ -1,9 +1,11 @@
 """Brute-force cross-checks for the algebra operations.
 
 These recompute implication, subtraction, and both negations directly from
-their defining extremal properties by scanning every clopen subobject.  They
-are deliberately independent of the closed-form production code so the two
-can certify each other; ``check_adjunctions`` verifies both adjunctions over
+their defining extremal properties over every clopen subobject, read from the
+enumeration column-wise (``_Columns``): one int op per spectrum point decides
+a fact for all N subobjects.  They read nothing but the subobjects' bits, so
+they stay independent of the closed-form production code and the two can
+certify each other; ``check_adjunctions`` verifies both adjunctions over
 every triple and accepts replacement operation hooks so a corrupted operation
 is caught with a concrete counterexample, and ``oracle_comparison`` compares
 every production operation with its brute-force twin.
@@ -14,6 +16,7 @@ dominating element; the tests hold ``delta_global`` to the same scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Any, Callable
 
 from . import biheyting
@@ -28,55 +31,106 @@ def brute_heyting_implies(s: ClopenSubobject, t: ClopenSubobject, *,
                           limits: Limits = DEFAULT_LIMITS) -> ClopenSubobject:
     """Join of every R with R ^ S <= T."""
     _same_poset(s, t)
-    return _brute_implies(s, t, enumerate_subobjects(s.poset, limits=limits))
+    return _brute_implies(s, t, _Columns(enumerate_subobjects(s.poset,
+                                                              limits=limits)))
 
 
 def brute_coheyting_subtract(s: ClopenSubobject, t: ClopenSubobject, *,
                              limits: Limits = DEFAULT_LIMITS) -> ClopenSubobject:
     """Meet of every R with S <= T v R."""
     _same_poset(s, t)
-    return _brute_subtract(s, t, enumerate_subobjects(s.poset, limits=limits))
+    return _brute_subtract(s, t, _Columns(enumerate_subobjects(s.poset,
+                                                               limits=limits)))
 
 
 def brute_negations(s: ClopenSubobject, *,
                     limits: Limits = DEFAULT_LIMITS) -> tuple[ClopenSubobject, ClopenSubobject]:
     """(largest R with R ^ S empty, smallest R with R v S everything)."""
-    return _brute_negations(s, enumerate_subobjects(s.poset, limits=limits))
+    return _brute_negations(s, _Columns(enumerate_subobjects(s.poset,
+                                                             limits=limits)))
 
 
-# The scans behind the three operations above.  ``subs`` must be the whole
-# enumeration of the operands' poset, which they cannot check;
-# ``oracle_comparison`` passes them the one enumeration it made.
+# subobjects transposed at a time, so their rows stay a few MB
+_CHUNK = 1 << 16
+
+
+class _Columns:
+    """An enumeration read column-wise: bit k of ``has[b]`` is set iff
+    subobject k contains point b, and ``lacks[b]`` is its complement.  An
+    N-bit int is then a *selection* of subobjects.  The scans need the whole
+    enumeration of the operands' poset, and cannot check that they got it.
+    """
+
+    def __init__(self, subs: tuple[ClopenSubobject, ...]):
+        width = subs[0].poset.total_bits
+        size = (width + 7) // 8
+        stride = 8 * size
+        self.every = (1 << len(subs)) - 1
+        self.has = [0] * width
+        for start in range(0, len(subs), _CHUNK):
+            chunk = subs[start:start + _CHUNK]
+            # the chunk's rows, last subobject first, each `stride` binary
+            # digits long: every stride-th digit spells a column
+            blob = b"".join([r.bits.to_bytes(size, "big")
+                             for r in reversed(chunk)])
+            rows = format(int.from_bytes(blob, "big"),
+                          f"0{len(chunk) * stride}b")
+            for b in range(width):
+                self.has[b] |= int(rows[stride - 1 - b::stride], 2) << start
+        self.lacks = [self.every ^ col for col in self.has]
+
+    def avoiding(self, x: int) -> int:
+        """The selection of every R with R & x == 0."""
+        return self._all(self.lacks, x)
+
+    def containing(self, x: int) -> int:
+        """The selection of every R that contains x."""
+        return 0 if x >> len(self.has) else self._all(self.has, x)
+
+    def join(self, sel: int) -> int:
+        """The points some selected R holds."""
+        return self._any(self.has, sel)
+
+    def meet(self, sel: int) -> int:
+        """The points every selected R holds."""
+        return self._any(self.lacks, sel) ^ ((1 << len(self.has)) - 1)
+
+    def _all(self, cols: list[int], x: int) -> int:
+        """The selection in every column named by a point of x."""
+        sel = self.every
+        for col in cols:
+            if x & 1:
+                sel &= col
+            x >>= 1
+        return sel
+
+    @staticmethod
+    def _any(cols: list[int], sel: int) -> int:
+        """The points whose column meets the selection."""
+        bits = 0
+        for b, col in enumerate(cols):
+            if sel & col:
+                bits |= 1 << b
+        return bits
+
 
 def _brute_implies(s: ClopenSubobject, t: ClopenSubobject,
-                   subs: tuple[ClopenSubobject, ...]) -> ClopenSubobject:
-    bits = 0
-    for r in subs:
-        if r.bits & s.bits & ~t.bits == 0:
-            bits |= r.bits
-    return ClopenSubobject(s.poset, bits)
+                   cols: _Columns) -> ClopenSubobject:
+    return ClopenSubobject(s.poset, cols.join(cols.avoiding(s.bits & ~t.bits)))
 
 
 def _brute_subtract(s: ClopenSubobject, t: ClopenSubobject,
-                    subs: tuple[ClopenSubobject, ...]) -> ClopenSubobject:
-    bits = (1 << s.poset.total_bits) - 1
-    for r in subs:
-        if s.bits & ~(t.bits | r.bits) == 0:
-            bits &= r.bits
-    return ClopenSubobject(s.poset, bits)
+                    cols: _Columns) -> ClopenSubobject:
+    return ClopenSubobject(s.poset,
+                           cols.meet(cols.containing(s.bits & ~t.bits)))
 
 
-def _brute_negations(s: ClopenSubobject, subs: tuple[ClopenSubobject, ...],
+def _brute_negations(s: ClopenSubobject, cols: _Columns,
                      ) -> tuple[ClopenSubobject, ClopenSubobject]:
     poset = s.poset
-    neg = 0
-    coneg = (1 << poset.total_bits) - 1
-    full = coneg
-    for r in subs:
-        if r.bits & s.bits == 0:
-            neg |= r.bits
-        if r.bits | s.bits == full:
-            coneg &= r.bits
+    full = (1 << poset.total_bits) - 1
+    neg = cols.join(cols.avoiding(s.bits))
+    coneg = cols.meet(cols.containing(full ^ s.bits))
     if neg & s.bits or (coneg | s.bits) != full:
         raise AssertionError("extremal scan produced a non-witness (bug)")
     return ClopenSubobject(poset, neg), ClopenSubobject(poset, coneg)
@@ -122,48 +176,50 @@ def check_adjunctions(poset: ContextPoset, *,
     ``R ^ S <= T iff R <= (S => T)`` and ``(S <= T v R iff (S - T) <= R``.
     The operation hooks default to the production implementations; passing a
     deliberately wrong one must yield a counterexample (first in canonical
-    order), which is how the oracle itself is tested.  Raises ``SizeGuard``
-    before checking anything when the triples exceed ``search_budget``.
+    order), which is how the oracle itself is tested.  Each pair decides all
+    R at once; ``triples_checked`` counts triples up to the counterexample.
+    Raises ``SizeGuard`` first when the N**3 triples exceed ``search_budget``.
     """
     impl = heyting_impl or biheyting.heyting_implies
     sub = coheyting_sub or biheyting.coheyting_subtract
     subs = _law_check_subobjects(poset, limits)
-    triples = 0
-    for s in subs:
-        for t in subs:
-            i_bits = impl(s, t).bits
-            d_bits = sub(s, t).bits
-            for r in subs:
-                triples += 1
-                below_impl = r.bits & ~i_bits == 0
-                meet_below = r.bits & s.bits & ~t.bits == 0
-                if below_impl != meet_below:
-                    return AdjunctionReport(len(subs), triples, {
-                        "law": "heyting",
-                        "S": s.to_mapping(), "T": t.to_mapping(), "R": r.to_mapping(),
-                        "meet_below": meet_below, "below_implication": below_impl})
-                sub_below = d_bits & ~r.bits == 0
-                inside_join = s.bits & ~(t.bits | r.bits) == 0
-                if sub_below != inside_join:
-                    return AdjunctionReport(len(subs), triples, {
-                        "law": "coheyting",
-                        "S": s.to_mapping(), "T": t.to_mapping(), "R": r.to_mapping(),
-                        "inside_join": inside_join, "subtraction_below": sub_below})
-    return AdjunctionReport(len(subs), triples, None)
+    cols, n = _Columns(subs), len(subs)
+    for pair, (s, t) in enumerate(product(subs, subs)):
+        i_bits, d_bits = impl(s, t).bits, sub(s, t).bits
+        gap = s.bits & ~t.bits
+        below_impl, meet_below = cols.avoiding(~i_bits), cols.avoiding(gap)
+        sub_below, inside_join = cols.containing(d_bits), cols.containing(gap)
+        heyting = below_impl ^ meet_below
+        bad = heyting | (sub_below ^ inside_join)
+        if bad:
+            k = (bad & -bad).bit_length() - 1
+            where = {"S": s.to_mapping(), "T": t.to_mapping(),
+                     "R": subs[k].to_mapping()}
+            if heyting >> k & 1:
+                found = {"law": "heyting", **where,
+                         "meet_below": bool(meet_below >> k & 1),
+                         "below_implication": bool(below_impl >> k & 1)}
+            else:
+                found = {"law": "coheyting", **where,
+                         "inside_join": bool(inside_join >> k & 1),
+                         "subtraction_below": bool(sub_below >> k & 1)}
+            return AdjunctionReport(n, pair * n + k + 1, found)
+    return AdjunctionReport(n, n ** 3, None)
 
 
 def oracle_comparison(poset: ContextPoset, limits: Limits) -> dict:
     """Compare every production operation against its brute-force twin.
 
-    The brute binary operations scan every subobject for every pair, so this
-    is cubic too and has the same ``search_budget`` guard.  The poset is
-    enumerated once, and every brute scan runs over that one enumeration.
+    The poset is enumerated and transposed once, and every brute operation
+    runs over that one view, at about one int op per point for each pair.
+    The check is held to the law check's N**3 ``search_budget`` guard.
     """
     subs = _law_check_subobjects(poset, limits)
+    cols = _Columns(subs)
     mismatches = 0
     first = None
     for s in subs:
-        neg, coneg = _brute_negations(s, subs)
+        neg, coneg = _brute_negations(s, cols)
         for name, got, want in (("not", biheyting.heyting_not(s), neg),
                                 ("conot", biheyting.coheyting_not(s), coneg)):
             if got != want:
@@ -176,9 +232,9 @@ def oracle_comparison(poset: ContextPoset, limits: Limits) -> dict:
             pair_checks += 2
             for name, got, want in (
                     ("implies", biheyting.heyting_implies(s, t),
-                     _brute_implies(s, t, subs)),
+                     _brute_implies(s, t, cols)),
                     ("subtract", biheyting.coheyting_subtract(s, t),
-                     _brute_subtract(s, t, subs))):
+                     _brute_subtract(s, t, cols))):
                 if got != want:
                     mismatches += 1
                     if first is None:

@@ -300,6 +300,36 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 3 and "invalid JSON" in json.loads(err)["message"]
     code, _, err = _run(capsys)
     assert code == 3
+    limits = [(("--max-subobjects", "-4"), "max_subobjects", -4),
+              (("--search-budget", "0"), "search_budget", 0),
+              (("--max-subobjects", "0", "--search-budget", "0"),
+               "max_subobjects", 0)]
+    for flags, limit, value in limits:
+        code, _, err = _run(capsys, "validate", "--builtin", "boolean:3",
+                            *flags)
+        assert code == 3 and json.loads(err) == {
+            "error": "UsageError", "message": "size limits must be positive",
+            "details": {"limit": limit, "value": value}}
+
+
+def test_flags_a_command_would_ignore_are_usage_errors(capsys, tmp_path):
+    """--oracle only changes op implies/subtract/not/conot and check laws,
+    and check laws reads no --subobject; elsewhere they are refused."""
+    sp = _jfile(tmp_path, "sp.json", DAS_P)
+    cases = [("check", predicate, "--subobject", sp, "--oracle")
+             for predicate in ("regular", "coregular", "tight")]
+    cases += [("check", "laws", "--subobject", sp),
+              ("check", "laws", "--subobject", sp, "--oracle")]
+    cases += [("op", verb, "--subobject", sp, "--subobject2", sp, "--oracle")
+              for verb in ("meet", "join")]
+    for argv in cases:
+        code, out, err = _run(capsys, *argv[:2], "--builtin", "boolean:3",
+                              *argv[2:])
+        assert (code, out) == (3, ""), argv
+        blob = json.loads(err)
+        assert blob["error"] == "UsageError" and "details" not in blob
+        flag = "--subobject" if argv[1] == "laws" else "--oracle"
+        assert blob["message"] == f"{argv[0]} {argv[1]} takes no {flag}"
 
 
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path):

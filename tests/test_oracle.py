@@ -1,20 +1,146 @@
 """Brute-force extremal scans certifying the closed-form operations.
 
 Production implication/subtraction/negations use local formulas; the oracle
-recomputes them from the defining universal properties by scanning every
-subobject.  Both routes must agree everywhere, and a corrupted operation
-handed to the adjunction checker must surface a concrete counterexample.
+recomputes them from the defining universal properties over the whole
+enumeration, read column-wise.  Both routes must agree everywhere, and a
+corrupted operation handed to the adjunction checker must surface a concrete
+counterexample.  The row scans below, one subobject at a time, are the
+reference the column scans are held to.
 """
 import json
 
 import pytest
+from hypothesis import given, settings
 
-from biheyt import (Limits, SizeGuard, bottom, brute_coheyting_subtract,
-                    brute_heyting_implies, brute_negations, check_adjunctions,
-                    coheyting_not, coheyting_subtract, enumerate_contexts,
-                    generate, heyting_implies, heyting_not, top)
-from biheyt.oracle import (_brute_implies, _brute_negations, _brute_subtract,
-                           oracle_comparison)
+from biheyt import (ClopenSubobject, ContextPoset, Limits, SizeGuard, bottom,
+                    brute_coheyting_subtract, brute_heyting_implies,
+                    brute_negations, check_adjunctions, coheyting_not,
+                    coheyting_subtract, enumerate_contexts,
+                    enumerate_subobjects, generate, heyting_implies,
+                    heyting_not, top)
+from biheyt import oracle
+from biheyt.oracle import (AdjunctionReport, _brute_implies, _brute_negations,
+                           _brute_subtract, _Columns, oracle_comparison)
+
+from test_presheaf import context_subposet
+
+
+def _row_implies(s, t, subs):
+    bits = 0
+    for r in subs:
+        if r.bits & s.bits & ~t.bits == 0:
+            bits |= r.bits
+    return ClopenSubobject(s.poset, bits)
+
+
+def _row_subtract(s, t, subs):
+    bits = (1 << s.poset.total_bits) - 1
+    for r in subs:
+        if s.bits & ~(t.bits | r.bits) == 0:
+            bits &= r.bits
+    return ClopenSubobject(s.poset, bits)
+
+
+def _row_negations(s, subs):
+    full = (1 << s.poset.total_bits) - 1
+    neg, coneg = 0, full
+    for r in subs:
+        if r.bits & s.bits == 0:
+            neg |= r.bits
+        if r.bits | s.bits == full:
+            coneg &= r.bits
+    return ClopenSubobject(s.poset, neg), ClopenSubobject(s.poset, coneg)
+
+
+def _row_adjunctions(poset, heyting_impl=heyting_implies,
+                     coheyting_sub=coheyting_subtract):
+    """``check_adjunctions`` as a loop over every triple, R innermost."""
+    subs = enumerate_subobjects(poset)
+    triples = 0
+    for s in subs:
+        for t in subs:
+            i_bits = heyting_impl(s, t).bits
+            d_bits = coheyting_sub(s, t).bits
+            for r in subs:
+                triples += 1
+                below_impl = r.bits & ~i_bits == 0
+                meet_below = r.bits & s.bits & ~t.bits == 0
+                if below_impl != meet_below:
+                    return AdjunctionReport(len(subs), triples, {
+                        "law": "heyting",
+                        "S": s.to_mapping(), "T": t.to_mapping(),
+                        "R": r.to_mapping(), "meet_below": meet_below,
+                        "below_implication": below_impl})
+                sub_below = d_bits & ~r.bits == 0
+                inside_join = s.bits & ~(t.bits | r.bits) == 0
+                if sub_below != inside_join:
+                    return AdjunctionReport(len(subs), triples, {
+                        "law": "coheyting",
+                        "S": s.to_mapping(), "T": t.to_mapping(),
+                        "R": r.to_mapping(), "inside_join": inside_join,
+                        "subtraction_below": sub_below})
+    return AdjunctionReport(len(subs), triples, None)
+
+
+def _assert_like_the_row_scan(poset, **hooks):
+    report = check_adjunctions(poset, **hooks)
+    assert report.to_json() == _row_adjunctions(poset, **hooks).to_json()
+    return report
+
+
+def _flip_at(op, at, point):
+    """``op`` with ``point`` flipped in its result at the pair ``at``."""
+    def hook(s, t):
+        out = op(s, t)
+        if (s, t) == at:
+            return ClopenSubobject(s.poset, out.bits ^ 1 << point)
+        return out
+    return hook
+
+
+def _lowest(bits):
+    return (bits & -bits).bit_length() - 1
+
+
+def _poset(name):
+    kind, _, n = name.partition(":")
+    return enumerate_contexts(generate(kind, int(n)))
+
+
+def _column_scans_match_the_row_scans(poset):
+    subs = enumerate_subobjects(poset)
+    cols = _Columns(subs)
+    for s in subs:
+        assert _brute_negations(s, cols) == _row_negations(s, subs)
+        for t in subs:
+            assert _brute_implies(s, t, cols) == _row_implies(s, t, subs)
+            assert _brute_subtract(s, t, cols) == _row_subtract(s, t, subs)
+
+
+@pytest.mark.parametrize("name", ["boolean:3", "mo:3"])
+def test_column_scans_match_the_row_scans(name, boolean3):
+    _column_scans_match_the_row_scans(_poset(name))
+    _column_scans_match_the_row_scans(ContextPoset(boolean3, ()))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 95, 1 << 16])
+def test_columns_hold_each_points_subobjects(chunk, boolean3_subs,
+                                             monkeypatch):
+    """Bit k of column b is set iff subobject k holds point b, however many
+    subobjects are transposed at a time."""
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    cols = _Columns(boolean3_subs)
+    every = (1 << len(boolean3_subs)) - 1
+    for b in range(boolean3_subs[0].poset.total_bits):
+        want = sum(1 << k for k, r in enumerate(boolean3_subs)
+                   if r.bits >> b & 1)
+        assert (cols.has[b], cols.lacks[b]) == (want, every ^ want)
+
+
+@given(context_subposet(max_product=64))
+@settings(max_examples=25, deadline=None)
+def test_column_scans_match_the_row_scans_on_tree_pasting_subposets(poset):
+    _column_scans_match_the_row_scans(poset)
 
 
 def test_brute_implication_universal_cases(mo2_poset, mo2_subs):
@@ -39,33 +165,37 @@ def test_brute_negations_of_the_bounds(boolean3_poset):
 
 def test_production_matches_oracle_on_all_pairs(boolean3_subs, mo2_subs):
     for subs in (mo2_subs, boolean3_subs):
+        cols = _Columns(subs)
         for s in subs:
             for t in subs:
-                assert heyting_implies(s, t) == _brute_implies(s, t, subs)
-                assert coheyting_subtract(s, t) == _brute_subtract(s, t, subs)
+                assert heyting_implies(s, t) == _brute_implies(s, t, cols)
+                assert coheyting_subtract(s, t) == _brute_subtract(s, t, cols)
 
 
 def test_brute_scans_over_one_enumeration_match_the_public_ops(boolean3_subs,
                                                               mo2_subs):
     for subs in (mo2_subs, boolean3_subs):
+        cols = _Columns(subs)
         for s in subs:
-            assert _brute_negations(s, subs) == brute_negations(s)
+            assert _brute_negations(s, cols) == brute_negations(s)
             for t in subs:
-                assert _brute_implies(s, t, subs) == brute_heyting_implies(s, t)
-                assert (_brute_subtract(s, t, subs)
+                assert _brute_implies(s, t, cols) == brute_heyting_implies(s, t)
+                assert (_brute_subtract(s, t, cols)
                         == brute_coheyting_subtract(s, t))
 
 
 def test_production_negations_match_oracle(boolean3_subs, mo2_subs):
     for subs in (mo2_subs, boolean3_subs):
+        cols = _Columns(subs)
         for s in subs:
-            assert (_brute_negations(s, subs)
+            assert (_brute_negations(s, cols)
                     == (heyting_not(s), coheyting_not(s)))
 
 
 def test_corrupted_implication_is_caught(mo2_poset):
     t = top(mo2_poset)
-    report = check_adjunctions(mo2_poset, heyting_impl=lambda s, u: t)
+    report = _assert_like_the_row_scan(mo2_poset,
+                                       heyting_impl=lambda s, u: t)
     assert not report.passed
     ce = report.counterexample
     assert ce["law"] == "heyting"
@@ -75,11 +205,78 @@ def test_corrupted_implication_is_caught(mo2_poset):
 
 def test_corrupted_subtraction_is_caught(mo2_poset):
     b = bottom(mo2_poset)
-    report = check_adjunctions(mo2_poset, coheyting_sub=lambda s, u: b)
+    report = _assert_like_the_row_scan(mo2_poset,
+                                       coheyting_sub=lambda s, u: b)
     assert not report.passed
     assert report.counterexample["law"] == "coheyting"
     assert report.counterexample["subtraction_below"]
     assert not report.counterexample["inside_join"]
+
+
+def test_bits_outside_the_poset_are_scanned_like_the_rows(mo2_poset, mo2_subs):
+    """No subobject holds a point past ``total_bits``, nor the infinitely
+    many points of a negative int."""
+    cols = _Columns(mo2_subs)
+    for bits in (1 << mo2_poset.total_bits, -1):
+        odd = ClopenSubobject(mo2_poset, bits)
+        report = _assert_like_the_row_scan(mo2_poset,
+                                           coheyting_sub=lambda s, u: odd)
+        assert report.counterexample["law"] == "coheyting"
+        for s in mo2_subs:
+            assert (_brute_subtract(odd, s, cols)
+                    == _row_subtract(odd, s, mo2_subs))
+            assert (_brute_implies(odd, s, cols)
+                    == _row_implies(odd, s, mo2_subs))
+
+
+@pytest.mark.parametrize("name", ["mo:2", "mo:3", "boolean:3"])
+def test_one_point_corruptions_report_the_row_scans_counterexample(name):
+    """Dropping a point of S => T fails the law at R = S => T, and adding a
+    point to S - T fails it at R = S - T, so every case below is caught."""
+    poset = _poset(name)
+    subs = enumerate_subobjects(poset)
+    n = len(subs)
+
+    middle = [(s, t) for s in subs[n // 2:] for t in subs]
+    at = next(p for p in middle if heyting_implies(*p).bits)
+    report = _assert_like_the_row_scan(poset, heyting_impl=_flip_at(
+        heyting_implies, at, _lowest(heyting_implies(*at).bits)))
+    assert report.counterexample["law"] == "heyting"
+
+    full = (1 << poset.total_bits) - 1
+    at = next(p for p in middle if coheyting_subtract(*p).bits != full)
+    missing = full & ~coheyting_subtract(*at).bits
+    report = _assert_like_the_row_scan(poset, coheyting_sub=_flip_at(
+        coheyting_subtract, at, _lowest(missing)))
+    assert report.counterexample["law"] == "coheyting"
+
+    last = (subs[-1], subs[-1])
+    report = _assert_like_the_row_scan(poset, heyting_impl=_flip_at(
+        heyting_implies, last, _lowest(heyting_implies(*last).bits)))
+    assert report.counterexample["S"] == subs[-1].to_mapping()
+    assert report.triples_checked > (n * n - 1) * n
+
+
+@pytest.mark.parametrize("name", ["mo:2", "mo:3", "boolean:3"])
+def test_both_laws_failing_at_one_triple_report_the_heyting_law(name):
+    """S is the first subobject after the empty one, a single point p, and T
+    is empty, so S => T is the complement of S and S - T is S.  With p added
+    to the implication and another point to the subtraction, R = S is the
+    first R at which either law fails, and both fail there."""
+    poset = _poset(name)
+    subs = enumerate_subobjects(poset)
+    empty, s = subs[0], subs[1]
+    assert empty.bits == 0 and s.bits & (s.bits - 1) == 0
+    impl = _flip_at(heyting_implies, (s, empty), _lowest(s.bits))
+    sub = _flip_at(coheyting_subtract, (s, empty), _lowest(~s.bits))
+    both = _assert_like_the_row_scan(poset, heyting_impl=impl,
+                                     coheyting_sub=sub)
+    alone = _assert_like_the_row_scan(poset, coheyting_sub=sub)
+    assert both.counterexample["law"] == "heyting"
+    assert alone.counterexample["law"] == "coheyting"
+    assert both.triples_checked == alone.triples_checked == len(subs) ** 2 + 2
+    assert both.counterexample["R"] == alone.counterexample["R"] == \
+        s.to_mapping()
 
 
 def test_report_serializes(mo2_poset):

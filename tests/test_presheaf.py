@@ -223,10 +223,11 @@ def test_enumeration_without_contexts(boolean3):
 
 
 @st.composite
-def context_subposet(draw):
+def context_subposet(draw, max_product=1 << 15):
     """Some contexts of a random tree pasting, as a poset of their own.
 
-    Taking a subset keeps the brute product small.  The contexts come in a
+    Taking a subset keeps the brute product, and with it the number of
+    subobjects, within ``max_product``.  The contexts come in a
     random index order: on every builtin, id order puts each subcontext
     before its supercontexts, and then the enumeration's lower bound (from
     supercontexts assigned earlier) never acts.
@@ -237,7 +238,7 @@ def context_subposet(draw):
                            unique_by=lambda c: c.id))
     kept = []
     for c in picked:
-        if math.prod(len(k.elements) for k in kept) * len(c.elements) <= 1 << 15:
+        if math.prod(len(k.elements) for k in kept) * len(c.elements) <= max_product:
             kept.append(c)
     return ContextPoset(structure, tuple(draw(st.permutations(kept))))
 
