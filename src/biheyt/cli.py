@@ -23,7 +23,7 @@ from .errors import BiheytError, SizeGuard, UsageError, ValidationError
 from .limits import DEFAULT_LIMITS, Limits
 from .oml import validate
 from .oracle import (brute_coheyting_subtract, brute_heyting_implies,
-                     brute_negations, check_adjunctions, oracle_comparison)
+                     brute_negations, check_adjunctions)
 from .presheaf import enumerate_subobjects, global_sections
 from .serialize import (builtin_structure, canonical_json, contexts_dot,
                         subobject_dot, subobject_from_mapping,
@@ -97,7 +97,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--subobject", metavar="FILE",
                    help="operand for regular/coregular/tight")
     p.add_argument("--oracle", action="store_true",
-                   help="with `laws`: also compare against brute-force ops")
+                   help="with `laws`: also print the comparison against "
+                        "brute-force ops")
 
     p = sub.add_parser("sections", parents=[common],
                        help="count (or list) global sections")
@@ -242,10 +243,8 @@ def _cmd_check(args, limits) -> str:
     poset = _poset(args, limits)
     if args.predicate == "laws":
         report = check_adjunctions(poset, limits=limits)
-        payload = {"adjunctions": report.to_json(), "oracle": None}
-        if args.oracle:
-            payload["oracle"] = oracle_comparison(poset, limits)
-        return canonical_json(payload)
+        return canonical_json({"adjunctions": report.to_json(),
+                               "oracle": report.oracle if args.oracle else None})
     s = _subobject_arg(poset, args.subobject, "--subobject")
     result = {"regular": is_heyting_regular,
               "coregular": is_coheyting_regular,

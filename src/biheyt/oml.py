@@ -76,7 +76,7 @@ class OrthoStructure:
 
     __slots__ = (
         "labels", "n", "zero", "one", "kind", "ortho", "blocks",
-        "_index", "_down", "_up", "_glb", "_lub", "_atoms",
+        "_index", "_down", "_up", "_atoms",
         "_block_joins", "_elem_blocks",
     )
 
@@ -100,6 +100,8 @@ class OrthoStructure:
                 return self._index[x]
             except KeyError:
                 raise UsageError(f"unknown element label {x!r}") from None
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise UsageError(f"element {x!r} is neither a label nor an index")
         if not 0 <= x < self.n:
             raise UsageError(f"element index {x} out of range")
         return x
@@ -118,11 +120,12 @@ class OrthoStructure:
 
     def glb(self, a: int | str, b: int | str) -> int | None:
         """Global meet, or None when it does not exist (pasted kind only)."""
-        return self._glb[self.el(a)][self.el(b)]
+        return _extremum(self._down[self.el(a)] & self._down[self.el(b)],
+                         self._down)
 
     def lub(self, a: int | str, b: int | str) -> int | None:
         """Global join, or None when it does not exist (pasted kind only)."""
-        return self._lub[self.el(a)][self.el(b)]
+        return _extremum(self._up[self.el(a)] & self._up[self.el(b)], self._up)
 
     def atoms(self) -> tuple[int, ...]:
         return self._atoms
@@ -135,9 +138,7 @@ class OrthoStructure:
         """
         a, b = self.el(a), self.el(b)
         if self.kind == LATTICE:
-            m1 = self._glb[a][b]
-            m2 = self._glb[a][self.ortho[b]]
-            return self._lub[m1][m2] == a
+            return self.lub(self.glb(a, b), self.glb(a, self.ortho[b])) == a
         return bool(self._elem_blocks[a] & self._elem_blocks[b])
 
     def blocks_of(self, a: int | str) -> tuple[int, ...]:
@@ -336,19 +337,15 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
                 f"{new_labels[i]!r} and its orthocomplement share upper bound "
                 f"{new_labels[shared]!r}", witness=[new_labels[i], new_labels[shared]])
 
-    glb = [[None] * n for _ in range(n)]
-    lub = [[None] * n for _ in range(n)]
-    unbounded: list[str] | None = None
-    for i in range(n):
-        for j in range(i, n):
-            g = _extremum(down_t[i] & down_t[j], down_t)
-            l = _extremum(up_t[i] & up_t[j], up_t)
-            glb[i][j] = glb[j][i] = g
-            lub[i][j] = lub[j][i] = l
-            if unbounded is None and (g is None or l is None):
-                unbounded = [new_labels[i], new_labels[j]]
+    def glb(i: int, j: int) -> int | None:
+        return _extremum(down_t[i] & down_t[j], down_t)
 
-    if unbounded is None:
+    def lub(i: int, j: int) -> int | None:
+        return _extremum(up_t[i] & up_t[j], up_t)
+
+    # ortho is an order-reversing involution, so a ^ b = ortho(ortho a v
+    # ortho b): every pair has a meet as soon as every pair has a join
+    if all(lub(i, j) is not None for i in range(n) for j in range(i + 1, n)):
         kind = LATTICE
         for i in range(n):
             m = up_t[i] & ~(1 << i)
@@ -356,7 +353,7 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
                 low = m & -m
                 m ^= low
                 j = low.bit_length() - 1
-                if lub[i][glb[j][ortho[i]]] != j:
+                if lub(i, glb(j, ortho[i])) != j:
                     raise OrthomodularityViolated(
                         f"{new_labels[i]!r} <= {new_labels[j]!r} but "
                         f"{new_labels[j]!r} != {new_labels[i]!r} v "
@@ -408,9 +405,12 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
                         f"block {sorted(new_labels[a] for a in bi.atoms)!r} "
                         "collapsed into another block",
                         block=sorted(new_labels[a] for a in bi.atoms))
-    elif unbounded is not None:
+    elif kind == PASTED:
         # Without block provenance an incomplete order is unusable: the
         # orthoposet alone does not determine blocks.
+        unbounded = next([new_labels[i], new_labels[j]] for i in range(n)
+                         for j in range(i, n)
+                         if glb(i, j) is None or lub(i, j) is None)
         raise UnboundedPair(
             f"{unbounded[0]!r} and {unbounded[1]!r} have no meet or join; "
             "structures with missing bounds are only accepted in block form",
@@ -470,9 +470,7 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
     return OrthoStructure(
         labels=new_labels, n=n, zero=zero, one=one, kind=kind, ortho=ortho,
         blocks=tuple(blocks), _index={lab: i for i, lab in enumerate(new_labels)},
-        _down=down_t, _up=up_t,
-        _glb=tuple(tuple(row) for row in glb), _lub=tuple(tuple(row) for row in lub),
-        _atoms=atoms, _block_joins=tuple(block_joins),
+        _down=down_t, _up=up_t, _atoms=atoms, _block_joins=tuple(block_joins),
         _elem_blocks=tuple(elem_blocks))
 
 
@@ -499,10 +497,12 @@ def validate(raw: dict, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
         raise UsageError("'elements' must be a list of labels")
     pairs = raw.get("leq", [])
     if not isinstance(pairs, list) or any(
-            not isinstance(p, (list, tuple)) or len(p) != 2 for p in pairs):
+            not isinstance(p, (list, tuple)) or len(p) != 2
+            or not all(isinstance(x, str) for x in p) for p in pairs):
         raise UsageError("'leq' must be a list of [a, b] label pairs")
     ortho = raw.get("ortho")
-    if not isinstance(ortho, dict):
+    if not isinstance(ortho, dict) or not all(isinstance(x, str)
+                                              for x in ortho.values()):
         raise UsageError("'ortho' must be an object mapping labels to labels")
     return _build(list(elements), [tuple(p) for p in pairs], dict(ortho))
 

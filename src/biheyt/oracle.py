@@ -5,10 +5,10 @@ their defining extremal properties over every clopen subobject, read from the
 enumeration column-wise (``_Columns``): one int op per spectrum point decides
 a fact for all N subobjects.  They read nothing but the subobjects' bits, so
 they stay independent of the closed-form production code and the two can
-certify each other; ``check_adjunctions`` verifies both adjunctions over
-every triple and accepts replacement operation hooks so a corrupted operation
-is caught with a concrete counterexample, and ``oracle_comparison`` compares
-every production operation with its brute-force twin.
+certify each other.  ``check_adjunctions`` verifies both adjunctions over
+every triple and, in the same pass, compares every operation with its
+brute-force twin; it accepts replacement operation hooks so a corrupted
+operation is caught with a concrete counterexample.
 ``restriction_image_projection`` checks the table-driven coarse-graining
 against ``_least_dominating``, a scan of the subcontext for the least
 dominating element; the tests hold ``delta_global`` to the same scan.
@@ -141,6 +141,8 @@ class AdjunctionReport:
     subobject_count: int
     triples_checked: int
     counterexample: dict[str, Any] | None
+    # the brute-force comparison of every operation: ``check laws --oracle``
+    oracle: dict[str, Any] | None = None
 
     @property
     def passed(self) -> bool:
@@ -153,45 +155,62 @@ class AdjunctionReport:
                 "counterexample": self.counterexample}
 
 
-def _law_check_subobjects(poset: ContextPoset,
-                          limits: Limits) -> tuple[ClopenSubobject, ...]:
-    """All subobjects, if a check over every triple of them is within
-    ``search_budget``; otherwise ``SizeGuard``."""
-    subs = enumerate_subobjects(poset, limits=limits)
-    needed = len(subs) ** 3
-    if needed > limits.search_budget:
-        raise SizeGuard(f"law check needs {needed} subobject triples, over "
-                        f"search budget {limits.search_budget}",
-                        limit="search_budget", value=limits.search_budget,
-                        needed=needed)
-    return subs
-
-
 def check_adjunctions(poset: ContextPoset, *,
                       heyting_impl: Callable[[ClopenSubobject, ClopenSubobject], ClopenSubobject] | None = None,
                       coheyting_sub: Callable[[ClopenSubobject, ClopenSubobject], ClopenSubobject] | None = None,
                       limits: Limits = DEFAULT_LIMITS) -> AdjunctionReport:
-    """Exhaustively verify both adjunctions over all subobject triples.
+    """Exhaustively verify both adjunctions over all subobject triples, and
+    compare every operation with its brute-force twin.
 
     ``R ^ S <= T iff R <= (S => T)`` and ``(S <= T v R iff (S - T) <= R``.
     The operation hooks default to the production implementations; passing a
     deliberately wrong one must yield a counterexample (first in canonical
     order), which is how the oracle itself is tested.  Each pair decides all
     R at once; ``triples_checked`` counts triples up to the counterexample.
-    Raises ``SizeGuard`` first when the N**3 triples exceed ``search_budget``.
+    The selections {R : R ^ S <= T} and {R : S <= T v R} that decide the laws
+    have the brute-force results as their join and meet, so ``oracle``
+    compares both hooks, and both negations, with no second pass.  Both
+    selections depend on S & ~T alone and are kept per gap.  Raises
+    ``SizeGuard`` before any operation call when the N**3 triples exceed
+    ``search_budget``.
     """
     impl = heyting_impl or biheyting.heyting_implies
     sub = coheyting_sub or biheyting.coheyting_subtract
-    subs = _law_check_subobjects(poset, limits)
-    cols, n = _Columns(subs), len(subs)
+    subs = enumerate_subobjects(poset, limits=limits)
+    n = len(subs)
+    if n ** 3 > limits.search_budget:
+        raise SizeGuard(f"law check needs {n ** 3} subobject triples, over "
+                        f"search budget {limits.search_budget}",
+                        limit="search_budget", value=limits.search_budget,
+                        needed=n ** 3)
+    cols = _Columns(subs)
+    mismatches, first = 0, None
+    for s in subs:
+        for op, got, want in zip(("not", "conot"), (biheyting.heyting_not(s),
+                                                    biheyting.coheyting_not(s)),
+                                 _brute_negations(s, cols)):
+            if got != want:
+                mismatches += 1
+                first = first or {"op": op, "subobject": s.to_mapping()}
+    by_gap: dict[int, tuple[int, int, int, int]] = {}
+    triples, found = n ** 3, None
     for pair, (s, t) in enumerate(product(subs, subs)):
         i_bits, d_bits = impl(s, t).bits, sub(s, t).bits
         gap = s.bits & ~t.bits
-        below_impl, meet_below = cols.avoiding(~i_bits), cols.avoiding(gap)
-        sub_below, inside_join = cols.containing(d_bits), cols.containing(gap)
+        if gap not in by_gap:
+            avoid, contain = cols.avoiding(gap), cols.containing(gap)
+            by_gap[gap] = (avoid, contain, cols.join(avoid), cols.meet(contain))
+        meet_below, inside_join, brute_i, brute_d = by_gap[gap]
+        for op, got, want in (("implies", i_bits, brute_i),
+                              ("subtract", d_bits, brute_d)):
+            if got != want:
+                mismatches += 1
+                first = first or {"op": op, "subobject": s.to_mapping(),
+                                  "other": t.to_mapping()}
+        below_impl, sub_below = cols.avoiding(~i_bits), cols.containing(d_bits)
         heyting = below_impl ^ meet_below
         bad = heyting | (sub_below ^ inside_join)
-        if bad:
+        if bad and found is None:
             k = (bad & -bad).bit_length() - 1
             where = {"S": s.to_mapping(), "T": t.to_mapping(),
                      "R": subs[k].to_mapping()}
@@ -203,46 +222,11 @@ def check_adjunctions(poset: ContextPoset, *,
                 found = {"law": "coheyting", **where,
                          "inside_join": bool(inside_join >> k & 1),
                          "subtraction_below": bool(sub_below >> k & 1)}
-            return AdjunctionReport(n, pair * n + k + 1, found)
-    return AdjunctionReport(n, n ** 3, None)
-
-
-def oracle_comparison(poset: ContextPoset, limits: Limits) -> dict:
-    """Compare every production operation against its brute-force twin.
-
-    The poset is enumerated and transposed once, and every brute operation
-    runs over that one view, at about one int op per point for each pair.
-    The check is held to the law check's N**3 ``search_budget`` guard.
-    """
-    subs = _law_check_subobjects(poset, limits)
-    cols = _Columns(subs)
-    mismatches = 0
-    first = None
-    for s in subs:
-        neg, coneg = _brute_negations(s, cols)
-        for name, got, want in (("not", biheyting.heyting_not(s), neg),
-                                ("conot", biheyting.coheyting_not(s), coneg)):
-            if got != want:
-                mismatches += 1
-                if first is None:
-                    first = {"op": name, "subobject": s.to_mapping()}
-    pair_checks = 0
-    for s in subs:
-        for t in subs:
-            pair_checks += 2
-            for name, got, want in (
-                    ("implies", biheyting.heyting_implies(s, t),
-                     _brute_implies(s, t, cols)),
-                    ("subtract", biheyting.coheyting_subtract(s, t),
-                     _brute_subtract(s, t, cols))):
-                if got != want:
-                    mismatches += 1
-                    if first is None:
-                        first = {"op": name, "subobject": s.to_mapping(),
-                                 "other": t.to_mapping()}
-    return {"first_mismatch": first, "mismatches": mismatches,
-            "negation_checks": 2 * len(subs), "pair_checks": pair_checks,
-            "passed": mismatches == 0}
+            triples = pair * n + k + 1
+    return AdjunctionReport(n, triples, found, {
+        "first_mismatch": first, "mismatches": mismatches,
+        "negation_checks": 2 * n, "pair_checks": 2 * n * n,
+        "passed": mismatches == 0})
 
 
 def _least_dominating(structure: OrthoStructure, target: Context, p: int) -> int | None:

@@ -38,6 +38,10 @@ def subobject_from_mapping(poset: ContextPoset, raw: Any) -> ClopenSubobject:
     if not isinstance(raw, dict):
         raise UsageError("a subobject file must be an object mapping "
                          "context id to element label")
+    for ctx, label in raw.items():
+        if not isinstance(label, str):
+            raise UsageError(f"context {ctx!r} must map to an element label",
+                             context=ctx)
     return make_subobject(poset, raw)
 
 

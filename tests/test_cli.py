@@ -4,9 +4,15 @@ Every command is executed in-process through ``run(argv)``; stdout must be
 canonical JSON (or DOT) with a trailing newline, errors must be one-line JSON
 objects on stderr with the documented exit codes.
 """
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biheyt import canonical_json, generate
 from biheyt.cli import run
@@ -355,3 +361,73 @@ def test_input_and_builtin_conflict(capsys, tmp_path):
     code, _, err = _run(capsys, "validate", "--input", path,
                         "--builtin", "boolean:2")
     assert code == 3 and json.loads(err)["error"] == "UsageError"
+
+
+def _one_usage_error(code, out, err):
+    assert (code, out) == (3, "") and err.count("\n") == 1
+    blob = json.loads(err)
+    assert blob["error"] == "UsageError"
+    return blob
+
+
+@pytest.mark.parametrize("value", [[], None, {}, 0.5, True, 3, 1.0, ["p"]])
+def test_subobject_values_must_be_labels(capsys, tmp_path, value):
+    """Subobject files map context ids to element labels: any other JSON
+    value, an integer included, is refused with the context named."""
+    sp = _jfile(tmp_path, "sp.json", {**DAS_P, "p+r|q": value})
+    blob = _one_usage_error(*_run(capsys, "op", "not", "--builtin",
+                                  "boolean:3", "--subobject", sp))
+    assert blob["details"] == {"context": "p+r|q"}
+
+
+@pytest.mark.parametrize("slot", ["leq", "ortho"])
+@pytest.mark.parametrize("value", [["a"], {"a": "b"}, None, 2])
+def test_explicit_input_takes_labels_only(capsys, tmp_path, slot, value):
+    raw = _explicit_dump(generate("mo", 2))
+    if slot == "leq":
+        raw["leq"][3] = [raw["leq"][3][0], value]
+    else:
+        raw["ortho"]["a"] = value
+    blob = _one_usage_error(*_run(capsys, "validate", "--input",
+                                  _jfile(tmp_path, "x.json", raw)))
+    assert f"'{slot}'" in blob["message"]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner,
+                                     max_size=3)),
+    max_leaves=6)
+
+
+@given(slot=st.sampled_from(["subobject", "leq", "ortho"]), value=_JSON,
+       where=st.integers(min_value=0))
+@settings(max_examples=60, deadline=None)
+def test_random_json_values_never_escape_run(slot, value, where):
+    """A random JSON value in a label slot gives an exit code, never an
+    exception; one that is not a string is a usage error."""
+    mo2 = generate("mo", 2)
+    if slot == "subobject":
+        raw = {"a|a'": "a", "b|b'": "b'"}
+        raw[sorted(raw)[where % 2]] = value
+        argv = ["op", "not", "--builtin", "mo:2", "--subobject"]
+    else:
+        raw = _explicit_dump(mo2)
+        if slot == "leq":
+            pair = raw["leq"][where % len(raw["leq"])]
+            pair[where % 2] = value
+        else:
+            raw["ortho"][mo2.label(where % mo2.n)] = value
+        argv = ["validate", "--input"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv + [path])
+    assert code in (0, 1, 3)
+    if not isinstance(value, str):
+        _one_usage_error(code, out.getvalue(), err.getvalue())

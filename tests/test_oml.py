@@ -83,6 +83,12 @@ def test_mo2_axioms_brute_force(mo2):
                     assert mo2.leq(a, c)
 
 
+@pytest.mark.parametrize("ref", [True, 1.0, None, [], {}, ("a",)])
+def test_element_references_are_labels_or_indices(mo2, ref):
+    with pytest.raises(UsageError, match="neither a label nor an index"):
+        mo2.el(ref)
+
+
 def test_mo2_blocks_and_commutation(mo2):
     assert [sorted(mo2.label(a) for a in blk.atoms) for blk in mo2.blocks] \
         == [["a", "a'"], ["b", "b'"]]

@@ -7,7 +7,9 @@ corrupted operation handed to the adjunction checker must surface a concrete
 counterexample.  The row scans below, one subobject at a time, are the
 reference the column scans are held to.
 """
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,10 @@ from biheyt import (ClopenSubobject, ContextPoset, Limits, SizeGuard, bottom,
                     coheyting_subtract, enumerate_contexts,
                     enumerate_subobjects, generate, heyting_implies,
                     heyting_not, top)
-from biheyt import oracle
+from biheyt import biheyting, oracle
+from biheyt.cli import run
 from biheyt.oracle import (AdjunctionReport, _brute_implies, _brute_negations,
-                           _brute_subtract, _Columns, oracle_comparison)
+                           _brute_subtract, _Columns)
 
 from test_presheaf import context_subposet
 
@@ -229,6 +232,17 @@ def test_bits_outside_the_poset_are_scanned_like_the_rows(mo2_poset, mo2_subs):
                     == _row_implies(odd, s, mo2_subs))
 
 
+def _assert_one_mismatch(report, op, at):
+    """The brute-force comparison of the same pass names the corrupted pair,
+    and only it."""
+    s, t = at
+    assert report.oracle == {
+        "first_mismatch": {"op": op, "subobject": s.to_mapping(),
+                           "other": t.to_mapping()},
+        "mismatches": 1, "negation_checks": 2 * report.subobject_count,
+        "pair_checks": 2 * report.subobject_count ** 2, "passed": False}
+
+
 @pytest.mark.parametrize("name", ["mo:2", "mo:3", "boolean:3"])
 def test_one_point_corruptions_report_the_row_scans_counterexample(name):
     """Dropping a point of S => T fails the law at R = S => T, and adding a
@@ -242,6 +256,7 @@ def test_one_point_corruptions_report_the_row_scans_counterexample(name):
     report = _assert_like_the_row_scan(poset, heyting_impl=_flip_at(
         heyting_implies, at, _lowest(heyting_implies(*at).bits)))
     assert report.counterexample["law"] == "heyting"
+    _assert_one_mismatch(report, "implies", at)
 
     full = (1 << poset.total_bits) - 1
     at = next(p for p in middle if coheyting_subtract(*p).bits != full)
@@ -249,6 +264,7 @@ def test_one_point_corruptions_report_the_row_scans_counterexample(name):
     report = _assert_like_the_row_scan(poset, coheyting_sub=_flip_at(
         coheyting_subtract, at, _lowest(missing)))
     assert report.counterexample["law"] == "coheyting"
+    _assert_one_mismatch(report, "subtract", at)
 
     last = (subs[-1], subs[-1])
     report = _assert_like_the_row_scan(poset, heyting_impl=_flip_at(
@@ -298,7 +314,7 @@ def test_law_checks_stop_at_the_search_budget():
     assert check_adjunctions(poset, limits=enough).to_json() == {
         "subobjects": 95, "triples": 857_375, "passed": True,
         "counterexample": None}
-    assert oracle_comparison(poset, enough) == {
+    assert check_adjunctions(poset, limits=enough).oracle == {
         "first_mismatch": None, "mismatches": 0, "negation_checks": 190,
         "pair_checks": 18_050, "passed": True}
     short = Limits(search_budget=857_374)
@@ -308,6 +324,50 @@ def test_law_checks_stop_at_the_search_budget():
         check_adjunctions(poset, limits=short,
                           heyting_impl=lambda s, t: calls.append(s))
     assert info.value.details == want and calls == []
-    with pytest.raises(SizeGuard) as info:
-        oracle_comparison(poset, short)
-    assert info.value.details == want
+
+
+def test_check_laws_with_oracle_is_one_pass(capsys, monkeypatch):
+    """One enumeration, and each production operation once per pair (or per
+    subobject): the law check and the brute-force comparison share them.
+    Each negation reaches its binary operation once more, with the bound."""
+    calls = dict.fromkeys(["enumerate", "implies", "subtract", "not",
+                           "conot"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "enumerate_subobjects",
+                        counted("enumerate", enumerate_subobjects))
+    for name, attr in (("implies", "heyting_implies"),
+                       ("subtract", "coheyting_subtract"),
+                       ("not", "heyting_not"), ("conot", "coheyting_not")):
+        monkeypatch.setattr(biheyting, attr,
+                            counted(name, getattr(biheyting, attr)))
+    assert run(["check", "laws", "--oracle", "--builtin", "boolean:3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["oracle"]["passed"] and out["adjunctions"]["passed"]
+    n = 95
+    assert calls == {"enumerate": 1, "implies": n * n + n,
+                     "subtract": n * n + n, "not": n, "conot": n}
+
+
+_PRODUCTION_TABLES = {"_restr", "_pre", "_below", "_above", "pullback_mask",
+                      "image_mask"}
+
+
+def test_oracle_reads_no_production_tables():
+    """The oracle stays independent of the closed-form path: no name or
+    attribute in its source is one of the production tables or the helpers
+    that read them.  Whole identifiers are matched, so ``meet_below`` is
+    fine."""
+    path = Path(oracle.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    used |= {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not used & _PRODUCTION_TABLES
