@@ -174,6 +174,21 @@ def test_explicit_pasted_input_rejected():
         validate(raw)
 
 
+@pytest.mark.parametrize("blocks, witness", [
+    ([["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"], ["g", "h", "a"]],
+     ["a", "e"]),
+    (list(biheyt.CABELLO18_BLOCKS), ["0001", "0010"]),
+    # here the first unbounded pair in element order lacks a meet
+    ([["e", "g", "d"], ["d", "a", "f"], ["f", "h", "c"], ["c", "b", "e"]],
+     ["a+d", "b+c"]),
+])
+def test_unbounded_pair_witness_is_the_first_in_element_order(blocks,
+                                                              witness):
+    with pytest.raises(UnboundedPair) as info:
+        validate(_dump_explicit(from_greechie(blocks)))
+    assert info.value.details == {"witness": witness}
+
+
 def test_cabello18_shape(cabello18):
     assert cabello18.n == 92
     assert cabello18.kind == "pasted"

@@ -85,9 +85,44 @@ def _row_adjunctions(poset, heyting_impl=heyting_implies,
     return AdjunctionReport(len(subs), triples, None)
 
 
+def _row_comparison(poset, heyting_impl=heyting_implies,
+                    coheyting_sub=coheyting_subtract):
+    """``check_adjunctions``' brute-force comparison by row scans: the
+    negations of every S, then both operations on every pair (S, T)."""
+    subs = enumerate_subobjects(poset)
+    wrong = []
+    for s in subs:
+        neg, coneg = _row_negations(s, subs)
+        wrong += [(op, s) for op, got, want in (
+            ("not", heyting_not(s), neg), ("conot", coheyting_not(s), coneg))
+            if got != want]
+    brute = {}  # the row scans of a pair depend on S & ~T alone
+    for s in subs:
+        for t in subs:
+            gap = s.bits & ~t.bits
+            if gap not in brute:
+                brute[gap] = (_row_implies(s, t, subs).bits,
+                              _row_subtract(s, t, subs).bits)
+            wrong += [(op, s, t) for op, got, want in zip(
+                ("implies", "subtract"),
+                (heyting_impl(s, t).bits, coheyting_sub(s, t).bits),
+                brute[gap]) if got != want]
+    first = None
+    if wrong:
+        op, s, *t = wrong[0]
+        first = {"op": op, "subobject": s.to_mapping()}
+        if t:
+            first["other"] = t[0].to_mapping()
+    return {"first_mismatch": first, "mismatches": len(wrong),
+            "negation_checks": 2 * len(subs),
+            "pair_checks": 2 * len(subs) ** 2, "passed": not wrong}
+
+
 def _assert_like_the_row_scan(poset, **hooks):
+    """The laws and the brute-force comparison both equal the row scans'."""
     report = check_adjunctions(poset, **hooks)
     assert report.to_json() == _row_adjunctions(poset, **hooks).to_json()
+    assert report.oracle == _row_comparison(poset, **hooks)
     return report
 
 
@@ -216,6 +251,21 @@ def test_corrupted_subtraction_is_caught(mo2_poset):
     assert not report.counterexample["inside_join"]
 
 
+def test_negations_are_compared_before_any_pair(mo2_poset, mo2_subs,
+                                                monkeypatch):
+    """With every negation but the empty one's wrong, and every implication
+    wrong too, the first mismatch is the negation of the first nonempty
+    subobject; all of them are counted."""
+    t = top(mo2_poset)
+    monkeypatch.setattr(biheyting, "heyting_not", lambda s: t)
+    report = check_adjunctions(mo2_poset, heyting_impl=lambda s, u: t)
+    wrong_pairs = sum(heyting_implies(s, u) != t
+                      for s in mo2_subs for u in mo2_subs)
+    assert report.oracle["first_mismatch"] == {
+        "op": "not", "subobject": mo2_subs[1].to_mapping()}
+    assert report.oracle["mismatches"] == len(mo2_subs) - 1 + wrong_pairs
+
+
 def test_bits_outside_the_poset_are_scanned_like_the_rows(mo2_poset, mo2_subs):
     """No subobject holds a point past ``total_bits``, nor the infinitely
     many points of a negative int."""
@@ -311,10 +361,11 @@ def test_law_checks_stop_at_the_search_budget():
     passes with the same reports, one less raises before any triple."""
     poset = enumerate_contexts(generate("boolean", 3))
     enough = Limits(search_budget=857_375)
-    assert check_adjunctions(poset, limits=enough).to_json() == {
+    report = check_adjunctions(poset, limits=enough)
+    assert report.to_json() == {
         "subobjects": 95, "triples": 857_375, "passed": True,
         "counterexample": None}
-    assert check_adjunctions(poset, limits=enough).oracle == {
+    assert report.oracle == {
         "first_mismatch": None, "mismatches": 0, "negation_checks": 190,
         "pair_checks": 18_050, "passed": True}
     short = Limits(search_budget=857_374)
