@@ -214,6 +214,12 @@ def make_subobject(poset: ContextPoset, family: Mapping) -> ClopenSubobject:
     return ClopenSubobject(poset, bits)
 
 
+# The walk memoises its tails from the first context from which at most this
+# many spectrum points remain, so a memo batch holds at most 2**16 ints.
+# On boolean:4, 16 visits the memo 17,690 times where 12 visits it 142,968.
+_CUT_POINTS = 16
+
+
 def enumerate_subobjects(poset: ContextPoset, *,
                          limits: Limits = DEFAULT_LIMITS) -> tuple[ClopenSubobject, ...]:
     """All clopen subobjects, in canonical order, as a fresh tuple.
@@ -231,24 +237,40 @@ def enumerate_subobjects(poset: ContextPoset, *,
     passed down by value, so backtracking restores nothing.  Only monotone
     families are generated, and no branch dead-ends: restrictions compose,
     so for assigned W >= V >= V' the image of the component at W already
-    lies in the pullback of the one at V'.  The choices at the last context
-    are added as one batch after one budget check, each object built
-    through the slot setters with no ``__init__`` call.
+    lies in the pullback of the one at V'.
 
-    Nothing is cached: every call walks again and raises ``SizeGuard`` as
-    soon as the count passes ``limits.max_subobjects``.  The cyclic
-    collector is paused for the walk and the caller's setting restored
-    after it, also on an error.  The walk creates no reference cycles, so a
-    collection during it could only traverse the growing result and free
-    nothing; paused, the result costs its allocations alone, and dropping it
-    frees it by reference counting.  The pause is process-wide, so it is
-    not safe across threads: a walk running beside another thread's
-    ``gc.disable()`` or ``gc.enable()`` may undo that call when it ends.
+    The tail of the walk from the cut context k, the first one from which
+    at most ``_CUT_POINTS`` spectrum points remain (the last context if
+    none is), depends only on the bounds of contexts k and later.  So the
+    walk keeps a memo, local to the call, from those bounds to the packed
+    tails they produce, in canonical order.  A bound state met for the
+    first time is walked once, its last context's choices added a batch at
+    a time; every visit then builds its objects in one flat loop, ORing
+    each tail into the assigned components and setting the slots with no
+    ``__init__`` call.  Every memo key is visited at least once and each
+    visit outputs its whole batch, so the memo never holds more ints than
+    the result has objects.  Unless the last context alone has more than
+    ``_CUT_POINTS`` atoms, a batch lists subobjects of at most that many
+    points, so it holds at most 2**``_CUT_POINTS`` ints.
+
+    Nothing is cached between calls: every call walks again and raises
+    ``SizeGuard`` once the count passes ``limits.max_subobjects``, with the
+    count ``reached`` at the end of the first last-context batch past the
+    limit, the run of tails that differ only at the last context.  The
+    cyclic collector is paused for the walk and the caller's setting
+    restored after it, also on an error.  The walk creates no reference
+    cycles, so a collection during it could only traverse the growing
+    result and free nothing; paused, the result costs its allocations
+    alone, and dropping it frees it by reference counting.  The pause is
+    process-wide, so it is not safe across threads: a walk running beside
+    another thread's ``gc.disable()`` or ``gc.enable()`` may undo that call
+    when it ends.
     """
     budget = limits.max_subobjects
     n = len(poset.contexts)
     full, offsets = poset._full, poset._offsets
-    ones = (1 << poset.total_bits) - 1
+    total = poset.total_bits
+    ones = (1 << total) - 1
     raise_lower: list[tuple[int, ...]] = []
     cut_upper: list[tuple[int, ...]] = []
     for j in range(n):
@@ -267,26 +289,52 @@ def enumerate_subobjects(poset: ContextPoset, *,
     last = n - 1
     leaves = tuple(tuple(s << offsets[last] for s in t)
                    for t in submasks[full[last]]) if n else ()
+    cut = next((k for k in range(n) if total - offsets[k] <= _CUT_POINTS), last)
+    cut_off = offsets[cut] if n else 0
+    prefix = (1 << offsets[last]) - 1 if n else 0   # all but the last context
+    memo: dict[tuple[int, int], list[int]] = {}
     out: list[ClopenSubobject] = []
     append, new, cls = out.append, object.__new__, ClopenSubobject
     set_poset, set_bits = _set_poset, _set_bits
 
-    def rec(i: int, lower: int, upper: int) -> None:
+    def tail(i: int, lower: int, upper: int, acc: list[int]) -> None:
         off, f = offsets[i], full[i]
         lo, up = lower >> off & f, upper >> off & f
         if lo & ~up:
             raise AssertionError("subobject bounds crossed (bug)")
         if i == last:
             batch = leaves[up & ~lo]
-            reached = len(out) + len(batch)
+            reached = len(out) + len(acc) + len(batch)
             if reached > budget:
                 raise _over_budget(budget, reached)
+            acc.extend(map(lower.__or__, batch))
+            return
+        raise_i, cut_i = raise_lower[i], cut_upper[i]
+        for s in submasks[f][up & ~lo]:
+            m = lo | s
+            tail(i + 1, lower | raise_i[m], upper & cut_i[m], acc)
+
+    def rec(i: int, lower: int, upper: int) -> None:
+        if i == cut:
+            key = (lower >> cut_off, upper >> cut_off)
+            batch = memo.get(key)
+            if batch is None:
+                acc: list[int] = []
+                tail(i, key[0] << cut_off, upper, acc)
+                batch = memo[key] = acc
+            room = budget - len(out)
+            if len(batch) > room:
+                raise _over_budget(budget, len(out) + _run_end(batch, room, prefix))
             for b in batch:
                 s = new(cls)
                 set_poset(s, poset)
                 set_bits(s, lower | b)
                 append(s)
             return
+        off, f = offsets[i], full[i]
+        lo, up = lower >> off & f, upper >> off & f
+        if lo & ~up:
+            raise AssertionError("subobject bounds crossed (bug)")
         raise_i, cut_i = raise_lower[i], cut_upper[i]
         for s in submasks[f][up & ~lo]:
             m = lo | s
@@ -302,10 +350,21 @@ def enumerate_subobjects(poset: ContextPoset, *,
         else:   # no contexts: the empty family is the one subobject
             append(ClopenSubobject(poset, 0))
     finally:
-        rec = None   # the closure's own cell held it, and through it `out`
+        # each closure's own cell held it, and through it `out` and `memo`
+        rec = tail = None
         if collecting:
             gc.enable()
     return tuple(out)
+
+
+def _run_end(batch: list[int], p: int, prefix: int) -> int:
+    """The end of the run of ``batch`` entries around index ``p`` that agree
+    on the ``prefix`` bits."""
+    head = batch[p] & prefix
+    end = p + 1
+    while end < len(batch) and batch[end] & prefix == head:
+        end += 1
+    return end
 
 
 def _submasks(free: int):

@@ -7,16 +7,20 @@ import gc
 import itertools
 import math
 import weakref
+from bisect import bisect_right
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biheyt import presheaf
 from biheyt import (ContextPoset, Limits, NotASubobject, PosetMismatch,
                     SizeGuard, UsageError, alpha, alpha_inv, delta,
                     enumerate_contexts, enumerate_subobjects, from_greechie,
                     generate, global_sections, make_subobject, restrict,
                     restriction_image_projection, spectrum)
 
+from test_contexts import FOUR_LOOP
 from test_oml import tree_pasting
 
 DAS_P = {"p+q|r": "p+q", "p+r|q": "p+r", "p|q+r": "p", "p|q|r": "p"}
@@ -51,6 +55,105 @@ def _brute(poset):
 def _masks(s):
     """The component mask at every context, in context order."""
     return tuple(s.mask_at(i) for i in range(len(s.poset.contexts)))
+
+
+def _reference_walk(poset, budget=math.inf):
+    """The packed bits of every subobject in canonical order, by the plain
+    carried-bound walk that adds the last context's choices a batch at a
+    time: the enumeration before it memoised its tails.  Past ``budget`` it
+    raises ``SizeGuard`` at the end of the first batch past the limit."""
+    n = len(poset.contexts)
+    full, offsets = poset._full, poset._offsets
+    ones = (1 << poset.total_bits) - 1
+    raise_lower, cut_upper = [], []
+    for j in range(n):
+        subs = [v for v in (j, *poset._below[j]) if v >= j]
+        sups = [w for w in (j, *poset._above[j]) if w >= j]
+        masks = range(full[j] + 1)
+        raise_lower.append([
+            sum(poset.image_mask(j, v, m) << offsets[v] for v in subs)
+            for m in masks])
+        cut_upper.append([
+            ones ^ sum((full[w] & ~poset.pullback_mask(w, j, m)) << offsets[w]
+                       for w in sups)
+            for m in masks])
+    submasks = {f: [[s for s in range(f + 1) if s & ~free == 0]
+                    for free in range(f + 1)] for f in set(full)}
+    out = []
+
+    def rec(i, lower, upper):
+        off, f = offsets[i], full[i]
+        lo, up = lower >> off & f, upper >> off & f
+        assert not lo & ~up
+        free = submasks[f][up & ~lo]
+        if i == n - 1:
+            reached = len(out) + len(free)
+            if reached > budget:
+                raise SizeGuard("over budget", limit="max_subobjects",
+                                value=budget, reached=reached)
+            out.extend(lower | s << off for s in free)
+            return
+        for s in free:
+            m = lo | s
+            rec(i + 1, lower | raise_lower[i][m], upper & cut_upper[i][m])
+
+    if n:
+        rec(0, 0, ones)
+    elif budget < 1:
+        raise SizeGuard("over budget", limit="max_subobjects", value=budget,
+                        reached=1)
+    else:
+        out.append(0)
+    return out
+
+
+def _packed(poset, bits) -> bytes:
+    """The order digest's bytes: every subobject's bits, in order."""
+    width = (poset.total_bits + 7) // 8
+    return b"".join(b.to_bytes(width, "little") for b in bits)
+
+
+def _guard_details(walk):
+    with pytest.raises(SizeGuard) as info:
+        walk()
+    return info.value.details
+
+
+def _cut(poset):
+    """The context from which the enumeration memoises its tails."""
+    return next((k for k in range(len(poset.contexts))
+                 if poset.total_bits - poset._offsets[k]
+                 <= presheaf._CUT_POINTS), len(poset.contexts) - 1)
+
+
+def _runs(bits, off):
+    """The start of every run of ``bits`` agreeing below bit ``off``, then
+    the end of the last."""
+    low = (1 << off) - 1
+    return [i for i, b in enumerate(bits)
+            if i == 0 or b & low != bits[i - 1] & low] + [len(bits)]
+
+
+def _reached(poset, bits):
+    """The count the guard reports for each budget: the end of the first
+    last-context batch of the reference walk past it."""
+    ends = _runs(bits, poset._offsets[-1])[1:]
+    return lambda budget: ends[bisect_right(ends, budget)]
+
+
+# Three three-atom blocks in a chain: 63,286 subobjects, and the tails are
+# memoised from the fifth context on.
+THREE_CHAIN = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"]]
+
+
+@pytest.fixture(scope="module")
+def loop_poset():
+    return enumerate_contexts(from_greechie(FOUR_LOOP))
+
+
+@pytest.fixture(scope="module")
+def loop_bits(loop_poset):
+    return _reference_walk(loop_poset)
 
 
 def _enumerated(poset):
@@ -249,6 +352,36 @@ def test_enumeration_matches_brute_on_tree_pasting_subposets(poset):
     assert _enumerated(poset) == _brute(poset)
 
 
+@pytest.mark.parametrize("kind, n", [("boolean", 3), ("mo", 6)])
+def test_enumeration_matches_the_reference_walk(kind, n):
+    poset = enumerate_contexts(generate(kind, n))
+    assert _cut(poset) == 0
+    assert (_packed(poset, (s.bits for s in enumerate_subobjects(poset)))
+            == _packed(poset, _reference_walk(poset)))
+
+
+def test_enumeration_matches_the_reference_walk_on_the_loop_pasting(
+        loop_poset, loop_bits):
+    assert _cut(loop_poset) == 6 and len(loop_bits) == 459_103
+    subs = enumerate_subobjects(loop_poset)
+    assert _packed(loop_poset, (s.bits for s in subs)) \
+        == _packed(loop_poset, loop_bits)
+
+
+@given(context_subposet())
+@settings(max_examples=40, deadline=None)
+def test_enumeration_matches_the_reference_walk_at_every_cut(poset):
+    """In random index order the lower bounds from earlier supercontexts
+    act, so a memo keyed on less than both bounds goes wrong here.  Smaller
+    cut sizes move the cut below the first context on these small posets;
+    0 puts it at the last context."""
+    want = _packed(poset, _reference_walk(poset))
+    for points in (0, 3, 6, presheaf._CUT_POINTS):
+        with mock.patch.object(presheaf, "_CUT_POINTS", points):
+            subs = enumerate_subobjects(poset)
+        assert _packed(poset, (s.bits for s in subs)) == want
+
+
 def test_enumeration_budget_counts_every_subobject():
     structure = generate("boolean", 3)
     assert len(enumerate_subobjects(enumerate_contexts(structure),
@@ -258,6 +391,41 @@ def test_enumeration_budget_counts_every_subobject():
                              limits=Limits(max_subobjects=94))
     assert info.value.details == {"limit": "max_subobjects", "value": 94,
                                   "reached": 95}
+
+
+def test_guard_reached_matches_the_reference_on_every_budget(boolean3_poset):
+    bits = _reference_walk(boolean3_poset)
+    reached = _reached(boolean3_poset, bits)
+    for budget in range(len(bits)):
+        want = _guard_details(lambda: _reference_walk(boolean3_poset, budget))
+        assert want["reached"] == reached(budget)
+        assert _guard_details(lambda: enumerate_subobjects(
+            boolean3_poset, limits=Limits(max_subobjects=budget))) == want
+
+
+def test_guard_reached_inside_memo_batches(loop_poset, loop_bits):
+    """Budgets at the start, middle and end of memo batches, and at the
+    start of last-context batches of more than one, both where the guard
+    trips on a memo batch met before and where it trips while one is first
+    walked."""
+    batches = _runs(loop_bits, loop_poset._offsets[_cut(loop_poset)])
+    groups = _runs(loop_bits, loop_poset._offsets[-1])
+    multi = [a for a, b in zip(groups, groups[1:]) if b - a > 1]
+    reached = _reached(loop_poset, loop_bits)
+    budgets = multi[:3] + multi[-1:]
+    for k in (1, 4, 5):
+        start, end = batches[k], batches[k + 1]
+        budgets += [start, (start + end) // 2, end - 1]
+    tripped_on_a_hit = set()
+    for budget in budgets:
+        with mock.patch.object(presheaf, "_run_end",
+                               wraps=presheaf._run_end) as spy:
+            details = _guard_details(lambda: enumerate_subobjects(
+                loop_poset, limits=Limits(max_subobjects=budget)))
+        tripped_on_a_hit.add(spy.called)
+        assert details == {"limit": "max_subobjects", "value": budget,
+                           "reached": reached(budget)}
+    assert tripped_on_a_hit == {True, False}
 
 
 def test_repeated_enumeration_keeps_the_budget():
@@ -270,10 +438,10 @@ def test_repeated_enumeration_keeps_the_budget():
     assert enumerate_subobjects(poset, limits=Limits(max_subobjects=95)) == subs
 
 
-def _dropped_poset_dies(walk) -> bool:
-    """Whether a fresh boolean:3 poset is freed by reference counting alone
-    once ``walk(poset)`` has run and both are dropped."""
-    poset = enumerate_contexts(generate("boolean", 3))
+def _dropped_poset_dies(walk, structure) -> bool:
+    """Whether a fresh poset of ``structure`` is freed by reference counting
+    alone once ``walk(poset)`` has run and both are dropped."""
+    poset = enumerate_contexts(structure)
     ref = weakref.ref(poset)
     collecting = gc.isenabled()
     gc.disable()
@@ -286,19 +454,31 @@ def _dropped_poset_dies(walk) -> bool:
             gc.enable()
 
 
-def test_dropped_enumeration_is_freed_without_the_collector():
-    assert _dropped_poset_dies(enumerate_subobjects)
+# boolean:3 memoises from its first context, the chain from its fifth: a
+# budget of 100 stops the chain's walk inside a batch it is walking for the
+# first time, one of 570 inside a batch met before.
+CYCLE_CASES = {"boolean:3": (generate("boolean", 3), 40, False),
+               "chain-100": (from_greechie(THREE_CHAIN), 100, False),
+               "chain-570": (from_greechie(THREE_CHAIN), 570, True)}
 
 
-def test_enumeration_stopped_by_its_guard_leaves_no_cycle():
+@pytest.mark.parametrize("name", ["boolean:3", "chain-100"])
+def test_dropped_enumeration_is_freed_without_the_collector(name):
+    assert _dropped_poset_dies(enumerate_subobjects, CYCLE_CASES[name][0])
+
+
+@pytest.mark.parametrize("name", CYCLE_CASES)
+def test_enumeration_stopped_by_its_guard_leaves_no_cycle(name):
+    structure, budget, on_a_hit = CYCLE_CASES[name]
+
     def walk(poset):
-        try:
-            enumerate_subobjects(poset, limits=Limits(max_subobjects=40))
-        except SizeGuard:
-            pass
-        else:
-            raise AssertionError("guard did not trip")
-    assert _dropped_poset_dies(walk)
+        with mock.patch.object(presheaf, "_run_end",
+                               wraps=presheaf._run_end) as spy:
+            with pytest.raises(SizeGuard):
+                enumerate_subobjects(poset,
+                                     limits=Limits(max_subobjects=budget))
+        assert spy.called is on_a_hit
+    assert _dropped_poset_dies(walk, structure)
 
 
 @pytest.mark.parametrize("collecting", [True, False])
