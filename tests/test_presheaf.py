@@ -455,30 +455,28 @@ def _dropped_poset_dies(walk, structure) -> bool:
 
 
 # boolean:3 memoises from its first context, the chain from its fifth: a
-# budget of 100 stops the chain's walk inside a batch it is walking for the
-# first time, one of 570 inside a batch met before.
-CYCLE_CASES = {"boolean:3": (generate("boolean", 3), 40, False),
-               "chain-100": (from_greechie(THREE_CHAIN), 100, False),
-               "chain-570": (from_greechie(THREE_CHAIN), 570, True)}
+# budget of 100 stops the chain's walk inside a memo batch it is walking for
+# the first time, one of 570 inside a memo batch met before.
+GUARDED_WALKS = [(generate("boolean", 3), 40, False),
+                 (from_greechie(THREE_CHAIN), 100, False),
+                 (from_greechie(THREE_CHAIN), 570, True)]
 
 
-@pytest.mark.parametrize("name", ["boolean:3", "chain-100"])
-def test_dropped_enumeration_is_freed_without_the_collector(name):
-    assert _dropped_poset_dies(enumerate_subobjects, CYCLE_CASES[name][0])
+def test_dropped_enumeration_is_freed_without_the_collector():
+    for structure in (generate("boolean", 3), from_greechie(THREE_CHAIN)):
+        assert _dropped_poset_dies(enumerate_subobjects, structure)
 
 
-@pytest.mark.parametrize("name", CYCLE_CASES)
-def test_enumeration_stopped_by_its_guard_leaves_no_cycle(name):
-    structure, budget, on_a_hit = CYCLE_CASES[name]
-
-    def walk(poset):
-        with mock.patch.object(presheaf, "_run_end",
-                               wraps=presheaf._run_end) as spy:
-            with pytest.raises(SizeGuard):
-                enumerate_subobjects(poset,
-                                     limits=Limits(max_subobjects=budget))
-        assert spy.called is on_a_hit
-    assert _dropped_poset_dies(walk, structure)
+def test_enumeration_stopped_by_its_guard_leaves_no_cycle():
+    for structure, budget, on_a_hit in GUARDED_WALKS:
+        def walk(poset):
+            with mock.patch.object(presheaf, "_run_end",
+                                   wraps=presheaf._run_end) as spy:
+                with pytest.raises(SizeGuard):
+                    enumerate_subobjects(poset,
+                                         limits=Limits(max_subobjects=budget))
+            assert spy.called is on_a_hit
+        assert _dropped_poset_dies(walk, structure)
 
 
 @pytest.mark.parametrize("collecting", [True, False])
