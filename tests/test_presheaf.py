@@ -6,6 +6,7 @@ oracle that never touches the production enumerator's pruning logic.
 import gc
 import itertools
 import math
+import sys
 import weakref
 from bisect import bisect_right
 from unittest import mock
@@ -144,6 +145,16 @@ def _reached(poset, bits):
 # Three three-atom blocks in a chain: 63,286 subobjects, and the tails are
 # memoised from the fifth context on.
 THREE_CHAIN = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"]]
+
+# Five three-atom blocks in a loop: 15 contexts, 11 global sections.
+PENTAGON = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"],
+            ["g", "h", "i"], ["i", "j", "a"]]
+
+
+def _chain(blocks):
+    """A chain pasting of three-atom blocks, each sharing one atom with the
+    next; the labels sort along the chain."""
+    return [[f"x{k:04d}", f"y{k:04d}", f"x{k + 1:04d}"] for k in range(blocks)]
 
 
 @pytest.fixture(scope="module")
@@ -549,8 +560,48 @@ def test_enumeration_size_guard():
         enumerate_subobjects(poset, limits=Limits(max_subobjects=10))
 
 
+def _brute_sections(poset):
+    """Every global section, by product and filter: one spectrum point per
+    context, kept when ``restrict`` sends the point at every context to the
+    point at each of its subcontexts.  As the chosen atoms, in context order;
+    the product runs through them in ascending order."""
+    n = len(poset.contexts)
+    inclusions = [(i, j, {(p.atom, restrict(poset, p, j).atom)
+                          for p in spectrum(poset, i)})
+                  for i in range(n) for j in range(n)
+                  if i != j and poset.includes(i, j)]
+    pools = [[p.atom for p in spectrum(poset, i)] for i in range(n)]
+    return [fam for fam in itertools.product(*pools)
+            if all((fam[i], fam[j]) in ok for i, j, ok in inclusions)]
+
+
+@pytest.mark.parametrize("structure", [
+    generate("boolean", 3), generate("mo", 3), from_greechie(FOUR_LOOP),
+    from_greechie(PENTAGON)], ids=["boolean:3", "mo:3", "loop", "pentagon"])
+def test_global_sections_match_the_brute_product(structure):
+    poset = enumerate_contexts(structure)
+    assert [g.atoms for g in global_sections(poset)] == _brute_sections(poset)
+
+
+@given(context_subposet())
+@settings(max_examples=40, deadline=None)
+def test_global_sections_match_the_brute_product_on_tree_pasting_subposets(
+        poset):
+    assert [g.atoms for g in global_sections(poset)] == _brute_sections(poset)
+
+
 def test_section_search_budget_guard(cabello18_poset):
-    with pytest.raises(SizeGuard) as info:
-        global_sections(cabello18_poset, limits=Limits(search_budget=5))
-    assert info.value.details == {"limit": "search_budget", "value": 5,
-                                  "nodes": 6}
+    """The guard trips at the node past the budget, with the same message
+    and ``details`` at every budget; the pentagon's search takes 90 nodes."""
+    pentagon = enumerate_contexts(from_greechie(PENTAGON))
+    for poset, budgets in ((cabello18_poset, (1, 5, 17, 300)),
+                           (pentagon, (1, 5, 17, 89))):
+        for budget in budgets:
+            with pytest.raises(SizeGuard) as info:
+                global_sections(poset, limits=Limits(search_budget=budget))
+            assert str(info.value) == f"section search exceeded budget {budget}"
+            assert info.value.details == {"limit": "search_budget",
+                                          "value": budget, "nodes": budget + 1}
+    for budget in (90, 300):
+        assert len(global_sections(pentagon,
+                                   limits=Limits(search_budget=budget))) == 11
