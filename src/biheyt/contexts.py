@@ -125,10 +125,6 @@ class ContextPoset:
         self._above = tuple(map(tuple, above))
         self.minimal = tuple(i for i in range(n) if not below[i])
         self.maximal = tuple(i for i in range(n) if not above[i])
-        # j covers i iff no strict supercontext of i lies strictly below j
-        self._covers_up = tuple(
-            tuple(j for j in up if not any((j, k) in restr for k in up if k != j))
-            for up in above)
 
     def __repr__(self):
         return f"ContextPoset({len(self.contexts)} contexts over {self.structure!r})"

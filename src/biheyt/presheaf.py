@@ -388,69 +388,58 @@ def _over_budget(budget: int, reached: int) -> SizeGuard:
 
 def global_sections(poset: ContextPoset, *,
                     limits: Limits = DEFAULT_LIMITS) -> tuple[GlobalSection, ...]:
-    """All global sections of the spectral presheaf.
+    """All global sections of the spectral presheaf, sorted by their atoms.
 
-    Backtracks over the maximal contexts (one atom each), pruning on the
-    shared subcontexts of already-assigned pairs, then fills in every other
-    context by restriction and verifies full compatibility.  An empty result
-    on a structure is a Kochen-Specker style obstruction.
+    The search picks an atom at each maximal context in index order, atoms
+    ascending, depth-first on an explicit stack of (state, remaining
+    choices).  The state is one int packed like a subobject: the points
+    that the atoms picked so far restrict to.  Each choice of an atom at a
+    maximal context holds two ints: ``pick``, the points it restricts to at
+    that context and every context below it, and ``clash``, the other
+    points of those contexts.  A choice is compatible iff its clash misses
+    the state; the state then grows by its pick.  Restrictions compose and
+    every context lies below a maximal one, so a full state is a section,
+    one point per context.  Every choice tried, compatible or not, is one
+    node, and the search raises ``SizeGuard`` at the node past
+    ``limits.search_budget``.  An empty result is a Kochen-Specker style
+    obstruction.
     """
-    n = len(poset.contexts)
-    maxs = list(poset.maximal)
-    atom_pos = [{a: p for p, a in enumerate(c.atoms)} for c in poset.contexts]
-    shared: list[list[tuple[int, list[int]]]] = []
-    for t, mt in enumerate(maxs):
-        row = []
-        for s in range(t):
-            ctxs = [j for j in poset._below[mt] if (maxs[s], j) in poset._restr]
-            if ctxs:
-                row.append((s, ctxs))
-        shared.append(row)
-
+    budget = limits.search_budget
+    offsets, full = poset._offsets, poset._full
+    choices = []
+    for m in poset.maximal:
+        under = (m, *poset._below[m])
+        span = sum(full[j] << offsets[j] for j in under)
+        picks = [sum(1 << (offsets[j] + poset._restr[(m, j)][p]) for j in under)
+                 for p in range(len(poset.contexts[m].atoms))]
+        choices.append([(pick, span ^ pick) for pick in picks])
+    if not choices:   # no contexts: the empty family is the one section
+        return (GlobalSection(poset=poset, atoms=()),)
+    states = []
     nodes = 0
-    chosen: list[int] = [0] * len(maxs)   # atom position within each maximal context
-    out: list[GlobalSection] = []
-
-    def fill_and_verify() -> None:
-        atoms = [None] * n
-        for t, mt in enumerate(maxs):
-            p = chosen[t]
-            for j in (mt, *poset._below[mt]):
-                atoms[j] = poset.contexts[j].atoms[poset._restr[(mt, j)][p]]
-        if any(a is None for a in atoms):
-            raise AssertionError("context below no maximal context (bug)")
-        for i in range(n):
-            p = atom_pos[i][atoms[i]]
-            for j in poset._below[i]:
-                if poset.contexts[j].atoms[poset._restr[(i, j)][p]] != atoms[j]:
-                    raise AssertionError("incompatible section escaped pruning (bug)")
-        out.append(GlobalSection(poset=poset, atoms=tuple(atoms)))
-
-    def rec(t: int) -> None:
-        nonlocal nodes
-        if t == len(maxs):
-            fill_and_verify()
-            return
-        mt = maxs[t]
-        for p in range(len(poset.contexts[mt].atoms)):
+    stack = [(0, iter(choices[0]))]
+    while stack:
+        state, rest = stack[-1]
+        for pick, clash in rest:
             nodes += 1
-            if nodes > limits.search_budget:
-                raise SizeGuard(f"section search exceeded budget {limits.search_budget}",
-                                limit="search_budget",
-                                value=limits.search_budget, nodes=nodes)
-            ok = True
-            for s, ctxs in shared[t]:
-                ms = maxs[s]
-                for j in ctxs:
-                    if (poset._restr[(mt, j)][p]
-                            != poset._restr[(ms, j)][chosen[s]]):
-                        ok = False
-                        break
-                if not ok:
+            if nodes > budget:
+                raise SizeGuard(f"section search exceeded budget {budget}",
+                                limit="search_budget", value=budget, nodes=nodes)
+            if not state & clash:
+                if len(stack) == len(choices):
+                    states.append(state | pick)
+                else:
+                    stack.append((state | pick, iter(choices[len(stack)])))
                     break
-            if ok:
-                chosen[t] = p
-                rec(t + 1)
-
-    rec(0)
+        else:
+            stack.pop()
+    out = []
+    for state in states:
+        atoms = []
+        for c, off, f in zip(poset.contexts, offsets, full):
+            m = state >> off & f
+            if not m or m & (m - 1):
+                raise AssertionError("section is not one point per context (bug)")
+            atoms.append(c.atoms[m.bit_length() - 1])
+        out.append(GlobalSection(poset=poset, atoms=tuple(atoms)))
     return tuple(sorted(out, key=lambda g: g.atoms))

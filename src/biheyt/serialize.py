@@ -55,13 +55,21 @@ def _quote(name: str) -> str:
     return '"' + body + '"'
 
 
+def _covers_up(poset: ContextPoset) -> tuple[tuple[int, ...], ...]:
+    """For each context, the contexts covering it, ascending."""
+    # j covers i iff no strict supercontext of i lies strictly below j
+    return tuple(
+        tuple(j for j in up if not any((j, k) in poset._restr for k in up if k != j))
+        for up in poset._above)
+
+
 def _dot(poset: ContextPoset, title: str, nodes: list[str]) -> str:
     """DOT digraph: header, the given node lines, sorted covering edges."""
     lines = [f"digraph {_quote(title)} {{", "  rankdir=BT;",
              "  node [shape=box];", *nodes]
     edges = []
-    for i, c in enumerate(poset.contexts):
-        for sup in poset._covers_up[i]:
+    for c, covers in zip(poset.contexts, _covers_up(poset)):
+        for sup in covers:
             edges.append((c.id, poset.contexts[sup].id))
     for a, b in sorted(edges):
         lines.append(f"  {_quote(a)} -> {_quote(b)};")

@@ -12,6 +12,7 @@ from biheyt import (Context, ContextPoset, Limits, NoLeastUpperWitness,
                     delta_global, enumerate_contexts, from_greechie, generate,
                     maximal_above, minimal_below)
 from biheyt.oracle import _least_dominating
+from biheyt.serialize import _covers_up
 
 from test_oml import tree_pasting
 
@@ -134,20 +135,22 @@ def test_inclusion_matches_element_subsets(boolean4_poset, cabello18_poset):
 def test_covers_in_boolean3(boolean3_poset):
     poset = boolean3_poset
     top = poset.index("p|q|r")
+    covers = _covers_up(poset)
     for i, c in enumerate(poset.contexts):
         expect = (top,) if i != top else ()
-        assert poset._covers_up[i] == expect
+        assert covers[i] == expect
 
 
 def test_inclusion_lists_and_covers(boolean4_poset, cabello18_poset):
     for poset in (boolean4_poset, cabello18_poset):
         els = [c.elements for c in poset.contexts]
+        covers = _covers_up(poset)
         for i, ei in enumerate(els):
             above = [j for j, ej in enumerate(els) if ei < ej]
             assert poset._below[i] == tuple(
                 j for j, ej in enumerate(els) if ej < ei)
             assert poset._above[i] == tuple(above)
-            assert poset._covers_up[i] == tuple(
+            assert covers[i] == tuple(
                 j for j in above if not any(ei < els[k] < els[j] for k in above))
 
 

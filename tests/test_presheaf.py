@@ -32,25 +32,19 @@ SECTION_P = {"p+q|r": "p+q", "p+r|q": "p+r", "p|q+r": "p", "p|q|r": "p"}
 
 def _brute(poset):
     """Every monotone projection family, by product-and-filter, as a set of
-    (context id, element) pairs."""
+    (context id, element) pairs.  The (element of V, element of V') pairs
+    with ``delta`` of the first below the second are listed once for each
+    inclusion V' <= V; the filter looks the family's pairs up in them."""
     n = len(poset.contexts)
     ids = [c.id for c in poset.contexts]
     pools = [sorted(c.elements) for c in poset.contexts]
     st = poset.structure
-    good = set()
-    for fam in itertools.product(*pools):
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                if i != j and poset.includes(i, j):
-                    if not st.leq(delta(poset, i, j, fam[i]), fam[j]):
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            good.add(frozenset(zip(ids, fam)))
-    return good
+    inclusions = [(i, j, {(p, q) for p in pools[i] for q in pools[j]
+                          if st.leq(delta(poset, i, j, p), q)})
+                  for i in range(n) for j in range(n)
+                  if i != j and poset.includes(i, j)]
+    return {frozenset(zip(ids, fam)) for fam in itertools.product(*pools)
+            if all((fam[i], fam[j]) in ok for i, j, ok in inclusions)}
 
 
 def _masks(s):
@@ -488,6 +482,42 @@ def test_enumeration_stopped_by_its_guard_leaves_no_cycle():
                                          limits=Limits(max_subobjects=budget))
             assert spy.called is on_a_hit
         assert _dropped_poset_dies(walk, structure)
+
+
+def test_dropped_section_search_is_freed_without_the_collector():
+    for structure in (generate("boolean", 3), from_greechie(PENTAGON)):
+        assert _dropped_poset_dies(global_sections, structure)
+
+
+def test_section_search_stopped_by_its_budget_leaves_no_cycle():
+    def walk(poset):
+        with pytest.raises(SizeGuard):
+            global_sections(poset, limits=Limits(search_budget=17))
+    assert _dropped_poset_dies(walk, generate("cabello18"))
+
+
+def _depth() -> int:
+    """The number of frames on the stack."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_section_search_is_not_bounded_by_the_recursion_limit():
+    """A 150-block chain has 150 maximal contexts; its search goes deeper
+    than the lowered limit allows calls and stops at the budget."""
+    poset = enumerate_contexts(from_greechie(_chain(150)))
+    assert len(poset.maximal) == 150
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 100)
+    try:
+        with pytest.raises(SizeGuard) as info:
+            global_sections(poset, limits=Limits(search_budget=1000))
+    finally:
+        sys.setrecursionlimit(before)
+    assert info.value.details == {"limit": "search_budget", "value": 1000,
+                                  "nodes": 1001}
 
 
 @pytest.mark.parametrize("collecting", [True, False])
