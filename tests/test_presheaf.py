@@ -1,9 +1,12 @@
 """Spectra, restriction maps, clopen subobjects, and global sections.
 
 Subobject counts are verified against a brute-force generate-and-filter
-oracle that never touches the production enumerator's pruning logic.
+oracle that never touches the production enumerator's pruning logic, and
+global sections against the product of the spectra, filtered by
+``restrict``.
 """
 import gc
+import inspect
 import itertools
 import math
 import sys
@@ -496,21 +499,13 @@ def test_section_search_stopped_by_its_budget_leaves_no_cycle():
     assert _dropped_poset_dies(walk, generate("cabello18"))
 
 
-def _depth() -> int:
-    """The number of frames on the stack."""
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 def test_section_search_is_not_bounded_by_the_recursion_limit():
-    """A 150-block chain has 150 maximal contexts; its search goes deeper
-    than the lowered limit allows calls and stops at the budget."""
+    """A 150-block chain has 150 maximal contexts, more than the lowered
+    limit leaves frames for; the search still stops at its budget."""
     poset = enumerate_contexts(from_greechie(_chain(150)))
     assert len(poset.maximal) == 150
     before = sys.getrecursionlimit()
-    sys.setrecursionlimit(_depth() + 100)
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
         with pytest.raises(SizeGuard) as info:
             global_sections(poset, limits=Limits(search_budget=1000))
