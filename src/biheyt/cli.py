@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -39,7 +40,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process: parse_args keeps its state in the namespace
+    # and locals of each call, never on the parser.
     parser = _Parser(prog="biheyt", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     src = common.add_mutually_exclusive_group()

@@ -12,6 +12,8 @@ the atoms of V below P.  ``ContextPoset`` derives every table from that one
 rule and the structure's order rows: element <-> atom mask per context, and
 per inclusion V' <= V the preimage of each atom of V' (alpha_V of it) and
 the restriction of each atom of V (the atom of V' whose preimage holds it).
+The inclusions themselves come from per-element bitsets of the contexts
+holding each element, never from a test of every pair of contexts.
 Coarse-graining ``delta(V, V', P)``, the least element of V' dominating P,
 is then the restriction image of alpha_V(P).  For P anywhere in the
 structure (``delta_global``) it is the least element of the mask of V's
@@ -57,9 +59,13 @@ class ContextPoset:
     e, and ``_mask_to_elem[i]`` is its inverse.  The atoms of a subcontext j
     are elements of i, so ``_pre[(i, j)]`` is ``_elem_mask[i]`` of j's atoms
     (the atoms of i restricting to each of them) and ``_restr[(i, j)]`` is
-    its inverse.  V' <= V iff V' has no element outside V; the pairs are
-    the keys of ``_restr``, and ``_below[i]`` and ``_above[i]`` list the
-    strict subcontexts and supercontexts of i in ascending order.
+    its inverse.  V' <= V iff V' has no element outside V.  No pair of
+    contexts is tested: each element gets a bitset of the contexts holding
+    it, and the AND of those bitsets over the elements of j is j with its
+    supercontexts, so the work is linear in the pairs that exist.  The
+    pairs are the keys of ``_restr``, ascending in (i, j), and
+    ``_below[i]`` and ``_above[i]`` list the strict subcontexts and
+    supercontexts of i in ascending order.
     Every table is built here and never changed; the poset holds no cache
     or other mutable state, so it is immutable and safe to share.
     """
@@ -97,17 +103,31 @@ class ContextPoset:
         self._elem_mask = tuple(elem_mask)
         self._mask_to_elem = tuple(mask_to_elem)
 
-        below: list[list[int]] = [[] for _ in range(n)]
+        holders = [0] * structure.n
+        for i, c in enumerate(contexts):
+            for e in c.elements:
+                holders[e] |= 1 << i
+        subs: list[list[int]] = [[] for _ in range(n)]
         above: list[list[int]] = [[] for _ in range(n)]
+        for j, c in enumerate(contexts):
+            m = -1
+            for e in c.elements:
+                m &= holders[e]
+            while m:
+                low = m & -m
+                m ^= low
+                i = low.bit_length() - 1
+                subs[i].append(j)
+                if i != j:
+                    above[j].append(i)
+
+        below: list[list[int]] = [[] for _ in range(n)]
         restr: dict[tuple[int, int], tuple[int, ...]] = {}
         pre: dict[tuple[int, int], tuple[int, ...]] = {}
-        for i, ei in enumerate(elements):
-            for j, ej in enumerate(elements):
-                if ej & ~ei:
-                    continue
+        for i in range(n):
+            for j in subs[i]:
                 if i != j:
                     below[i].append(j)
-                    above[j].append(i)
                 back = tuple(elem_mask[i][b] for b in contexts[j].atoms)
                 table = [None] * len(contexts[i].atoms)
                 for q, m in enumerate(back):

@@ -5,6 +5,7 @@ canonical JSON (or DOT) with a trailing newline, errors must be one-line JSON
 objects on stderr with the documented exit codes.
 """
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -14,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biheyt import canonical_json, generate
+from biheyt import canonical_json, cli, generate
 from biheyt.cli import run
+
+from test_oml import chain_pasting
 
 DAS_P = {"p+q|r": "p+q", "p+r|q": "p+r", "p|q+r": "p", "p|q|r": "p"}
 DAS_Q = {"p+q|r": "p+q", "p+r|q": "q", "p|q+r": "q+r", "p|q|r": "q"}
@@ -284,6 +287,58 @@ def test_byte_determinism(capsys):
         code2, second, _ = _run(capsys, *argv)
         assert code1 == code2 == 0
         assert first == second
+
+
+# sha256 of stdout on the 400-block chain pasting, recorded with the
+# all-pairs lattice and inclusion tests these commands once ran.
+CHAIN400_SHA256 = {
+    ("validate",):
+        "c8184ee8c7e1595557a3c8d7d0c28ba745cdef9f649588205fceee2df68551c8",
+    ("contexts",):
+        "93f056fc16ca1187e855f50c116bf0e8431e51796c9537a42f7caec2ab48ba31",
+    ("contexts", "--format", "dot"):
+        "214c8ceb82bcf6d87d363bebcc02ff459a1acf8a3b122dc6b39195ed165ec9db",
+    ("spectrum",):
+        "6852dd65076c80a07b66d3b0dbc633587064877101046acdd0577fcec8a64e8e",
+}
+
+
+def test_chain_pasting_output_is_byte_identical(capsys, tmp_path):
+    path = _jfile(tmp_path, "chain400.json",
+                  {"format": "greechie", "blocks": chain_pasting(400)})
+    for argv, digest in CHAIN400_SHA256.items():
+        code, out, err = _run(capsys, *argv, "--input", path)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path, monkeypatch):
+    """Interleaved failures and successes through the one cached parser
+    give what a freshly built parser gives for each call."""
+    hexagon = _jfile(tmp_path, "hexagon.json", O6)
+    das = tmp_path / "das.json"
+    assert run(["das", "--builtin", "boolean:3", "--element", "p",
+                "--output", str(das)]) == 0
+    calls = [
+        ("validate", "--builtin", "boolean:3"),
+        ("validate", "--input", hexagon, "--builtin", "boolean:2"),
+        ("op", "not", "--coheyting", "--builtin", "boolean:3",
+         "--subobject", str(das)),
+        ("validate", "--builtin", "boolean:7"),
+        ("op", "not", "--builtin", "boolean:3", "--subobject", str(das)),
+        ("validate", "--input", hexagon),
+        ("sections", "--builtin", "boolean:3", "--list"),
+        ("sections", "--builtin", "boolean:3"),
+        ("enumerate", "--builtin", "mo:2", "--max-subobjects", "3"),
+        ("enumerate", "--builtin", "mo:2"),
+        ("validate", "--builtin", "boolean:3"),
+    ]
+    cached = [_run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in cached] == [0, 3, 0, 2, 0, 1, 0, 0, 2, 0, 0]
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert cli._build_parser() is not cli._build_parser()
+    assert [_run(capsys, *argv) for argv in calls] == cached
 
 
 def test_usage_errors(capsys, tmp_path):

@@ -14,7 +14,7 @@ from biheyt import (Context, ContextPoset, Limits, NoLeastUpperWitness,
 from biheyt.oracle import _least_dominating
 from biheyt.serialize import _covers_up
 
-from test_oml import tree_pasting
+from test_oml import PENTAGON, chain_pasting, tree_pasting
 
 BOOLEAN3_IDS = ["p+q|r", "p+r|q", "p|q+r", "p|q|r"]
 MO2_IDS = ["a|a'", "b|b'"]
@@ -130,6 +130,50 @@ def test_inclusion_matches_element_subsets(boolean4_poset, cabello18_poset):
                 assert poset.includes(i, j) == (j in down)
                 assert ((i, j) in poset._restr) == (j in down)
                 assert ((i, j) in poset._pre) == (j in down)
+
+
+def _all_pairs_tables(poset):
+    """The inclusion tables from a test of every ordered pair of contexts:
+    V' <= V iff V' has no element outside V."""
+    contexts, elem_mask = poset.contexts, poset._elem_mask
+    elements = [sum(1 << e for e in c.elements) for c in contexts]
+    below = [[] for _ in contexts]
+    above = [[] for _ in contexts]
+    restr, pre = {}, {}
+    for i, ei in enumerate(elements):
+        for j, ej in enumerate(elements):
+            if ej & ~ei:
+                continue
+            if i != j:
+                below[i].append(j)
+                above[j].append(i)
+            back = tuple(elem_mask[i][b] for b in contexts[j].atoms)
+            restr[(i, j)] = tuple(next(q for q, m in enumerate(back)
+                                       if (m >> p) & 1)
+                                  for p in range(len(contexts[i].atoms)))
+            pre[(i, j)] = back
+    return tuple(map(tuple, below)), tuple(map(tuple, above)), restr, pre
+
+
+def _assert_tables_match_all_pairs(poset):
+    below, above, restr, pre = _all_pairs_tables(poset)
+    assert poset._below == below and poset._above == above
+    assert list(poset._restr.items()) == list(restr.items())
+    assert list(poset._pre.items()) == list(pre.items())
+
+
+@pytest.mark.parametrize("spec", [
+    "boolean:3", "boolean:5", "boolean:6", "mo:2", "mo:3", "mo:5", "mo:12",
+    "cabello18", PENTAGON, chain_pasting(400)],
+    ids=lambda spec: spec if isinstance(spec, str) else f"{len(spec)} blocks")
+def test_inclusion_tables_match_the_all_pairs_reference(spec):
+    _assert_tables_match_all_pairs(_poset(spec))
+
+
+@given(blocks=tree_pasting())
+@settings(max_examples=40, deadline=None)
+def test_inclusion_tables_match_the_all_pairs_reference_on_trees(blocks):
+    _assert_tables_match_all_pairs(_poset(blocks))
 
 
 def test_covers_in_boolean3(boolean3_poset):

@@ -25,7 +25,7 @@ from biheyt import (ContextPoset, Limits, NotASubobject, PosetMismatch,
                     restriction_image_projection, spectrum)
 
 from test_contexts import FOUR_LOOP
-from test_oml import tree_pasting
+from test_oml import PENTAGON, chain_pasting, tree_pasting
 
 DAS_P = {"p+q|r": "p+q", "p+r|q": "p+r", "p|q+r": "p", "p|q|r": "p"}
 
@@ -142,16 +142,6 @@ def _reached(poset, bits):
 # Three three-atom blocks in a chain: 63,286 subobjects, and the tails are
 # memoised from the fifth context on.
 THREE_CHAIN = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"]]
-
-# Five three-atom blocks in a loop: 15 contexts, 11 global sections.
-PENTAGON = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"],
-            ["g", "h", "i"], ["i", "j", "a"]]
-
-
-def _chain(blocks):
-    """A chain pasting of three-atom blocks, each sharing one atom with the
-    next; the labels sort along the chain."""
-    return [[f"x{k:04d}", f"y{k:04d}", f"x{k + 1:04d}"] for k in range(blocks)]
 
 
 @pytest.fixture(scope="module")
@@ -502,7 +492,7 @@ def test_section_search_stopped_by_its_budget_leaves_no_cycle():
 def test_section_search_is_not_bounded_by_the_recursion_limit():
     """A 150-block chain has 150 maximal contexts, more than the lowered
     limit leaves frames for; the search still stops at its budget."""
-    poset = enumerate_contexts(from_greechie(_chain(150)))
+    poset = enumerate_contexts(from_greechie(chain_pasting(150)))
     assert len(poset.maximal) == 150
     before = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
