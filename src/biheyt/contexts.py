@@ -62,7 +62,9 @@ class ContextPoset:
     its inverse.  V' <= V iff V' has no element outside V.  No pair of
     contexts is tested: each element gets a bitset of the contexts holding
     it, and the AND of those bitsets over the elements of j is j with its
-    supercontexts, so the work is linear in the pairs that exist.  The
+    supercontexts.  That is one AND of n-bit ints per element of each
+    context, so the work still grows with n squared, over machine words
+    rather than over pairs.  The
     pairs are the keys of ``_restr``, ascending in (i, j), and
     ``_below[i]`` and ``_above[i]`` list the strict subcontexts and
     supercontexts of i in ascending order.

@@ -17,15 +17,6 @@ meets and joins, and the least dominator of an element in a context, are all
 one ``_extremum`` call: the first element of a candidate mask whose row
 covers the whole mask.
 
-Deciding the kind generically tests every pair of elements for a join and
-then the orthomodular law, which is quadratic in the elements.  A Greechie
-pasting skips that test when Greechie's loop lemma settles it: a pasting of
-Boolean blocks of at least three atoms, any two sharing at most one atom,
-whose diagram has no loop of order 3 or 4, is an orthomodular lattice
-(Greechie, J. Combin. Theory A 10 (1971) 119; Kalmbach, *Orthomodular
-Lattices* (1983), ch. 4).  The loop search is a depth-4 breadth-first
-search from each block of the block-atom incidence graph.
-
 Structures are immutable once built and safe to share across threads.
 """
 from __future__ import annotations
@@ -209,52 +200,12 @@ def _maximal_cliques(vertices: list[int], neighbors: dict[int, set[int]]) -> lis
     return sorted(out)
 
 
-def _short_loop(blocks: list[tuple[str, ...]]) -> bool:
-    """Whether the block-atom incidence graph has a cycle of length <= 8.
-
-    A cycle of length 2k is a loop of order k: k distinct blocks, each
-    sharing an atom with the next, at k distinct atoms.  Order 2 is two
-    blocks sharing two atoms.  Breadth-first search from every block to
-    depth 4: a vertex reached a second time, by an edge other than the one
-    to its parent, closes a cycle of length at most twice its depth, and a
-    shortest cycle through the root is closed at half its length.
-    """
-    holders: dict[str, list[int]] = {}
-    for bi, atoms in enumerate(blocks):
-        for a in atoms:
-            holders.setdefault(a, []).append(bi)
-    for root in range(len(blocks)):
-        # blocks are vertices by index, atoms by label
-        parent: dict[int | str, int | str | None] = {root: None}
-        frontier: list[int | str] = [root]
-        for _ in range(4):
-            reached = []
-            for v in frontier:
-                for w in blocks[v] if isinstance(v, int) else holders[v]:
-                    if w == parent[v]:
-                        continue
-                    if w in parent:
-                        return True
-                    parent[w] = v
-                    reached.append(w)
-            frontier = reached
-    return False
-
-
-def _loop_lemma_applies(blocks: list[tuple[str, ...]]) -> bool:
-    """Whether Greechie's loop lemma makes the pasting of these blocks an
-    orthomodular lattice: every block has at least three atoms, and there
-    is no loop of order 2, 3 or 4."""
-    return all(len(b) >= 3 for b in blocks) and not _short_loop(blocks)
-
-
 # -- validation pipeline -------------------------------------------------------
 
 
 def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
            origin: str = "explicit",
            given_blocks: list[tuple[tuple[str, ...], dict[int, str]]] | None = None,
-           loop_lemma: bool = False,
            ) -> OrthoStructure:
     """Validate and assemble a structure from label-level data.
 
@@ -264,10 +215,6 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
     determine its blocks (orthogonality cliques cutting across blocks can
     close up to Boolean subposets of their own); without it, only structures
     whose bounds all exist are accepted and blocks are discovered.
-
-    ``loop_lemma`` says Greechie's loop lemma already makes the blocks'
-    pasting an orthomodular lattice (see ``from_greechie``), so the
-    all-pairs bound test and the orthomodularity loop are skipped.
     """
 
     def order_fail(message, **details):
@@ -398,9 +345,7 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
 
     # ortho is an order-reversing involution, so a ^ b = ortho(ortho a v
     # ortho b): every pair has a meet as soon as every pair has a join
-    if loop_lemma:
-        kind = LATTICE
-    elif all(lub(i, j) is not None for i in range(n) for j in range(i + 1, n)):
+    if all(lub(i, j) is not None for i in range(n) for j in range(i + 1, n)):
         kind = LATTICE
         for i in range(n):
             m = up_t[i] & ~(1 << i)
@@ -571,14 +516,6 @@ def from_greechie(blocks, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
     their atom-label sets are equal or their in-block complements are equal,
     closed transitively.  The result is validated; kind is promoted to
     ``lattice`` when every global bound exists and orthomodularity holds.
-
-    When every identified block has at least three atoms, no two share
-    more than one atom, and the block-atom incidence graph has no cycle of
-    length 6 or 8 (no loop of order 3 or 4), Greechie's loop lemma says the
-    pasting is an orthomodular lattice (Greechie, J. Combin. Theory A 10
-    (1971) 119; Kalmbach, *Orthomodular Lattices* (1983), ch. 4), and the
-    quadratic test for that is skipped.  Any other input keeps it.  The
-    order closure, the ortho checks and the block verification always run.
     """
     if not isinstance(blocks, (list, tuple)) or not blocks:
         raise UsageError("'blocks' must be a nonempty list of atom-label lists")
@@ -706,8 +643,7 @@ def from_greechie(blocks, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
         given_blocks.append((final_atoms, table))
 
     return _build(labels, sorted(order_pairs), ortho_map, origin="greechie",
-                  given_blocks=given_blocks,
-                  loop_lemma=_loop_lemma_applies([b for b, _ in given_blocks]))
+                  given_blocks=given_blocks)
 
 
 def generate(name: str, n: int | None = None, *,

@@ -1,17 +1,14 @@
 """Structure validation, builtins, and Greechie pasting."""
 import itertools
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biheyt
-from biheyt import (BiheytError, DegenerateStructure,
-                    InconsistentIdentification, OrthomodularityViolated,
-                    SizeGuard, UnboundedPair, UsageError, from_greechie,
-                    generate, oml, validate)
-from biheyt.oml import _loop_lemma_applies, _short_loop
+from biheyt import (DegenerateStructure, InconsistentIdentification,
+                    OrthomodularityViolated, SizeGuard, UnboundedPair,
+                    UsageError, from_greechie, generate, validate)
 
 # Benzene ring O6: two chains 0 < a < b < 1 and 0 < b' < a' < 1 with a/a',
 # b/b' complementary.  It is an ortholattice but not orthomodular.
@@ -332,109 +329,3 @@ def chain_pasting(blocks):
     """A chain pasting of three-atom blocks, each sharing one atom with the
     next; the labels sort along the chain."""
     return [[f"x{k:04d}", f"y{k:04d}", f"x{k + 1:04d}"] for k in range(blocks)]
-
-
-def loop_pasting(order, size):
-    """``order`` blocks of ``size`` atoms in a loop, neighbours sharing one
-    atom (order 2 is two blocks sharing two atoms)."""
-    return [[f"s{k}"] + [f"p{k}_{i}" for i in range(size - 2)]
-            + [f"s{(k + 1) % order}"] for k in range(order)]
-
-
-# -- Greechie's loop lemma against the generic lattice test --------------------
-
-
-def _outcome(blocks):
-    """What ``from_greechie`` gives: the structure's kind, labels and block
-    atoms, or the error's class, message and details."""
-    try:
-        st1 = from_greechie(blocks)
-    except BiheytError as exc:
-        return type(exc), exc.message, exc.details
-    return st1.kind, st1.labels, tuple(blk.atoms for blk in st1.blocks)
-
-
-def _assert_lemma_matches_generic(blocks):
-    got = _outcome(blocks)
-    with mock.patch.object(oml, "_loop_lemma_applies", return_value=False):
-        assert _outcome(blocks) == got
-    return got
-
-
-@given(tree_pasting())
-@settings(max_examples=40, deadline=None)
-def test_loop_lemma_matches_the_generic_test_on_tree_pastings(blocks):
-    assert _loop_lemma_applies(blocks) == all(len(b) >= 3 for b in blocks)
-    assert _assert_lemma_matches_generic(blocks)[0] == "lattice"
-
-
-@pytest.mark.parametrize("size", [3, 4])
-@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
-def test_loop_lemma_matches_the_generic_test_on_loops(order, size):
-    blocks = loop_pasting(order, size)
-    assert _loop_lemma_applies(blocks) == (order >= 5)
-    got = _assert_lemma_matches_generic(blocks)
-    if order >= 5:
-        assert got[0] == "lattice"
-
-
-@pytest.mark.parametrize("blocks", [
-    [["a", "b", "c"], ["a", "b", "d"]],
-    [["a", "b", "c", "d"], ["a", "b", "e", "f"]],
-    [["a", "b", "c"], ["c", "d", "e"], ["a", "b", "f"]],
-], ids=["3-atom", "4-atom", "in-a-chain"])
-def test_loop_lemma_declines_two_shared_atoms(blocks):
-    assert not _loop_lemma_applies(blocks)
-    _assert_lemma_matches_generic(blocks)
-
-
-@pytest.mark.parametrize("blocks", [
-    [["x", "y"]],
-    [["a1", "a2"], ["b1", "b2"]],
-    [["a", "b"], ["c", "d", "e"]],
-    [["a", "b"], ["b", "c", "d"]],
-    [["a", "b"], ["a", "b", "c"]],
-    [["a", "b"], ["a", "c"], ["b", "c"]],
-])
-def test_loop_lemma_declines_two_atom_blocks(blocks):
-    assert not _loop_lemma_applies(blocks)
-    _assert_lemma_matches_generic(blocks)
-
-
-@pytest.mark.parametrize("name, n", [
-    *(("boolean", n) for n in range(2, 7)),
-    *(("mo", n) for n in (1, 2, 3, 5, 12)),
-    ("cabello18", None),
-])
-def test_loop_lemma_matches_the_generic_test_on_builtins(name, n):
-    """Every builtin as a pasting: boolean:N is one block, mo:N is N
-    two-atom blocks."""
-    if name == "cabello18":
-        blocks = [list(b) for b in biheyt.CABELLO18_BLOCKS]
-    elif name == "boolean":
-        blocks = [[f"a{i}" for i in range(n)]]
-    else:
-        blocks = [[f"a{i}", f"b{i}"] for i in range(n)]
-    got = _assert_lemma_matches_generic(blocks)
-    assert got[0] == generate(name, n).kind
-
-
-@pytest.mark.parametrize("blocks, short", [
-    ([["a", "b", "c"]], False),
-    ([["a", "b", "c"], ["d", "e", "f"]], False),
-    # three blocks through one atom are a star, not a loop
-    ([["a", "b", "c"], ["a", "d", "e"], ["a", "f", "g"]], False),
-    ([["a", "b", "c"], ["a", "b", "d"]], True),
-    (loop_pasting(3, 3), True),
-    (loop_pasting(4, 4), True),
-    (loop_pasting(5, 3), False),
-    (loop_pasting(6, 3), False),
-    # a square at the far end of a tail of four blocks
-    (chain_pasting(4) + [["x0004", "q", "r"], ["r", "t", "u"],
-                         ["u", "v", "w"], ["w", "z", "x0004"]], True),
-    # a chord across a pentagon leaves a loop of order 3 or 4 on one side
-    (PENTAGON + [["c", "g", "k"]], True),
-    (chain_pasting(400), False),
-])
-def test_short_loop_search_on_hand_made_diagrams(blocks, short):
-    assert _short_loop([tuple(b) for b in blocks]) is short
