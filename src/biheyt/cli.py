@@ -25,7 +25,7 @@ from .limits import DEFAULT_LIMITS, Limits
 from .oml import validate
 from .oracle import (brute_coheyting_subtract, brute_heyting_implies,
                      brute_negations, check_adjunctions)
-from .presheaf import enumerate_subobjects, global_sections
+from .presheaf import _section_states, enumerate_subobjects, global_sections
 from .serialize import (builtin_structure, canonical_json, contexts_dot,
                         subobject_dot, subobject_from_mapping,
                         subobject_to_json)
@@ -258,11 +258,11 @@ def _cmd_check(args, limits) -> str:
 
 def _cmd_sections(args, limits) -> str:
     poset = _poset(args, limits)
-    sections = global_sections(poset, limits=limits)
     if args.list_all:
+        sections = global_sections(poset, limits=limits)
         return canonical_json({"count": len(sections),
                                "sections": [g.to_mapping() for g in sections]})
-    return canonical_json({"count": len(sections)})
+    return canonical_json({"count": sum(1 for _ in _section_states(poset, limits))})
 
 
 def _cmd_enumerate(args, limits) -> str:

@@ -3,8 +3,10 @@
 A context is a nontrivial Boolean subalgebra (the trivial {0, 1} subalgebra is
 excluded; it would wreck the negation formulas downstream).  Every context
 lies inside some block, and the Boolean subalgebras of a block correspond to
-the partitions of its atom set, so enumeration walks block-atom partitions and
-deduplicates by element set.
+the partitions of its atom set, so enumeration walks block-atom partitions.
+One walk over the unions of a partition's cells gives the subalgebra's
+elements, its atoms (the single cells) and an int bitset of its elements,
+by which partitions giving the same subalgebra are deduplicated.
 
 Context ids are the sorted atom labels joined with "|".  The spectrum of a
 context V is its atom set, and each P in V is the clopen set alpha_V(P) of
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import NoLeastUpperWitness, SizeGuard, UsageError
 from .limits import DEFAULT_LIMITS, Limits
-from .oml import LATTICE, OrthoStructure, _extremum
+from .oml import LATTICE, OrthoStructure
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,12 @@ class ContextPoset:
 
     Built by ``enumerate_contexts``.  Contexts are indexed in canonical order
     (sorted by id).  Every table is alpha read off the structure's order
-    rows: ``_elem_mask[i][e]`` is the mask of the atoms of context i below
-    e, and ``_mask_to_elem[i]`` is its inverse.  The atoms of a subcontext j
+    rows.  One walk over the subsets of context i's atoms gives, for each
+    atom mask m, those atoms as an element bitset; the element e whose
+    ``_down`` row meets the atoms in exactly that bitset is
+    ``_mask_to_elem[i][m]``, and ``_elem_mask[i]`` is its inverse, the mask
+    of the atoms of i below e.  The context is Boolean iff this matches its
+    elements one to one with its masks.  The atoms of a subcontext j
     are elements of i, so ``_pre[(i, j)]`` is ``_elem_mask[i]`` of j's atoms
     (the atoms of i restricting to each of them) and ``_restr[(i, j)]`` is
     its inverse.  V' <= V iff V' has no element outside V.  No pair of
@@ -64,8 +70,8 @@ class ContextPoset:
     it, and the AND of those bitsets over the elements of j is j with its
     supercontexts.  That is one AND of n-bit ints per element of each
     context, so the work still grows with n squared, over machine words
-    rather than over pairs.  The
-    pairs are the keys of ``_restr``, ascending in (i, j), and
+    rather than over pairs.  The pairs are the keys of ``_restr``, ascending
+    in (i, j), and
     ``_below[i]`` and ``_above[i]`` list the strict subcontexts and
     supercontexts of i in ascending order.
     Every table is built here and never changed; the poset holds no cache
@@ -77,9 +83,6 @@ class ContextPoset:
         self.contexts = contexts
         self._by_id = {c.id: i for i, c in enumerate(contexts)}
         n = len(contexts)
-        self._elements = elements = tuple(sum(1 << e for e in c.elements)
-                                          for c in contexts)
-
         offsets = []
         total = 0
         for c in contexts:
@@ -90,18 +93,21 @@ class ContextPoset:
         self._full = full = tuple((1 << len(c.atoms)) - 1 for c in contexts)
 
         down = structure._down
+        elements: list[int] = []
         elem_mask: list[dict[int, int]] = []
         mask_to_elem: list[tuple[int, ...]] = []
         for c in contexts:
-            table = {e: sum(1 << p for p, a in enumerate(c.atoms) if (down[e] >> a) & 1)
-                     for e in c.elements}
-            inverse = [None] * (1 << len(c.atoms))
-            for e, m in table.items():
-                inverse[m] = e
-            if len(table) != len(inverse) or None in inverse:
+            walk = [0]   # walk[m]: the atoms of mask m as an element bitset
+            for a in c.atoms:
+                walk += [w | 1 << a for w in walk]
+            below = {down[e] & walk[-1]: e for e in c.elements}
+            if not len(c.elements) == len(below) == len(walk):
                 raise AssertionError(f"context {c.id!r} is not Boolean (bug)")
-            elem_mask.append(table)
-            mask_to_elem.append(tuple(inverse))
+            inverse = tuple(map(below.__getitem__, walk))
+            elem_mask.append({e: m for m, e in enumerate(inverse)})
+            mask_to_elem.append(inverse)
+            elements.append(sum(1 << e for e in inverse))
+        self._elements = tuple(elements)
         self._elem_mask = tuple(elem_mask)
         self._mask_to_elem = tuple(mask_to_elem)
 
@@ -204,32 +210,25 @@ class ContextPoset:
 def enumerate_contexts(structure: OrthoStructure, *,
                        limits: Limits = DEFAULT_LIMITS) -> ContextPoset:
     """All nontrivial Boolean subalgebras, as a ContextPoset."""
-    found: dict[frozenset[int], tuple[int, ...]] = {}
+    found: dict[int, tuple[tuple[int, ...], list[int]]] = {}
     for bi, block in enumerate(structure.blocks):
         joins = structure._block_joins[bi]
         pos = {a: p for p, a in enumerate(block.atoms)}
         for part in _partitions(block.atoms):
             if len(part) < 2:
                 continue   # one cell would give the trivial subalgebra
-            cell_masks = []
+            unions = [0]   # every union of cells, as a mask of block atoms
             for cell in part:
                 m = 0
                 for a in cell:
                     m |= 1 << pos[a]
-                cell_masks.append(m)
-            elems = set()
-            for sub in range(1 << len(cell_masks)):
-                m = 0
-                ss = sub
-                while ss:
-                    low = ss & -ss
-                    ss ^= low
-                    m |= cell_masks[low.bit_length() - 1]
-                elems.add(joins[m])
-            key = frozenset(elems)
+                unions += [u | m for u in unions]
+            elems = [joins[u] for u in unions]
+            key = sum(1 << e for e in elems)   # joins is one-to-one
             if key not in found:
-                atoms = tuple(sorted(joins[m] for m in cell_masks))
-                found[key] = atoms
+                # the cells sit at the powers of two of the walk
+                atoms = tuple(sorted(elems[1 << k] for k in range(len(part))))
+                found[key] = atoms, elems
                 if len(found) > limits.max_contexts:
                     raise SizeGuard(
                         f"context count exceeds limit {limits.max_contexts}",
@@ -237,8 +236,8 @@ def enumerate_contexts(structure: OrthoStructure, *,
                         reached=len(found))
 
     contexts = [Context(id="|".join(structure.labels[a] for a in atoms),
-                        atoms=atoms, elements=elems)
-                for elems, atoms in found.items()]
+                        atoms=atoms, elements=frozenset(elems))
+                for atoms, elems in found.values()]
     contexts.sort(key=lambda c: c.id)
     poset = ContextPoset(structure, tuple(contexts))
     for i in poset.minimal:
@@ -286,7 +285,7 @@ def delta_global(poset: ContextPoset, ctx, p: int | str) -> int:
     j = poset.index(ctx)
     st = poset.structure
     p = st.el(p)
-    out = _extremum(st._up[p] & poset._elements[j], st._up)
+    out = _least(st._up[p] & poset._elements[j], st._up)
     if out is None:
         if st.kind == LATTICE:
             raise AssertionError("no least dominator in a lattice (bug)")
@@ -295,3 +294,16 @@ def delta_global(poset: ContextPoset, ctx, p: int | str) -> int:
             f"{poset.contexts[j].id!r}",
             element=st.label(p), context=poset.contexts[j].id)
     return out
+
+
+def _least(mask: int, up: tuple[int, ...]) -> int | None:
+    """The least element of ``mask``, if any, by a scan: the elements of a
+    context above p are no principal up-set, so no row lookup finds it."""
+    m = mask
+    while m:
+        low = m & -m
+        i = low.bit_length() - 1
+        if up[i] & mask == mask:
+            return i
+        m ^= low
+    return None

@@ -12,10 +12,12 @@ kinds are distinguished after validation:
 Blocks are the maximal pairwise-commuting, operation-closed subsets; each is a
 finite Boolean algebra determined by a maximal pairwise-orthogonal set of
 atoms.  Orders are stored as integer bitmasks (``_down[i]`` has bit ``j`` set
-iff ``j <= i``), which keeps every check here a handful of int ops.  Global
-meets and joins, and the least dominator of an element in a context, are all
-one ``_extremum`` call: the first element of a candidate mask whose row
-covers the whole mask.
+iff ``j <= i``), which keeps every check here a handful of int ops.  The
+common upper bounds of a and b are ``_up[a] & _up[b]``, and their join exists
+iff that set is the principal up-set ``_up[c]`` of some c, which is then the
+join.  So ``_by_up`` maps each ``_up`` row to its element and decides a join
+with one AND and one lookup; ``_by_down`` does the same for meets.  The
+lattice test, the orthomodular law and ``lub``/``glb`` all read these maps.
 
 Structures are immutable once built and safe to share across threads.
 """
@@ -76,7 +78,7 @@ class OrthoStructure:
 
     __slots__ = (
         "labels", "n", "zero", "one", "kind", "ortho", "blocks",
-        "_index", "_down", "_up", "_atoms",
+        "_index", "_down", "_up", "_by_down", "_by_up", "_atoms",
         "_block_joins", "_elem_blocks",
     )
 
@@ -120,12 +122,11 @@ class OrthoStructure:
 
     def glb(self, a: int | str, b: int | str) -> int | None:
         """Global meet, or None when it does not exist (pasted kind only)."""
-        return _extremum(self._down[self.el(a)] & self._down[self.el(b)],
-                         self._down)
+        return self._by_down.get(self._down[self.el(a)] & self._down[self.el(b)])
 
     def lub(self, a: int | str, b: int | str) -> int | None:
         """Global join, or None when it does not exist (pasted kind only)."""
-        return _extremum(self._up[self.el(a)] & self._up[self.el(b)], self._up)
+        return self._by_up.get(self._up[self.el(a)] & self._up[self.el(b)])
 
     def atoms(self) -> tuple[int, ...]:
         return self._atoms
@@ -164,22 +165,6 @@ def _close_order(n: int, up: list[int]) -> None:
             if acc != up[i]:
                 up[i] = acc
                 changed = True
-
-
-def _extremum(mask: int, rows: tuple[int, ...] | list[int]) -> int | None:
-    """First element of ``mask`` whose row covers all of ``mask``, if any.
-
-    With ``_down`` rows this is the greatest element of a downward-closed
-    mask, with ``_up`` rows the least element of any mask.
-    """
-    m = mask
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        if rows[i] & mask == mask:
-            return i
-        m ^= low
-    return None
 
 
 def _maximal_cliques(vertices: list[int], neighbors: dict[int, set[int]]) -> list[tuple[int, ...]]:
@@ -337,15 +322,14 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
                 f"{new_labels[i]!r} and its orthocomplement share upper bound "
                 f"{new_labels[shared]!r}", witness=[new_labels[i], new_labels[shared]])
 
-    def glb(i: int, j: int) -> int | None:
-        return _extremum(down_t[i] & down_t[j], down_t)
-
-    def lub(i: int, j: int) -> int | None:
-        return _extremum(up_t[i] & up_t[j], up_t)
+    # the order has no cycle, so distinct elements have distinct rows
+    by_down = {row: i for i, row in enumerate(down_t)}
+    by_up = {row: i for i, row in enumerate(up_t)}
 
     # ortho is an order-reversing involution, so a ^ b = ortho(ortho a v
     # ortho b): every pair has a meet as soon as every pair has a join
-    if all(lub(i, j) is not None for i in range(n) for j in range(i + 1, n)):
+    if all(row & other in by_up
+           for i, row in enumerate(up_t) for other in up_t[i + 1:]):
         kind = LATTICE
         for i in range(n):
             m = up_t[i] & ~(1 << i)
@@ -353,7 +337,8 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
                 low = m & -m
                 m ^= low
                 j = low.bit_length() - 1
-                if lub(i, glb(j, ortho[i])) != j:
+                meet = by_down[down_t[j] & down_t[ortho[i]]]
+                if by_up[up_t[i] & up_t[meet]] != j:
                     raise OrthomodularityViolated(
                         f"{new_labels[i]!r} <= {new_labels[j]!r} but "
                         f"{new_labels[j]!r} != {new_labels[i]!r} v "
@@ -404,7 +389,8 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
         # orthoposet alone does not determine blocks.
         unbounded = next([new_labels[i], new_labels[j]] for i in range(n)
                          for j in range(i, n)
-                         if glb(i, j) is None or lub(i, j) is None)
+                         if down_t[i] & down_t[j] not in by_down
+                         or up_t[i] & up_t[j] not in by_up)
         raise UnboundedPair(
             f"{unbounded[0]!r} and {unbounded[1]!r} have no meet or join; "
             "structures with missing bounds are only accepted in block form",
@@ -472,8 +458,8 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
     return OrthoStructure(
         labels=new_labels, n=n, zero=zero, one=one, kind=kind, ortho=ortho,
         blocks=tuple(blocks), _index={lab: i for i, lab in enumerate(new_labels)},
-        _down=down_t, _up=up_t, _atoms=atoms, _block_joins=tuple(block_joins),
-        _elem_blocks=tuple(elem_blocks))
+        _down=down_t, _up=up_t, _by_down=by_down, _by_up=by_up, _atoms=atoms,
+        _block_joins=tuple(block_joins), _elem_blocks=tuple(elem_blocks))
 
 
 # -- public constructors -------------------------------------------------------

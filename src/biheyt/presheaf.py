@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Mapping
 
 from .contexts import Context, ContextPoset
@@ -65,9 +66,10 @@ class ClopenSubobject:
                      for p, a in enumerate(c.atoms) if (m >> p) & 1)
 
     def to_mapping(self) -> dict[str, str]:
-        st = self.poset.structure
-        return {c.id: st.label(self.element_at(i))
-                for i, c in enumerate(self.poset.contexts)}
+        poset, bits = self.poset, self.bits
+        labels = poset.structure.labels
+        return {cid: labels[elem[bits >> off & f]] for cid, elem, off, f in
+                zip(poset._by_id, poset._mask_to_elem, poset._offsets, poset._full)}
 
     def __eq__(self, other):
         return (isinstance(other, ClopenSubobject)
@@ -89,8 +91,7 @@ class ClopenSubobject:
         return ClopenSubobject(self.poset, self.bits | other.bits)
 
     def __repr__(self):
-        parts = ", ".join(f"{c.id}: {self.poset.structure.label(self.element_at(i))}"
-                          for i, c in enumerate(self.poset.contexts))
+        parts = ", ".join(f"{k}: {v}" for k, v in self.to_mapping().items())
         return f"ClopenSubobject({parts})"
 
 
@@ -113,9 +114,8 @@ class GlobalSection:
     atoms: tuple[int, ...]   # element index of the chosen atom, per context
 
     def to_mapping(self) -> dict[str, str]:
-        st = self.poset.structure
-        return {c.id: st.label(self.atoms[i])
-                for i, c in enumerate(self.poset.contexts)}
+        labels = self.poset.structure.labels
+        return {cid: labels[a] for cid, a in zip(self.poset._by_id, self.atoms)}
 
 
 # -- pointwise structure -------------------------------------------------------
@@ -390,6 +390,31 @@ def global_sections(poset: ContextPoset, *,
                     limits: Limits = DEFAULT_LIMITS) -> tuple[GlobalSection, ...]:
     """All global sections of the spectral presheaf, sorted by their atoms.
 
+    The search (``_section_states``) yields each section as a packed state,
+    one point per context.  They are decoded a column at a time: for each
+    context one comprehension maps the slice ``state >> offset & full``
+    through a table from one-hot masks to atoms, and a slice that is not
+    one-hot raises the bug ``AssertionError``.  The atom tuples are then
+    sorted and wrapped.  ``biheyt sections`` without ``--list`` counts the
+    states as the search yields them and keeps none, so it decodes nothing
+    and its memory does not grow with the count.  An empty result is a
+    Kochen-Specker style obstruction.
+    """
+    states = list(_section_states(poset, limits))
+    columns = []
+    for c, off, f in zip(poset.contexts, poset._offsets, poset._full):
+        atom_of = {1 << p: a for p, a in enumerate(c.atoms)}
+        try:
+            columns.append([atom_of[state >> off & f] for state in states])
+        except KeyError:
+            raise AssertionError("section is not one point per context (bug)") from None
+    rows = sorted(zip(*columns)) if columns else [()] * len(states)
+    return tuple(map(GlobalSection, repeat(poset), rows))
+
+
+def _section_states(poset: ContextPoset, limits: Limits):
+    """Every global section as a packed state, in search order.
+
     The search picks an atom at each maximal context in index order, atoms
     ascending, depth-first on an explicit stack of (state, remaining
     choices).  The state is one int packed like a subobject: the points
@@ -401,8 +426,7 @@ def global_sections(poset: ContextPoset, *,
     every context lies below a maximal one, so a full state is a section,
     one point per context.  Every choice tried, compatible or not, is one
     node, and the search raises ``SizeGuard`` at the node past
-    ``limits.search_budget``.  An empty result is a Kochen-Specker style
-    obstruction.
+    ``limits.search_budget``.
     """
     budget = limits.search_budget
     offsets, full = poset._offsets, poset._full
@@ -414,8 +438,8 @@ def global_sections(poset: ContextPoset, *,
                  for p in range(len(poset.contexts[m].atoms))]
         choices.append([(pick, span ^ pick) for pick in picks])
     if not choices:   # no contexts: the empty family is the one section
-        return (GlobalSection(poset=poset, atoms=()),)
-    states = []
+        yield 0
+        return
     nodes = 0
     stack = [(0, iter(choices[0]))]
     while stack:
@@ -427,19 +451,9 @@ def global_sections(poset: ContextPoset, *,
                                 limit="search_budget", value=budget, nodes=nodes)
             if not state & clash:
                 if len(stack) == len(choices):
-                    states.append(state | pick)
+                    yield state | pick
                 else:
                     stack.append((state | pick, iter(choices[len(stack)])))
                     break
         else:
             stack.pop()
-    out = []
-    for state in states:
-        atoms = []
-        for c, off, f in zip(poset.contexts, offsets, full):
-            m = state >> off & f
-            if not m or m & (m - 1):
-                raise AssertionError("section is not one point per context (bug)")
-            atoms.append(c.atoms[m.bit_length() - 1])
-        out.append(GlobalSection(poset=poset, atoms=tuple(atoms)))
-    return tuple(sorted(out, key=lambda g: g.atoms))

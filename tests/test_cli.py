@@ -9,16 +9,18 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biheyt import canonical_json, cli, generate
+from biheyt import (canonical_json, cli, enumerate_contexts, from_greechie,
+                    generate, global_sections, presheaf)
 from biheyt.cli import run
 
-from test_oml import chain_pasting
+from test_oml import PENTAGON, chain_pasting, tree_pasting
 
 DAS_P = {"p+q|r": "p+q", "p+r|q": "p+r", "p|q+r": "p", "p|q|r": "p"}
 DAS_Q = {"p+q|r": "p+q", "p+r|q": "q", "p|q+r": "q+r", "p|q|r": "q"}
@@ -486,3 +488,71 @@ def test_random_json_values_never_escape_run(slot, value, where):
     assert code in (0, 1, 3)
     if not isinstance(value, str):
         _one_usage_error(code, out.getvalue(), err.getvalue())
+
+
+def _quiet(argv):
+    """``run`` with stdout and stderr captured: (exit code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _count_matches_the_search(poset, argv):
+    """``sections`` counts without decoding; ``--list`` decodes.  Both give
+    the count of ``global_sections``."""
+    want = len(global_sections(poset))
+    code, out, err = _quiet(["sections", *argv])
+    assert (code, out, err) == (0, canonical_json({"count": want}) + "\n", "")
+    code, out, _ = _quiet(["sections", "--list", *argv])
+    assert code == 0 and json.loads(out)["count"] == want
+
+
+@pytest.mark.parametrize("spec", ["boolean:2", "boolean:3", "boolean:4",
+                                  "boolean:5", "boolean:6", "mo:1", "mo:2",
+                                  "mo:5", "mo:12", "cabello18"])
+def test_section_count_matches_the_listing_on_builtins(spec):
+    name, _, n = spec.partition(":")
+    poset = enumerate_contexts(generate(name, int(n) if n else None))
+    _count_matches_the_search(poset, ["--builtin", spec])
+
+
+@given(tree_pasting())
+@settings(max_examples=20, deadline=None)
+def test_section_count_matches_the_listing_on_pastings(blocks):
+    poset = enumerate_contexts(from_greechie(blocks))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _jfile(pathlib.Path(tmp), "tree.json",
+                      {"format": "greechie", "blocks": blocks})
+        _count_matches_the_search(poset, ["--input", path])
+
+
+@pytest.mark.parametrize("argv", [
+    ("--builtin", "cabello18"), ("--builtin", "mo:12"),
+    ("--input", "pentagon")])
+def test_both_section_paths_trip_the_same_guard(tmp_path, argv):
+    """At a small budget the count and the listing stop at the same node,
+    with the same bytes on stderr and nothing on stdout."""
+    if argv[1] == "pentagon":
+        argv = ("--input", _jfile(tmp_path, "pentagon.json",
+                                  {"format": "greechie", "blocks": PENTAGON}))
+    for budget in ("1", "17", "89"):
+        flags = [*argv, "--search-budget", budget]
+        count = _quiet(["sections", *flags])
+        listing = _quiet(["sections", "--list", *flags])
+        assert count == listing
+        assert count[:2] == (2, "")
+        assert json.loads(count[2])["details"]["nodes"] == int(budget) + 1
+
+
+def test_a_state_with_two_points_at_a_context_is_a_bug(monkeypatch):
+    """The column decode refuses a state that is not one point per context."""
+    real = presheaf._section_states
+
+    def doubled(poset, limits):   # every point of the first context
+        for state in real(poset, limits):
+            yield state | poset._full[0] << poset._offsets[0]
+
+    monkeypatch.setattr(presheaf, "_section_states", doubled)
+    with pytest.raises(AssertionError, match="one point per context"):
+        global_sections(enumerate_contexts(generate("boolean", 3)))

@@ -246,9 +246,12 @@ def test_corrupt_contexts_are_bugs(boolean3_poset):
     ContextPoset(st, (fake,))
     with pytest.raises(AssertionError, match="partition"):
         ContextPoset(st, (top, fake))
+    # more elements than atom masks, then fewer: each count alone misses one
     lone = Context("p", (p,), boolean3_poset.context("p|q+r").elements)
-    with pytest.raises(AssertionError, match="not Boolean"):
-        ContextPoset(st, (lone,))
+    short = Context("p|q", (p, q), frozenset({st.zero, st.one, p}))
+    for bad in (lone, short):
+        with pytest.raises(AssertionError, match="not Boolean"):
+            ContextPoset(st, (bad,))
 
 
 def test_delta_to_smaller_context(boolean3_poset):

@@ -329,3 +329,77 @@ def chain_pasting(blocks):
     """A chain pasting of three-atom blocks, each sharing one atom with the
     next; the labels sort along the chain."""
     return [[f"x{k:04d}", f"y{k:04d}", f"x{k + 1:04d}"] for k in range(blocks)]
+
+
+def _extremum(mask, rows):
+    """Reference scan: the first element of ``mask`` whose row covers all of
+    ``mask``.  With ``_up`` rows this is the least element of the mask, with
+    ``_down`` rows the greatest."""
+    for i in range(mask.bit_length()):
+        if (mask >> i) & 1 and rows[i] & mask == mask:
+            return i
+    return None
+
+
+def _bounds_match_the_scan(structure):
+    down, up = structure._down, structure._up
+    every_join = True
+    for a in range(structure.n):
+        for b in range(structure.n):
+            join = _extremum(up[a] & up[b], up)
+            assert structure.lub(a, b) == join, (a, b)
+            assert structure.glb(a, b) == _extremum(down[a] & down[b], down)
+            every_join = every_join and join is not None
+    assert (structure.kind == "lattice") == every_join
+
+
+@pytest.mark.parametrize("name, n", [
+    ("boolean", 3), ("boolean", 4), ("mo", 2), ("mo", 3), ("mo", 12),
+    ("cabello18", None),
+])
+def test_bounds_match_the_scan_on_builtins(name, n):
+    _bounds_match_the_scan(generate(name, n))
+
+
+def test_bounds_match_the_scan_on_pastings():
+    pentagon = from_greechie(PENTAGON)
+    assert pentagon.kind == "lattice"
+    _bounds_match_the_scan(pentagon)
+    cabello = generate("cabello18")
+    assert cabello.kind == "pasted"
+    assert cabello.lub("0001", "0010") is None
+    assert cabello.glb("0001", "0010") == cabello.zero
+
+
+@given(tree_pasting())
+@settings(max_examples=20, deadline=None)
+def test_bounds_match_the_scan_on_tree_pastings(blocks):
+    _bounds_match_the_scan(from_greechie(blocks))
+
+
+# Recorded when every bound was found by the ``_extremum`` scan above.
+_ERROR_JSON = [
+    (O6, {"error": "OrthomodularityViolated",
+          "message": "'a' <= 'b' but 'b' != 'a' v ('b' ^ ortho('a'))",
+          "details": {"witness": ["a", "b"]}}),
+    ([["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"], ["g", "h", "a"]],
+     ["a", "e"]),
+    (list(biheyt.CABELLO18_BLOCKS), ["0001", "0010"]),
+    ([["e", "g", "d"], ["d", "a", "f"], ["f", "h", "c"], ["c", "b", "e"]],
+     ["a+d", "b+c"]),
+]
+
+
+@pytest.mark.parametrize("raw, want", _ERROR_JSON)
+def test_validation_errors_are_unchanged(raw, want):
+    if isinstance(raw, list):   # a pasting, given by its explicit dump
+        a, b = want
+        want = {"error": "UnboundedPair",
+                "message": f"{a!r} and {b!r} have no meet or join; structures "
+                           "with missing bounds are only accepted in block "
+                           "form",
+                "details": {"witness": want}}
+        raw = _dump_explicit(from_greechie(raw))
+    with pytest.raises(biheyt.BiheytError) as info:
+        validate(raw)
+    assert info.value.to_json() == want
