@@ -40,6 +40,7 @@ def test_boolean2_is_smallest_lattice(boolean2):
 def test_o6_fails_orthomodularity():
     with pytest.raises(OrthomodularityViolated) as exc:
         validate(O6)
+    assert str(exc.value) == "'a' <= 'b' but 'b' != 'a' v ('b' ^ ortho('a'))"
     lo, hi = exc.value.details["witness"]
     # independent check that the reported pair really violates the law:
     # walk the 6-element order by hand and evaluate a v (b ^ a')
@@ -187,6 +188,9 @@ def test_unbounded_pair_witness_is_the_first_in_element_order(blocks,
     with pytest.raises(UnboundedPair) as info:
         validate(_dump_explicit(from_greechie(blocks)))
     assert info.value.details == {"witness": witness}
+    assert str(info.value) == (
+        f"{witness[0]!r} and {witness[1]!r} have no meet or join; structures "
+        "with missing bounds are only accepted in block form")
 
 
 def test_cabello18_shape(cabello18):
@@ -375,31 +379,3 @@ def test_bounds_match_the_scan_on_pastings():
 @settings(max_examples=20, deadline=None)
 def test_bounds_match_the_scan_on_tree_pastings(blocks):
     _bounds_match_the_scan(from_greechie(blocks))
-
-
-# Recorded when every bound was found by the ``_extremum`` scan above.
-_ERROR_JSON = [
-    (O6, {"error": "OrthomodularityViolated",
-          "message": "'a' <= 'b' but 'b' != 'a' v ('b' ^ ortho('a'))",
-          "details": {"witness": ["a", "b"]}}),
-    ([["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"], ["g", "h", "a"]],
-     ["a", "e"]),
-    (list(biheyt.CABELLO18_BLOCKS), ["0001", "0010"]),
-    ([["e", "g", "d"], ["d", "a", "f"], ["f", "h", "c"], ["c", "b", "e"]],
-     ["a+d", "b+c"]),
-]
-
-
-@pytest.mark.parametrize("raw, want", _ERROR_JSON)
-def test_validation_errors_are_unchanged(raw, want):
-    if isinstance(raw, list):   # a pasting, given by its explicit dump
-        a, b = want
-        want = {"error": "UnboundedPair",
-                "message": f"{a!r} and {b!r} have no meet or join; structures "
-                           "with missing bounds are only accepted in block "
-                           "form",
-                "details": {"witness": want}}
-        raw = _dump_explicit(from_greechie(raw))
-    with pytest.raises(biheyt.BiheytError) as info:
-        validate(raw)
-    assert info.value.to_json() == want
