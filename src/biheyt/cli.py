@@ -259,8 +259,7 @@ def _cmd_check(args, limits) -> str:
 def _cmd_sections(args, limits) -> str:
     poset = _poset(args, limits)
     if args.list_all:
-        # only the mappings outlive the comprehension, so the sections are
-        # freed before the JSON is built
+        # the sections die with the comprehension, before the JSON is built
         sections = [g.to_mapping() for g in global_sections(poset, limits=limits)]
         return canonical_json({"count": len(sections), "sections": sections})
     return canonical_json({"count": sum(1 for _ in _section_states(poset, limits))})

@@ -4,9 +4,8 @@ A context is a nontrivial Boolean subalgebra (the trivial {0, 1} subalgebra is
 excluded; it would wreck the negation formulas downstream).  Every context
 lies inside some block, and the Boolean subalgebras of a block correspond to
 the partitions of its atom set, so enumeration walks block-atom partitions.
-One walk over the unions of a partition's cells gives the subalgebra's
-elements, its atoms (the single cells) and an int bitset of its elements,
-by which partitions giving the same subalgebra are deduplicated.
+One walk over the unions of a partition's cells gives the elements, the
+atoms and the int bitset of elements by which partitions are deduplicated.
 
 Context ids are the sorted atom labels joined with "|".  The spectrum of a
 context V is its atom set, and each P in V is the clopen set alpha_V(P) of
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import NoLeastUpperWitness, SizeGuard, UsageError
 from .limits import DEFAULT_LIMITS, Limits
-from .oml import LATTICE, OrthoStructure
+from .oml import LATTICE, OrthoStructure, _extremum
 
 
 @dataclass(frozen=True)
@@ -57,12 +56,11 @@ class ContextPoset:
 
     Built by ``enumerate_contexts``.  Contexts are indexed in canonical order
     (sorted by id).  Every table is alpha read off the structure's order
-    rows.  One walk over the subsets of context i's atoms gives, for each
-    atom mask m, those atoms as an element bitset; the element e whose
-    ``_down`` row meets the atoms in exactly that bitset is
-    ``_mask_to_elem[i][m]``, and ``_elem_mask[i]`` is its inverse, the mask
-    of the atoms of i below e.  The context is Boolean iff this matches its
-    elements one to one with its masks.  The atoms of a subcontext j
+    rows.  One walk over the subsets of context i's atoms gives each atom
+    mask m as an element bitset; ``_mask_to_elem[i][m]`` is the element
+    whose ``_down`` row meets the atoms in exactly that bitset, and
+    ``_elem_mask[i]`` is its inverse.  The context is Boolean iff that pairs
+    its elements one to one with its masks.  The atoms of a subcontext j
     are elements of i, so ``_pre[(i, j)]`` is ``_elem_mask[i]`` of j's atoms
     (the atoms of i restricting to each of them) and ``_restr[(i, j)]`` is
     its inverse.  V' <= V iff V' has no element outside V.  No pair of
@@ -70,8 +68,8 @@ class ContextPoset:
     it, and the AND of those bitsets over the elements of j is j with its
     supercontexts.  That is one AND of n-bit ints per element of each
     context, so the work still grows with n squared, over machine words
-    rather than over pairs.  The pairs are the keys of ``_restr``, ascending
-    in (i, j), and
+    rather than over pairs.  The
+    pairs are the keys of ``_restr``, ascending in (i, j), and
     ``_below[i]`` and ``_above[i]`` list the strict subcontexts and
     supercontexts of i in ascending order.
     Every table is built here and never changed; the poset holds no cache
@@ -83,6 +81,9 @@ class ContextPoset:
         self.contexts = contexts
         self._by_id = {c.id: i for i, c in enumerate(contexts)}
         n = len(contexts)
+        self._elements = elements = tuple(sum(1 << e for e in c.elements)
+                                          for c in contexts)
+
         offsets = []
         total = 0
         for c in contexts:
@@ -93,7 +94,6 @@ class ContextPoset:
         self._full = full = tuple((1 << len(c.atoms)) - 1 for c in contexts)
 
         down = structure._down
-        elements: list[int] = []
         elem_mask: list[dict[int, int]] = []
         mask_to_elem: list[tuple[int, ...]] = []
         for c in contexts:
@@ -106,8 +106,6 @@ class ContextPoset:
             inverse = tuple(map(below.__getitem__, walk))
             elem_mask.append({e: m for m, e in enumerate(inverse)})
             mask_to_elem.append(inverse)
-            elements.append(sum(1 << e for e in inverse))
-        self._elements = tuple(elements)
         self._elem_mask = tuple(elem_mask)
         self._mask_to_elem = tuple(mask_to_elem)
 
@@ -285,7 +283,7 @@ def delta_global(poset: ContextPoset, ctx, p: int | str) -> int:
     j = poset.index(ctx)
     st = poset.structure
     p = st.el(p)
-    out = _least(st._up[p] & poset._elements[j], st._up)
+    out = _extremum(st._up[p] & poset._elements[j], st._up)
     if out is None:
         if st.kind == LATTICE:
             raise AssertionError("no least dominator in a lattice (bug)")
@@ -295,15 +293,3 @@ def delta_global(poset: ContextPoset, ctx, p: int | str) -> int:
             element=st.label(p), context=poset.contexts[j].id)
     return out
 
-
-def _least(mask: int, up: tuple[int, ...]) -> int | None:
-    """The least element of ``mask``, if any, by a scan: the elements of a
-    context above p are no principal up-set, so no row lookup finds it."""
-    m = mask
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        if up[i] & mask == mask:
-            return i
-        m ^= low
-    return None

@@ -167,6 +167,22 @@ def _close_order(n: int, up: list[int]) -> None:
                 changed = True
 
 
+def _extremum(mask: int, rows: tuple[int, ...]) -> int | None:
+    """First element of ``mask`` whose row covers all of ``mask``, if any.
+
+    Only ``delta_global`` still scans: the elements of a context above p
+    form no principal up-set, so ``_by_up`` cannot find their least one.
+    """
+    m = mask
+    while m:
+        low = m & -m
+        i = low.bit_length() - 1
+        if rows[i] & mask == mask:
+            return i
+        m ^= low
+    return None
+
+
 def _maximal_cliques(vertices: list[int], neighbors: dict[int, set[int]]) -> list[tuple[int, ...]]:
     """Bron-Kerbosch with pivoting; results sorted for determinism."""
     out: list[tuple[int, ...]] = []

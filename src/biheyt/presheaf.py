@@ -390,14 +390,11 @@ def global_sections(poset: ContextPoset, *,
                     limits: Limits = DEFAULT_LIMITS) -> tuple[GlobalSection, ...]:
     """All global sections of the spectral presheaf, sorted by their atoms.
 
-    The search (``_section_states``) yields each section as a packed state,
-    one point per context.  They are decoded a column at a time: for each
-    context one comprehension maps the slice ``state >> offset & full``
-    through a table from one-hot masks to atoms, and a slice that is not
-    one-hot raises the bug ``AssertionError``.  The atom tuples are then
-    sorted and wrapped.  ``biheyt sections`` without ``--list`` counts the
-    states as the search yields them and keeps none, so it decodes nothing
-    and its memory does not grow with the count.  An empty result is a
+    ``_section_states`` yields each section as a packed state.  The states
+    are decoded a context at a time, each slice mapped through a table from
+    one-hot masks to atoms (any other slice is a bug), and the atom tuples
+    are sorted.  ``biheyt sections`` without ``--list`` only counts the
+    states, so it keeps and decodes none.  An empty result is a
     Kochen-Specker style obstruction.
     """
     states = list(_section_states(poset, limits))
