@@ -25,7 +25,8 @@ from .limits import DEFAULT_LIMITS, Limits
 from .oml import validate
 from .oracle import (brute_coheyting_subtract, brute_heyting_implies,
                      brute_negations, check_adjunctions)
-from .presheaf import _section_states, enumerate_subobjects, global_sections
+from .presheaf import (_section_states, _subobject_batches, enumerate_subobjects,
+                       global_sections)
 from .serialize import (builtin_structure, canonical_json, contexts_dot,
                         subobject_dot, subobject_from_mapping,
                         subobject_to_json)
@@ -267,11 +268,12 @@ def _cmd_sections(args, limits) -> str:
 
 def _cmd_enumerate(args, limits) -> str:
     poset = _poset(args, limits)
-    subs = enumerate_subobjects(poset, limits=limits)
     if args.list_all:
+        subs = enumerate_subobjects(poset, limits=limits)
         return canonical_json({"count": len(subs),
                                "subobjects": [s.to_mapping() for s in subs]})
-    return canonical_json({"count": len(subs)})
+    batches = _subobject_batches(poset, limits)
+    return canonical_json({"count": sum(len(batch) for _, batch in batches)})
 
 
 def _cmd_export_dot(args, limits) -> str:

@@ -233,43 +233,69 @@ def enumerate_subobjects(poset: ContextPoset, *,
     j and ANDs the pullback of m into the upper bound of each later
     supercontext, so once every context is assigned the lower bound is the
     subobject.  Both updates are lookups in tables built per call from
-    ``image_mask``/``pullback_mask`` for every mask of j; the bounds are
-    passed down by value, so backtracking restores nothing.  Only monotone
+    ``image_mask``/``pullback_mask`` for every mask of j.  Only monotone
     families are generated, and no branch dead-ends: restrictions compose,
     so for assigned W >= V >= V' the image of the component at W already
-    lies in the pullback of the one at V'.
+    lies in the pullback of the one at V'.  The walk is depth-first on an
+    explicit stack, so no number of contexts meets the recursion limit: a
+    context with one choice is assigned in place, and one with more pushes
+    a frame of its bounds and remaining masks.
 
     The tail of the walk from the cut context k, the first one from which
     at most ``_CUT_POINTS`` spectrum points remain (the last context if
     none is), depends only on the bounds of contexts k and later.  So the
     walk keeps a memo, local to the call, from those bounds to the packed
-    tails they produce, in canonical order.  A bound state met for the
-    first time is walked once, its last context's choices added a batch at
-    a time; every visit then builds its objects in one flat loop, ORing
-    each tail into the assigned components and setting the slots with no
-    ``__init__`` call.  Every memo key is visited at least once and each
-    visit outputs its whole batch, so the memo never holds more ints than
-    the result has objects.  Unless the last context alone has more than
-    ``_CUT_POINTS`` atoms, a batch lists subobjects of at most that many
-    points, so it holds at most 2**``_CUT_POINTS`` ints.
+    tails they produce, in canonical order: a bound state met for the first
+    time is walked once from k to fill its batch, and every visit yields
+    its whole batch beside the components assigned before k.  So the memo
+    never holds more ints than there are subobjects, and unless the last
+    context alone has more than ``_CUT_POINTS`` atoms a batch holds at most
+    2**``_CUT_POINTS`` ints.  With no contexts the cut is 0 and the one
+    batch is the empty family.
 
-    Nothing is cached between calls: every call walks again and raises
-    ``SizeGuard`` once the count passes ``limits.max_subobjects``, with the
-    count ``reached`` at the end of the first last-context batch past the
-    limit, the run of tails that differ only at the last context.  The
-    cyclic collector is paused for the walk and the caller's setting
-    restored after it, also on an error.  The walk creates no reference
-    cycles, so a collection during it could only traverse the growing
-    result and free nothing; paused, the result costs its allocations
-    alone, and dropping it frees it by reference counting.  The pause is
-    process-wide, so it is not safe across threads: a walk running beside
-    another thread's ``gc.disable()`` or ``gc.enable()`` may undo that call
-    when it ends.
+    Nothing is cached between calls: every call walks again.  The one guard
+    stands before a batch is yielded: once the count would pass
+    ``limits.max_subobjects`` it raises ``SizeGuard`` with the count
+    ``reached`` at the end of the first last-context batch past the limit,
+    the run of tails that differ only at the last context.  Here each
+    object is built by ORing a tail into the assigned components and
+    setting the slots with no ``__init__`` call; ``biheyt enumerate``
+    without ``--list`` sums the batch lengths and builds none.
+
+    The cyclic collector is paused while the tuple is built, and only then,
+    and the caller's setting restored after it, also on an error.  The walk
+    creates no reference cycles, so a collection during it could only
+    traverse the growing result and free nothing; paused, the result costs
+    its allocations alone, and dropping it frees it by reference counting.
+    The pause is process-wide, so it is not safe across threads: a walk
+    running beside another thread's ``gc.disable()`` or ``gc.enable()`` may
+    undo that call when it ends.
     """
+    out: list[ClopenSubobject] = []
+    append, new, cls = out.append, object.__new__, ClopenSubobject
+    set_poset, set_bits = _set_poset, _set_bits
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for lower, batch in _subobject_batches(poset, limits):
+            for b in batch:
+                s = new(cls)
+                set_poset(s, poset)
+                set_bits(s, lower | b)
+                append(s)
+    finally:
+        if collecting:
+            gc.enable()
+    return tuple(out)
+
+
+def _subobject_batches(poset: ContextPoset, limits: Limits):
+    """The walk of ``enumerate_subobjects``: (assigned components, memo
+    batch) pairs in canonical order, guarded by ``limits.max_subobjects``."""
     budget = limits.max_subobjects
     n = len(poset.contexts)
-    full, offsets = poset._full, poset._offsets
-    total = poset.total_bits
+    full, total = poset._full, poset.total_bits
+    offsets = (*poset._offsets, total)   # the end as a sentinel for n = 0
     ones = (1 << total) - 1
     raise_lower: list[tuple[int, ...]] = []
     cut_upper: list[tuple[int, ...]] = []
@@ -286,75 +312,47 @@ def enumerate_subobjects(poset: ContextPoset, *,
             for m in masks))
     submasks = {f: tuple(tuple(_submasks(free)) for free in range(f + 1))
                 for f in set(full)}
-    last = n - 1
-    leaves = tuple(tuple(s << offsets[last] for s in t)
-                   for t in submasks[full[last]]) if n else ()
+    last = max(n - 1, 0)
     cut = next((k for k in range(n) if total - offsets[k] <= _CUT_POINTS), last)
-    cut_off = offsets[cut] if n else 0
-    prefix = (1 << offsets[last]) - 1 if n else 0   # all but the last context
+    cut_off, prefix = offsets[cut], (1 << offsets[last]) - 1   # all but the last
+
+    def walk(i: int, stop: int, lower: int, upper: int):
+        """The bounds once contexts i .. stop-1 are assigned, in order."""
+        stack = []
+        while True:
+            if i < stop:
+                off, f = offsets[i], full[i]
+                lo, up = lower >> off & f, upper >> off & f
+                if lo & ~up:
+                    raise AssertionError("subobject bounds crossed (bug)")
+                m = lo
+                if up != lo:   # the larger masks, for the backtrack
+                    stack.append((i, lower, upper, map(lo.__or__, submasks[f][up ^ lo])))
+            else:
+                yield lower, upper
+                while stack:
+                    i, lower, upper, rest = stack[-1]
+                    m = next(rest, None)
+                    if m is not None:
+                        break
+                    stack.pop()
+                else:
+                    return
+            lower, upper, i = lower | raise_lower[i][m], upper & cut_upper[i][m], i + 1
+
+    count = 0
     memo: dict[tuple[int, int], list[int]] = {}
-    out: list[ClopenSubobject] = []
-    append, new, cls = out.append, object.__new__, ClopenSubobject
-    set_poset, set_bits = _set_poset, _set_bits
-
-    def tail(i: int, lower: int, upper: int, acc: list[int]) -> None:
-        off, f = offsets[i], full[i]
-        lo, up = lower >> off & f, upper >> off & f
-        if lo & ~up:
-            raise AssertionError("subobject bounds crossed (bug)")
-        if i == last:
-            batch = leaves[up & ~lo]
-            reached = len(out) + len(acc) + len(batch)
-            if reached > budget:
-                raise _over_budget(budget, reached)
-            acc.extend(map(lower.__or__, batch))
-            return
-        raise_i, cut_i = raise_lower[i], cut_upper[i]
-        for s in submasks[f][up & ~lo]:
-            m = lo | s
-            tail(i + 1, lower | raise_i[m], upper & cut_i[m], acc)
-
-    def rec(i: int, lower: int, upper: int) -> None:
-        if i == cut:
-            key = (lower >> cut_off, upper >> cut_off)
-            batch = memo.get(key)
-            if batch is None:
-                acc: list[int] = []
-                tail(i, key[0] << cut_off, upper, acc)
-                batch = memo[key] = acc
-            room = budget - len(out)
-            if len(batch) > room:
-                raise _over_budget(budget, len(out) + _run_end(batch, room, prefix))
-            for b in batch:
-                s = new(cls)
-                set_poset(s, poset)
-                set_bits(s, lower | b)
-                append(s)
-            return
-        off, f = offsets[i], full[i]
-        lo, up = lower >> off & f, upper >> off & f
-        if lo & ~up:
-            raise AssertionError("subobject bounds crossed (bug)")
-        raise_i, cut_i = raise_lower[i], cut_upper[i]
-        for s in submasks[f][up & ~lo]:
-            m = lo | s
-            rec(i + 1, lower | raise_i[m], upper & cut_i[m])
-
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        if n:
-            rec(0, 0, ones)
-        elif budget < 1:
-            raise _over_budget(budget, 1)
-        else:   # no contexts: the empty family is the one subobject
-            append(ClopenSubobject(poset, 0))
-    finally:
-        # each closure's own cell held it, and through it `out` and `memo`
-        rec = tail = None
-        if collecting:
-            gc.enable()
-    return tuple(out)
+    for lower, upper in walk(0, cut, 0, ones):
+        key = (lower >> cut_off, upper >> cut_off)
+        batch = memo.get(key)
+        if batch is None:
+            batch = memo[key] = [low for low, _ in walk(cut, n, key[0] << cut_off, upper)]
+        if count + len(batch) > budget:
+            raise SizeGuard(f"subobject count exceeds limit {budget}",
+                            limit="max_subobjects", value=budget,
+                            reached=count + _run_end(batch, budget - count, prefix))
+        count += len(batch)
+        yield lower, batch
 
 
 def _run_end(batch: list[int], p: int, prefix: int) -> int:
@@ -368,19 +366,11 @@ def _run_end(batch: list[int], p: int, prefix: int) -> int:
 
 
 def _submasks(free: int):
-    """Every submask of ``free``, ascending."""
+    """Every nonzero submask of ``free``, ascending."""
     s = 0
-    while True:
-        yield s
-        if s == free:
-            return
+    while s != free:
         s = (s - free) & free
-
-
-def _over_budget(budget: int, reached: int) -> SizeGuard:
-    """The ``max_subobjects`` guard, with the count found when it tripped."""
-    return SizeGuard(f"subobject count exceeds limit {budget}",
-                     limit="max_subobjects", value=budget, reached=reached)
+        yield s
 
 
 # -- global sections -------------------------------------------------------------

@@ -16,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biheyt import (canonical_json, cli, enumerate_contexts, from_greechie,
+from biheyt import (DEFAULT_LIMITS, Limits, SizeGuard, canonical_json, cli,
+                    enumerate_contexts, enumerate_subobjects, from_greechie,
                     generate, global_sections, presheaf)
 from biheyt.cli import run
 
 from test_oml import PENTAGON, chain_pasting, tree_pasting
+from test_presheaf import THREE_CHAIN
 
 DAS_P = {"p+q|r": "p+q", "p+r|q": "p+r", "p|q+r": "p", "p|q|r": "p"}
 DAS_Q = {"p+q|r": "p+q", "p+r|q": "q", "p|q+r": "q+r", "p|q|r": "q"}
@@ -556,3 +558,94 @@ def test_a_state_with_two_points_at_a_context_is_a_bug(monkeypatch):
     monkeypatch.setattr(presheaf, "_section_states", doubled)
     with pytest.raises(AssertionError, match="one point per context"):
         global_sections(enumerate_contexts(generate("boolean", 3)))
+
+
+def _subobject_count_matches_the_listing(poset, argv, budget):
+    """``enumerate`` sums the memo batches and builds no subobject;
+    ``--list`` builds them.  Both give the count of
+    ``enumerate_subobjects``, or both exit 2 with its guard's bytes."""
+    argv = [*argv, "--max-subobjects", str(budget)]
+    try:
+        count = len(enumerate_subobjects(
+            poset, limits=Limits(max_subobjects=budget)))
+    except SizeGuard as exc:
+        want = (2, "", canonical_json(exc.to_json()) + "\n")
+        assert _quiet(["enumerate", *argv]) == want
+        assert _quiet(["enumerate", "--list", *argv]) == want
+        return
+    assert _quiet(["enumerate", *argv]) \
+        == (0, canonical_json({"count": count}) + "\n", "")
+    code, out, _ = _quiet(["enumerate", "--list", *argv])
+    assert code == 0 and json.loads(out)["count"] == count
+
+
+@pytest.mark.parametrize("spec", ["boolean:2", "boolean:3", "mo:1", "mo:2",
+                                  "mo:3", "mo:5", "mo:8"])
+def test_subobject_count_matches_the_listing_on_builtins(spec):
+    name, _, n = spec.partition(":")
+    poset = enumerate_contexts(generate(name, int(n)))
+    _subobject_count_matches_the_listing(poset, ["--builtin", spec],
+                                         DEFAULT_LIMITS.max_subobjects)
+
+
+@given(tree_pasting())
+@settings(max_examples=20, deadline=None)
+def test_subobject_count_matches_the_listing_on_pastings(blocks):
+    """A budget above the three-block chain's 63,286 subobjects and below
+    a four-atom block's 1,294,249."""
+    poset = enumerate_contexts(from_greechie(blocks))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _jfile(pathlib.Path(tmp), "tree.json",
+                      {"format": "greechie", "blocks": blocks})
+        _subobject_count_matches_the_listing(poset, ["--input", path], 70_000)
+
+
+def test_the_count_of_boolean4_fits_its_budget():
+    assert _quiet(["enumerate", "--builtin", "boolean:4",
+                   "--max-subobjects", "1294249"]) \
+        == (0, '{"count":1294249}\n', "")
+
+
+# boolean:3 memoises from its first context, so every budget stops it in
+# the one memo batch it walks; the three-block chain stops inside a memo
+# batch it is walking for the first time at 100 and in one met before at
+# 570.
+@pytest.mark.parametrize("argv, budgets", [
+    (("--builtin", "boolean:3"), ("1", "40", "94")),
+    (("--input", "chain"), ("1", "100", "570")),
+    (("--builtin", "cabello18"), ("1", "1000"))])
+def test_both_subobject_paths_trip_the_same_guard(tmp_path, argv, budgets):
+    """The count and the listing stop at the same subobject, with the same
+    bytes on stderr and nothing on stdout."""
+    if argv[1] == "chain":
+        argv = ("--input", _jfile(tmp_path, "chain.json",
+                                  {"format": "greechie", "blocks": THREE_CHAIN}))
+    for budget in budgets:
+        flags = [*argv, "--max-subobjects", budget]
+        count = _quiet(["enumerate", *flags])
+        listing = _quiet(["enumerate", "--list", *flags])
+        assert count == listing
+        assert count[:2] == (2, "")
+        assert json.loads(count[2])["details"]["value"] == int(budget)
+
+
+def test_the_subobject_count_builds_no_subobject(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a subobject was built")
+
+    monkeypatch.setattr(presheaf, "_set_bits", refuse)
+    assert _quiet(["enumerate", "--builtin", "boolean:3"]) \
+        == (0, '{"count":95}\n', "")
+    with pytest.raises(AssertionError, match="was built"):
+        _quiet(["enumerate", "--builtin", "boolean:3", "--list"])
+
+
+def test_enumerate_on_a_long_chain_stops_at_its_guard(tmp_path):
+    """The 400-block chain pasting has 1,201 contexts, more than the
+    default recursion limit has frames for; the walk uses none."""
+    path = _jfile(tmp_path, "chain400.json",
+                  {"format": "greechie", "blocks": chain_pasting(400)})
+    assert _quiet(["enumerate", "--input", path, "--max-subobjects", "1000"]) \
+        == (2, "", '{"details":{"limit":"max_subobjects","reached":1002,'
+                   '"value":1000},"error":"SizeGuard",'
+                   '"message":"subobject count exceeds limit 1000"}\n')

@@ -414,16 +414,11 @@ def test_guard_reached_inside_memo_batches(loop_poset, loop_bits):
     for k in (1, 4, 5):
         start, end = batches[k], batches[k + 1]
         budgets += [start, (start + end) // 2, end - 1]
-    tripped_on_a_hit = set()
     for budget in budgets:
-        with mock.patch.object(presheaf, "_run_end",
-                               wraps=presheaf._run_end) as spy:
-            details = _guard_details(lambda: enumerate_subobjects(
-                loop_poset, limits=Limits(max_subobjects=budget)))
-        tripped_on_a_hit.add(spy.called)
+        details = _guard_details(lambda: enumerate_subobjects(
+            loop_poset, limits=Limits(max_subobjects=budget)))
         assert details == {"limit": "max_subobjects", "value": budget,
                            "reached": reached(budget)}
-    assert tripped_on_a_hit == {True, False}
 
 
 def test_repeated_enumeration_keeps_the_budget():
@@ -455,9 +450,9 @@ def _dropped_poset_dies(walk, structure) -> bool:
 # boolean:3 memoises from its first context, the chain from its fifth: a
 # budget of 100 stops the chain's walk inside a memo batch it is walking for
 # the first time, one of 570 inside a memo batch met before.
-GUARDED_WALKS = [(generate("boolean", 3), 40, False),
-                 (from_greechie(THREE_CHAIN), 100, False),
-                 (from_greechie(THREE_CHAIN), 570, True)]
+GUARDED_WALKS = [(generate("boolean", 3), 40),
+                 (from_greechie(THREE_CHAIN), 100),
+                 (from_greechie(THREE_CHAIN), 570)]
 
 
 def test_dropped_enumeration_is_freed_without_the_collector():
@@ -466,15 +461,22 @@ def test_dropped_enumeration_is_freed_without_the_collector():
 
 
 def test_enumeration_stopped_by_its_guard_leaves_no_cycle():
-    for structure, budget, on_a_hit in GUARDED_WALKS:
+    for structure, budget in GUARDED_WALKS:
         def walk(poset):
-            with mock.patch.object(presheaf, "_run_end",
-                                   wraps=presheaf._run_end) as spy:
-                with pytest.raises(SizeGuard):
-                    enumerate_subobjects(poset,
-                                         limits=Limits(max_subobjects=budget))
-            assert spy.called is on_a_hit
+            with pytest.raises(SizeGuard):
+                enumerate_subobjects(poset,
+                                     limits=Limits(max_subobjects=budget))
         assert _dropped_poset_dies(walk, structure)
+
+
+def test_count_stopped_by_its_guard_leaves_no_cycle():
+    """``biheyt enumerate`` without ``--list`` sums the batch lengths."""
+    for structure, budget in GUARDED_WALKS:
+        def count(poset):
+            with pytest.raises(SizeGuard):
+                sum(len(batch) for _, batch in presheaf._subobject_batches(
+                    poset, Limits(max_subobjects=budget)))
+        assert _dropped_poset_dies(count, structure)
 
 
 def test_dropped_section_search_is_freed_without_the_collector():
@@ -503,6 +505,24 @@ def test_section_search_is_not_bounded_by_the_recursion_limit():
         sys.setrecursionlimit(before)
     assert info.value.details == {"limit": "search_budget", "value": 1000,
                                   "nodes": 1001}
+
+
+def test_enumeration_is_not_bounded_by_the_recursion_limit():
+    """A 150-block chain has 451 contexts, more than the lowered limit
+    leaves frames for; the walk still stops at its guard, where the
+    reference walk does."""
+    poset = enumerate_contexts(from_greechie(chain_pasting(150)))
+    assert len(poset.contexts) == 451
+    want = _guard_details(lambda: _reference_walk(poset, 1000))
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        with pytest.raises(SizeGuard) as info:
+            enumerate_subobjects(poset, limits=Limits(max_subobjects=1000))
+    finally:
+        sys.setrecursionlimit(before)
+    assert info.value.details == want == {"limit": "max_subobjects",
+                                          "value": 1000, "reached": 1002}
 
 
 @pytest.mark.parametrize("collecting", [True, False])
