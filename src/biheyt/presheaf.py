@@ -314,7 +314,8 @@ def _subobject_batches(poset: ContextPoset, limits: Limits):
                 for f in set(full)}
     last = max(n - 1, 0)
     cut = next((k for k in range(n) if total - offsets[k] <= _CUT_POINTS), last)
-    cut_off, prefix = offsets[cut], (1 << offsets[last]) - 1   # all but the last
+    cut_off = offsets[cut]
+    prefix = (1 << offsets[last]) - 1   # all but the last context
 
     def walk(i: int, stop: int, lower: int, upper: int):
         """The bounds once contexts i .. stop-1 are assigned, in order."""
@@ -327,7 +328,8 @@ def _subobject_batches(poset: ContextPoset, limits: Limits):
                     raise AssertionError("subobject bounds crossed (bug)")
                 m = lo
                 if up != lo:   # the larger masks, for the backtrack
-                    stack.append((i, lower, upper, map(lo.__or__, submasks[f][up ^ lo])))
+                    rest = map(lo.__or__, submasks[f][up ^ lo])
+                    stack.append((i, lower, upper, rest))
             else:
                 yield lower, upper
                 while stack:
@@ -348,9 +350,10 @@ def _subobject_batches(poset: ContextPoset, limits: Limits):
         if batch is None:
             batch = memo[key] = [low for low, _ in walk(cut, n, key[0] << cut_off, upper)]
         if count + len(batch) > budget:
+            room = max(budget - count, 0)   # a budget below 0 has none
             raise SizeGuard(f"subobject count exceeds limit {budget}",
                             limit="max_subobjects", value=budget,
-                            reached=count + _run_end(batch, budget - count, prefix))
+                            reached=count + _run_end(batch, room, prefix))
         count += len(batch)
         yield lower, batch
 

@@ -394,7 +394,7 @@ def test_enumeration_budget_counts_every_subobject():
 def test_guard_reached_matches_the_reference_on_every_budget(boolean3_poset):
     bits = _reference_walk(boolean3_poset)
     reached = _reached(boolean3_poset, bits)
-    for budget in range(len(bits)):
+    for budget in range(-2, len(bits)):
         want = _guard_details(lambda: _reference_walk(boolean3_poset, budget))
         assert want["reached"] == reached(budget)
         assert _guard_details(lambda: enumerate_subobjects(
