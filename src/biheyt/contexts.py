@@ -11,15 +11,13 @@ Context ids are the sorted atom labels joined with "|".  The spectrum of a
 context V is its atom set, and each P in V is the clopen set alpha_V(P) of
 the atoms of V below P.  ``ContextPoset`` derives every table from that one
 rule and the structure's order rows: element <-> atom mask per context, and
-per inclusion V' <= V the preimage of each atom of V' (alpha_V of it) and
-the restriction of each atom of V (the atom of V' whose preimage holds it).
-The inclusions themselves come from per-element bitsets of the contexts
-holding each element, never from a test of every pair of contexts.
-Coarse-graining ``delta(V, V', P)``, the least element of V' dominating P,
-is then the restriction image of alpha_V(P).  For P anywhere in the
-structure (``delta_global``) it is the least element of the mask of V's
-elements above P.  Scanning V' with ``leq`` is left to the oracle, which
-checks both against it.
+per context a map from the set of its elements above an element to that
+element.  The map finds the least element of V' above any P by one lookup,
+which is coarse-graining ``delta_global(V', P)``; ``delta(V, V', P)`` is the
+same for P in V and V' <= V, and the restriction of an atom of V to V' is
+its coarse-graining.  The inclusions come from per-element bitsets of the
+contexts holding each element, never from a test of every pair of contexts.
+Scanning V' with ``leq`` is left to the oracle, which checks against it.
 """
 from __future__ import annotations
 
@@ -27,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import NoLeastUpperWitness, SizeGuard, UsageError
 from .limits import DEFAULT_LIMITS, Limits
-from .oml import LATTICE, OrthoStructure, _extremum
+from .oml import LATTICE, OrthoStructure
 
 
 @dataclass(frozen=True)
@@ -60,20 +58,22 @@ class ContextPoset:
     mask m as an element bitset; ``_mask_to_elem[i][m]`` is the element
     whose ``_down`` row meets the atoms in exactly that bitset, and
     ``_elem_mask[i]`` is its inverse.  The context is Boolean iff that pairs
-    its elements one to one with its masks.  The atoms of a subcontext j
-    are elements of i, so ``_pre[(i, j)]`` is ``_elem_mask[i]`` of j's atoms
-    (the atoms of i restricting to each of them) and ``_restr[(i, j)]`` is
-    its inverse.  V' <= V iff V' has no element outside V.  No pair of
+    its elements one to one with its masks.  ``_least[j]`` maps the key of
+    each element e of j, the elements of j above it (``_up[e] & _elements[j]``
+    shifted down by ``_shift[j]``), to e.  The least element of j above any
+    element p exists iff p's key is in the map, and is its value: the
+    coarse-graining of p, and for an atom of V its restriction to V'.  So
+    ``image_mask`` is a lookup, and ``pullback_mask`` is the mask in V of an
+    element of V'.  V' <= V iff V' has no element outside V.  No pair of
     contexts is tested: each element gets a bitset of the contexts holding
     it, and the AND of those bitsets over the elements of j is j with its
     supercontexts.  That is one AND of n-bit ints per element of each
     context, so the work still grows with n squared, over machine words
-    rather than over pairs.  The
-    pairs are the keys of ``_restr``, ascending in (i, j), and
-    ``_below[i]`` and ``_above[i]`` list the strict subcontexts and
-    supercontexts of i in ascending order.
-    Every table is built here and never changed; the poset holds no cache
-    or other mutable state, so it is immutable and safe to share.
+    rather than over pairs.  Per inclusion the masks in V of the atoms of
+    V' must partition V's atoms.  ``_below[i]`` and ``_above[i]`` list the
+    strict subcontexts and supercontexts of i in ascending order.  Every
+    table is built here and never changed; the poset holds no cache or
+    other mutable state, so it is immutable and safe to share.
     """
 
     def __init__(self, structure: OrthoStructure, contexts: tuple[Context, ...]):
@@ -93,10 +93,12 @@ class ContextPoset:
         self.total_bits = total
         self._full = full = tuple((1 << len(c.atoms)) - 1 for c in contexts)
 
-        down = structure._down
+        down, up = structure._down, structure._up
         elem_mask: list[dict[int, int]] = []
         mask_to_elem: list[tuple[int, ...]] = []
-        for c in contexts:
+        least: list[dict[int, int]] = []
+        shifts: list[int] = []
+        for c, mine in zip(contexts, elements):
             walk = [0]   # walk[m]: the atoms of mask m as an element bitset
             for a in c.atoms:
                 walk += [w | 1 << a for w in walk]
@@ -106,14 +108,23 @@ class ContextPoset:
             inverse = tuple(map(below.__getitem__, walk))
             elem_mask.append({e: m for m, e in enumerate(inverse)})
             mask_to_elem.append(inverse)
+            # every key holds 1, and the one key holding 0 holds all of the
+            # context, so the keys drop bits 0 and 1 and the empty bits up
+            # to the context's lowest other element
+            rest = mine & ~3
+            shift = (rest & -rest).bit_length() - 1
+            least.append({(up[e] & mine) >> shift: e for e in c.elements})
+            shifts.append(shift)
         self._elem_mask = tuple(elem_mask)
         self._mask_to_elem = tuple(mask_to_elem)
+        self._least = tuple(least)
+        self._shift = tuple(shifts)
 
         holders = [0] * structure.n
         for i, c in enumerate(contexts):
             for e in c.elements:
                 holders[e] |= 1 << i
-        subs: list[list[int]] = [[] for _ in range(n)]
+        below: list[list[int]] = [[] for _ in range(n)]
         above: list[list[int]] = [[] for _ in range(n)]
         for j, c in enumerate(contexts):
             m = -1
@@ -123,30 +134,15 @@ class ContextPoset:
                 low = m & -m
                 m ^= low
                 i = low.bit_length() - 1
-                subs[i].append(j)
-                if i != j:
-                    above[j].append(i)
-
-        below: list[list[int]] = [[] for _ in range(n)]
-        restr: dict[tuple[int, int], tuple[int, ...]] = {}
-        pre: dict[tuple[int, int], tuple[int, ...]] = {}
-        for i in range(n):
-            for j in subs[i]:
+                back = [elem_mask[i][b] for b in c.atoms]
+                covered = 0
+                for q in back:
+                    covered |= q
+                if not covered == sum(back) == full[i]:
+                    raise AssertionError("preimages do not partition the atoms (bug)")
                 if i != j:
                     below[i].append(j)
-                back = tuple(elem_mask[i][b] for b in contexts[j].atoms)
-                table = [None] * len(contexts[i].atoms)
-                for q, m in enumerate(back):
-                    while m:
-                        low = m & -m
-                        m ^= low
-                        table[low.bit_length() - 1] = q
-                if None in table or sum(back) != full[i]:
-                    raise AssertionError("preimages do not partition the atoms (bug)")
-                restr[(i, j)] = tuple(table)
-                pre[(i, j)] = back
-        self._restr = restr
-        self._pre = pre
+                    above[j].append(i)
         self._below = tuple(map(tuple, below))
         self._above = tuple(map(tuple, above))
         self.minimal = tuple(i for i in range(n) if not below[i])
@@ -172,7 +168,8 @@ class ContextPoset:
         return self.contexts[self.index(ctx)]
 
     def includes(self, big, small) -> bool:
-        return (self.index(big), self.index(small)) in self._restr
+        i = self.index(big)
+        return not self._elements[self.index(small)] & ~self._elements[i]
 
     def down_indices(self, ctx) -> tuple[int, ...]:
         i = self.index(ctx)
@@ -184,25 +181,20 @@ class ContextPoset:
 
     # -- bitmask plumbing shared with the presheaf layer ----------------------
 
+    def _least_above(self, j: int, p: int) -> int | None:
+        """The least element of context j above element p, if any."""
+        key = (self.structure._up[p] & self._elements[j]) >> self._shift[j]
+        return self._least[j].get(key)
+
     def image_mask(self, i: int, j: int, mask: int) -> int:
         """Forward image of an atom mask of context i in subcontext j."""
-        table = self._restr[(i, j)]
-        out = 0
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            out |= 1 << table[low.bit_length() - 1]
-        return out
+        p = self._mask_to_elem[i][mask]
+        key = (self.structure._up[p] & self._elements[j]) >> self._shift[j]
+        return self._elem_mask[j][self._least[j][key]]
 
     def pullback_mask(self, i: int, j: int, mask_j: int) -> int:
         """Atoms of context i whose restriction lands inside mask_j."""
-        table = self._pre[(i, j)]
-        out = 0
-        while mask_j:
-            low = mask_j & -mask_j
-            mask_j ^= low
-            out |= table[low.bit_length() - 1]
-        return out
+        return self._elem_mask[i][self._mask_to_elem[j][mask_j]]
 
 
 def enumerate_contexts(structure: OrthoStructure, *,
@@ -256,22 +248,27 @@ def maximal_above(poset: ContextPoset, ctx) -> tuple[Context, ...]:
                  if not poset._above[j])
 
 
+def _require_subcontext(poset: ContextPoset, i: int, j: int) -> None:
+    """The check that ``delta`` and ``restrict`` share: context j <= i."""
+    if not poset.includes(i, j):
+        raise UsageError(f"{poset.contexts[j].id!r} is not a subcontext of "
+                         f"{poset.contexts[i].id!r}")
+
+
 def delta(poset: ContextPoset, big, small, p: int | str) -> int:
     """Coarse-graining: least element of the subcontext dominating p.
 
     Requires p in V and V' <= V; under those preconditions the minimum always
-    exists and is the join of the restrictions of p's atoms.
+    exists, and it is ``delta_global`` of p in V'.
     """
     i, j = poset.index(big), poset.index(small)
     st = poset.structure
     p = st.el(p)
-    if (i, j) not in poset._restr:
-        raise UsageError(f"{poset.contexts[j].id!r} is not a subcontext of "
-                         f"{poset.contexts[i].id!r}")
+    _require_subcontext(poset, i, j)
     if p not in poset.contexts[i].elements:
         raise UsageError(f"element {st.label(p)!r} not in context "
                          f"{poset.contexts[i].id!r}")
-    return poset._mask_to_elem[j][poset.image_mask(i, j, poset._elem_mask[i][p])]
+    return delta_global(poset, j, p)
 
 
 def delta_global(poset: ContextPoset, ctx, p: int | str) -> int:
@@ -283,7 +280,7 @@ def delta_global(poset: ContextPoset, ctx, p: int | str) -> int:
     j = poset.index(ctx)
     st = poset.structure
     p = st.el(p)
-    out = _extremum(st._up[p] & poset._elements[j], st._up)
+    out = poset._least_above(j, p)
     if out is None:
         if st.kind == LATTICE:
             raise AssertionError("no least dominator in a lattice (bug)")
@@ -292,4 +289,3 @@ def delta_global(poset: ContextPoset, ctx, p: int | str) -> int:
             f"{poset.contexts[j].id!r}",
             element=st.label(p), context=poset.contexts[j].id)
     return out
-

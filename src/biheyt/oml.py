@@ -167,22 +167,6 @@ def _close_order(n: int, up: list[int]) -> None:
                 changed = True
 
 
-def _extremum(mask: int, rows: tuple[int, ...]) -> int | None:
-    """First element of ``mask`` whose row covers all of ``mask``, if any.
-
-    Only ``delta_global`` still scans: the elements of a context above p
-    form no principal up-set, so ``_by_up`` cannot find their least one.
-    """
-    m = mask
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        if rows[i] & mask == mask:
-            return i
-        m ^= low
-    return None
-
-
 def _maximal_cliques(vertices: list[int], neighbors: dict[int, set[int]]) -> list[tuple[int, ...]]:
     """Bron-Kerbosch with pivoting; results sorted for determinism."""
     out: list[tuple[int, ...]] = []
@@ -371,28 +355,22 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
     if given_blocks is not None:
         # Adopt the pasting's own blocks, verifying each join table restricts
         # to a Boolean algebra: atoms are structure atoms, 2^k distinct
-        # elements, ortho-closed, and order mirroring subset inclusion.
+        # elements, ortho-closed, and order mirroring subset inclusion.  The
+        # order needs only the k 2^k cover steps m -> m | bit to go up: were
+        # joins[m1] <= joins[m2] with a bit of m1 outside m2, the join a of
+        # that bit would lie below joins[m1] <= joins[m2] <= the join of all
+        # other bits, ortho(a), so a = 0 = joins[0] (checked above).
         ix = {lab: i for i, lab in enumerate(new_labels)}
         atom_set = frozenset(atoms)
         for atom_labels, table in given_blocks:
             cand = tuple(ix[a] for a in atom_labels)
             k = len(cand)
-            top_mask = (1 << k) - 1
-            joins = {mask: ix[table[mask]] for mask in range(1 << k)}
-            ok = atom_set.issuperset(cand)
-            if ok and len(set(joins.values())) != 1 << k:
-                ok = False
-            if ok:
-                for m1 in range(1 << k):
-                    if ortho[joins[m1]] != joins[top_mask ^ m1]:
-                        ok = False
-                        break
-                    for m2 in range(1 << k):
-                        if ((down_t[joins[m2]] >> joins[m1]) & 1) != (m1 & ~m2 == 0):
-                            ok = False
-                            break
-                    if not ok:
-                        break
+            masks = range(1 << k)
+            joins = {mask: ix[table[mask]] for mask in masks}
+            ok = (atom_set.issuperset(cand) and len(set(joins.values())) == 1 << k
+                  and all(ortho[joins[m]] == joins[masks[-1] ^ m] for m in masks)
+                  and all(down_t[joins[m | 1 << b]] >> joins[m] & 1
+                          for m in masks for b in range(k)))
             if not ok:
                 raise InconsistentIdentification(
                     f"block {sorted(atom_labels)!r} does not restrict to a "

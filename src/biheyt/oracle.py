@@ -242,10 +242,12 @@ def restriction_image_projection(poset: ContextPoset, s: ClopenSubobject,
                                  big, small) -> int:
     """Project the component at V into V' two independent ways and compare.
 
-    The table-driven coarse-graining (the restriction image of the
-    component's atoms) must equal the least element of V' dominating the
-    component, found by scanning V'; disagreement means an implementation
-    bug, so it raises AssertionError rather than a validation error.
+    The table-driven coarse-graining ``delta`` (one lookup of the set of
+    elements of V' above the component, which is also where the restriction
+    maps send the component's atoms) must equal the least element of V'
+    dominating the component, found by scanning V'; disagreement means an
+    implementation bug, so it raises AssertionError rather than a validation
+    error.
     """
     i, j = poset.index(big), poset.index(small)
     p = s.element_at(i)

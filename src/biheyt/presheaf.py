@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Mapping
 
-from .contexts import Context, ContextPoset
+from .contexts import Context, ContextPoset, _require_subcontext
 from .errors import NotASubobject, PosetMismatch, SizeGuard, UsageError
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -133,14 +133,10 @@ def restrict(poset: ContextPoset, point: SpectrumPoint, sub) -> SpectrumPoint:
     """Restrict a spectrum point to a subcontext (unique dominating atom)."""
     i = poset.index(point.context_id)
     j = poset.index(sub)
-    if (i, j) not in poset._restr:
-        raise UsageError(f"{poset.contexts[j].id!r} is not a subcontext of "
-                         f"{poset.contexts[i].id!r}")
-    try:
-        p = poset.contexts[i].atoms.index(point.atom)
-    except ValueError:
-        raise UsageError(f"{point.label!r} is not an atom of {point.context_id!r}") from None
-    a = poset.contexts[j].atoms[poset._restr[(i, j)][p]]
+    _require_subcontext(poset, i, j)
+    if point.atom not in poset.contexts[i].atoms:
+        raise UsageError(f"{point.label!r} is not an atom of {point.context_id!r}")
+    a = poset._least_above(j, point.atom)
     return SpectrumPoint(poset.contexts[j].id, a, poset.structure.label(a))
 
 
@@ -384,20 +380,20 @@ def global_sections(poset: ContextPoset, *,
     """All global sections of the spectral presheaf, sorted by their atoms.
 
     ``_section_states`` yields each section as a packed state.  The states
-    are decoded a context at a time, each slice mapped through a table from
-    one-hot masks to atoms (any other slice is a bug), and the atom tuples
-    are sorted.  ``biheyt sections`` without ``--list`` only counts the
+    are decoded a context at a time, each slice mapped through
+    ``_mask_to_elem``, and the atom tuples are sorted.  A state is one point
+    per context iff it has as many points as there are contexts and no
+    slice decodes to the bottom, 0, the element of the empty mask; anything
+    else is a bug.  ``biheyt sections`` without ``--list`` only counts the
     states, so it keeps and decodes none.  An empty result is a
     Kochen-Specker style obstruction.
     """
     states = list(_section_states(poset, limits))
-    columns = []
-    for c, off, f in zip(poset.contexts, poset._offsets, poset._full):
-        atom_of = {1 << p: a for p, a in enumerate(c.atoms)}
-        try:
-            columns.append([atom_of[state >> off & f] for state in states])
-        except KeyError:
-            raise AssertionError("section is not one point per context (bug)") from None
+    columns = [[elem[state >> off & f] for state in states] for elem, off, f
+               in zip(poset._mask_to_elem, poset._offsets, poset._full)]
+    n = len(columns)
+    if any(state.bit_count() != n for state in states) or any(0 in c for c in columns):
+        raise AssertionError("section is not one point per context (bug)")
     rows = sorted(zip(*columns)) if columns else [()] * len(states)
     return tuple(map(GlobalSection, repeat(poset), rows))
 
@@ -420,12 +416,18 @@ def _section_states(poset: ContextPoset, limits: Limits):
     """
     budget = limits.search_budget
     offsets, full = poset._offsets, poset._full
+    up = poset.structure._up
+    tables = tuple(zip(poset._least, poset._elem_mask, poset._elements,
+                       poset._shift, offsets))
     choices = []
     for m in poset.maximal:
         under = (m, *poset._below[m])
         span = sum(full[j] << offsets[j] for j in under)
-        picks = [sum(1 << (offsets[j] + poset._restr[(m, j)][p]) for j in under)
-                 for p in range(len(poset.contexts[m].atoms))]
+        rows = [tables[j] for j in under]
+        # an atom restricts to the least element of j above it, an atom of j
+        picks = [sum(mask[least[(up[a] & mine) >> shift]] << off
+                     for least, mask, mine, shift, off in rows)
+                 for a in poset.contexts[m].atoms]
         choices.append([(pick, span ^ pick) for pick in picks])
     if not choices:   # no contexts: the empty family is the one section
         yield 0

@@ -57,9 +57,11 @@ def _quote(name: str) -> str:
 
 def _covers_up(poset: ContextPoset) -> tuple[tuple[int, ...], ...]:
     """For each context, the contexts covering it, ascending."""
-    # j covers i iff no strict supercontext of i lies strictly below j
+    # j covers i iff no other strict supercontext of i lies inside j
+    elements = poset._elements
     return tuple(
-        tuple(j for j in up if not any((j, k) in poset._restr for k in up if k != j))
+        tuple(j for j in up
+              if not any(k != j and not elements[k] & ~elements[j] for k in up))
         for up in poset._above)
 
 

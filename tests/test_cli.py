@@ -560,6 +560,23 @@ def test_a_state_with_two_points_at_a_context_is_a_bug(monkeypatch):
         global_sections(enumerate_contexts(generate("boolean", 3)))
 
 
+def test_a_state_with_no_point_at_a_context_is_a_bug(monkeypatch):
+    """A state with one point per context on average is still refused when
+    one context has none: here the first context's point moves to the
+    second, a two-atom context, which then holds both of its points."""
+    real = presheaf._section_states
+
+    def moved(poset, limits):
+        first = poset._full[0] << poset._offsets[0]
+        second = poset._full[1] << poset._offsets[1]
+        for state in real(poset, limits):
+            yield state & ~first | second
+
+    monkeypatch.setattr(presheaf, "_section_states", moved)
+    with pytest.raises(AssertionError, match="one point per context"):
+        global_sections(enumerate_contexts(generate("boolean", 3)))
+
+
 def _subobject_count_matches_the_listing(poset, argv, budget):
     """``enumerate`` sums the memo batches and builds no subobject;
     ``--list`` builds them.  Both give the count of

@@ -27,6 +27,11 @@ SHARED_ATOM_BLOCKS = ["0001|0010|1100|1m00", "0001|0100|1010|10m0"]
 # Four three-atom blocks in a loop: a pasting with missing bounds.
 FOUR_LOOP = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"], ["g", "h", "a"]]
 
+# Three three-atom blocks in a loop: each atom shared by two blocks is
+# orthogonal to both shared atoms of the third block, so it has no least
+# dominator there, as "0100" has none in a block of cabello18.
+TRIANGLE = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "a"]]
+
 
 def _bell(n):
     # Peirce triangle; independent of the partition generator in the package.
@@ -128,18 +133,32 @@ def test_inclusion_matches_element_subsets(boolean4_poset, cabello18_poset):
             assert poset.down_indices(i) == down and poset.up_indices(i) == up
             for j in range(n):
                 assert poset.includes(i, j) == (j in down)
-                assert ((i, j) in poset._restr) == (j in down)
-                assert ((i, j) in poset._pre) == (j in down)
+
+
+def _bits(mask):
+    return [p for p in range(mask.bit_length()) if (mask >> p) & 1]
+
+
+def _assert_restriction_maps(poset, i, j, restr):
+    """``image_mask`` and ``pullback_mask`` of the inclusion j <= i on every
+    mask, against ``restr[p]``, the atom of j that atom p of i restricts to."""
+    for m in range(poset._full[i] + 1):
+        assert poset.image_mask(i, j, m) == sum(
+            1 << q for q in {restr[p] for p in _bits(m)})
+    for m in range(poset._full[j] + 1):
+        assert poset.pullback_mask(i, j, m) == sum(
+            1 << p for p, q in enumerate(restr) if (m >> q) & 1)
 
 
 def _all_pairs_tables(poset):
-    """The inclusion tables from a test of every ordered pair of contexts:
-    V' <= V iff V' has no element outside V."""
+    """The inclusion lists and restrictions from a test of every ordered pair
+    of contexts: V' <= V iff V' has no element outside V, and an atom of V
+    restricts to the atom of V' whose mask in V holds it."""
     contexts, elem_mask = poset.contexts, poset._elem_mask
     elements = [sum(1 << e for e in c.elements) for c in contexts]
     below = [[] for _ in contexts]
     above = [[] for _ in contexts]
-    restr, pre = {}, {}
+    restr = {}
     for i, ei in enumerate(elements):
         for j, ej in enumerate(elements):
             if ej & ~ei:
@@ -151,15 +170,14 @@ def _all_pairs_tables(poset):
             restr[(i, j)] = tuple(next(q for q, m in enumerate(back)
                                        if (m >> p) & 1)
                                   for p in range(len(contexts[i].atoms)))
-            pre[(i, j)] = back
-    return tuple(map(tuple, below)), tuple(map(tuple, above)), restr, pre
+    return tuple(map(tuple, below)), tuple(map(tuple, above)), restr
 
 
 def _assert_tables_match_all_pairs(poset):
-    below, above, restr, pre = _all_pairs_tables(poset)
+    below, above, restr = _all_pairs_tables(poset)
     assert poset._below == below and poset._above == above
-    assert list(poset._restr.items()) == list(restr.items())
-    assert list(poset._pre.items()) == list(pre.items())
+    for (i, j), table in restr.items():
+        _assert_restriction_maps(poset, i, j, table)
 
 
 @pytest.mark.parametrize("spec", [
@@ -200,7 +218,8 @@ def test_inclusion_lists_and_covers(boolean4_poset, cabello18_poset):
 
 def _check_tables(poset):
     """The alpha tables against references that never read ``_down``: the
-    block join of the chosen atoms, and an ``leq`` scan for restrictions."""
+    block join of the chosen atoms, and an ``leq`` scan for the restrictions
+    that ``image_mask`` and ``pullback_mask`` follow."""
     st = poset.structure
     for i, ci in enumerate(poset.contexts):
         bi = next(b for b, blk in enumerate(st.blocks)
@@ -216,13 +235,12 @@ def _check_tables(poset):
         for j, cj in enumerate(poset.contexts):
             if not cj.elements <= ci.elements:
                 continue
-            restr, pre = poset._restr[(i, j)], poset._pre[(i, j)]
-            for p, a in enumerate(ci.atoms):
+            restr = []
+            for a in ci.atoms:
                 hits = [q for q, b in enumerate(cj.atoms) if st.leq(a, b)]
-                assert hits == [restr[p]]
-            assert pre == tuple(
-                sum(1 << p for p, r in enumerate(restr) if r == q)
-                for q in range(len(cj.atoms)))
+                assert len(hits) == 1
+                restr += hits
+            _assert_restriction_maps(poset, i, j, restr)
 
 
 @pytest.mark.parametrize("spec", ["boolean:4", "mo:3", "cabello18"])
@@ -252,6 +270,19 @@ def test_corrupt_contexts_are_bugs(boolean3_poset):
     for bad in (lone, short):
         with pytest.raises(AssertionError, match="not Boolean"):
             ContextPoset(st, (bad,))
+
+
+def test_overlapping_preimages_are_bugs(boolean3_poset):
+    """The atoms p+q and q+r pass the Boolean check, but both lie above q:
+    their masks in the top context cover its atoms without partitioning
+    them."""
+    st = boolean3_poset.structure
+    top = boolean3_poset.context("p|q|r")
+    pq, qr = st.el("p+q"), st.el("q+r")
+    fake = Context("p+q|q+r", (pq, qr), frozenset({st.zero, st.one, pq, qr}))
+    ContextPoset(st, (fake,))
+    with pytest.raises(AssertionError, match="partition"):
+        ContextPoset(st, (top, fake))
 
 
 def test_delta_to_smaller_context(boolean3_poset):
@@ -354,18 +385,35 @@ def test_delta_global_can_fail_on_pastings(cabello18_poset):
     assert st.label(out) == "0010+1100+1m00"
 
 
-@pytest.mark.parametrize("spec", ["boolean:4", "mo:3", "cabello18"])
-def test_delta_global_matches_the_dominator_scan(spec):
-    poset = enumerate_contexts(builtin_structure(spec))
+def _delta_global_matches_the_dominator_scan(poset):
     st = poset.structure
+    misses = 0
     for j, c in enumerate(poset.contexts):
         for p in range(st.n):
             want = _least_dominating(st, c, p)
             if want is None:
-                with pytest.raises(NoLeastUpperWitness):
+                misses += 1
+                with pytest.raises(NoLeastUpperWitness) as info:
                     delta_global(poset, j, p)
+                assert info.value.details == {"element": st.label(p),
+                                              "context": c.id}
             else:
                 assert delta_global(poset, j, p) == want
+    return misses
+
+
+@pytest.mark.parametrize("spec, misses", [
+    ("boolean:4", 0), ("mo:3", 0), ("cabello18", 36), (FOUR_LOOP, 0),
+    (PENTAGON, 0), (TRIANGLE, 3)],
+    ids=["boolean:4", "mo:3", "cabello18", "four-loop", "pentagon", "triangle"])
+def test_delta_global_matches_the_dominator_scan(spec, misses):
+    assert _delta_global_matches_the_dominator_scan(_poset(spec)) == misses
+
+
+@given(blocks=tree_pasting())
+@settings(max_examples=40, deadline=None)
+def test_delta_global_matches_the_dominator_scan_on_trees(blocks):
+    _delta_global_matches_the_dominator_scan(_poset(blocks))
 
 
 def test_context_limit_guard(boolean3):

@@ -9,6 +9,7 @@ import biheyt
 from biheyt import (DegenerateStructure, InconsistentIdentification,
                     OrthomodularityViolated, SizeGuard, UnboundedPair,
                     UsageError, from_greechie, generate, validate)
+from biheyt.oml import _build
 
 # Benzene ring O6: two chains 0 < a < b < 1 and 0 < b' < a' < 1 with a/a',
 # b/b' complementary.  It is an ortholattice but not orthomodular.
@@ -379,3 +380,30 @@ def test_bounds_match_the_scan_on_pastings():
 @settings(max_examples=20, deadline=None)
 def test_bounds_match_the_scan_on_tree_pastings(blocks):
     _bounds_match_the_scan(from_greechie(blocks))
+
+
+def test_a_block_that_is_not_boolean_after_identification_is_rejected():
+    # "b" and "c+d" both complement "a", so they are identified, and "b",
+    # with "c" below it, is no atom of the pasting
+    with pytest.raises(InconsistentIdentification) as info:
+        from_greechie([["a", "b"], ["a", "c", "d"]])
+    assert info.value.message == ("block ['a', 'b'] does not restrict to a "
+                                  "Boolean algebra after identification")
+    assert info.value.details == {"block": ["a", "b"]}
+
+
+def test_a_given_block_must_order_its_joins_like_their_subsets():
+    """An ortho-closed join table of distinct elements over the atoms p, q
+    that runs downwards fails a cover step of the given-block check."""
+    labels = ["0", "1", "p", "q"]
+    pairs = [("0", "p"), ("0", "q"), ("p", "1"), ("q", "1")]
+    ortho = {"0": "1", "1": "0", "p": "q", "q": "p"}
+    table = {0: "0", 1: "p", 2: "q", 3: "1"}
+    flipped = {m: table[3 ^ m] for m in table}
+    _build(labels, pairs, ortho, origin="greechie",
+           given_blocks=[(("p", "q"), table)])
+    with pytest.raises(InconsistentIdentification) as info:
+        _build(labels, pairs, ortho, origin="greechie",
+               given_blocks=[(("p", "q"), flipped)])
+    assert info.value.message == ("block ['p', 'q'] does not restrict to a "
+                                  "Boolean algebra after identification")

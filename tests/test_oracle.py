@@ -413,8 +413,8 @@ def test_check_laws_with_oracle_is_one_pass(capsys, monkeypatch):
                      "subtract": n * n + n, "not": n, "conot": n}
 
 
-_PRODUCTION_TABLES = {"_restr", "_pre", "_below", "_above", "pullback_mask",
-                      "image_mask"}
+_PRODUCTION_TABLES = {"_least", "_shift", "_least_above", "_below", "_above",
+                      "pullback_mask", "image_mask"}
 
 
 def test_oracle_reads_no_production_tables():
