@@ -14,10 +14,6 @@ class Limits:
     max_subobjects: int = 1_000_000
     search_budget: int = 10_000_000
     max_contexts: int = 10_000
-    # generate("boolean", n) builds 2^n elements and validation is cubic in
-    # that; 6 keeps it instant.  Raise explicitly if you accept the cost.
-    max_boolean_atoms: int = 6
-    max_block_atoms: int = 12
 
 
 DEFAULT_LIMITS = Limits()

@@ -185,11 +185,26 @@ def _maximal_cliques(vertices: list[int], neighbors: dict[int, set[int]]) -> lis
     return sorted(out)
 
 
+# Past this many atoms Bell(k) has hundreds of digits and the triangle costs
+# O(k^2) sums of them, so a block that 2^(k-1) - 1 already refuses reports k.
+_BELL_EXACT_ATOMS = 256
+
+
+def _bell(k: int) -> int:
+    """The number of partitions of k things, read off the Bell triangle."""
+    row = [1]
+    for _ in range(k - 1):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]
+
+
 # -- validation pipeline -------------------------------------------------------
 
 
 def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
-           origin: str = "explicit",
            given_blocks: list[tuple[tuple[str, ...], dict[int, str]]] | None = None,
            ) -> OrthoStructure:
     """Validate and assemble a structure from label-level data.
@@ -204,7 +219,7 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
 
     def order_fail(message, **details):
         # Greechie pastings reach here only when identification broke the order.
-        if origin == "greechie":
+        if given_blocks is not None:
             return InconsistentIdentification(message, **details)
         return NotAPartialOrder(message, **details)
 
@@ -514,11 +529,20 @@ def from_greechie(blocks, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
             raise UsageError(f"block {list(atoms)!r} repeats an atom")
         if len(atoms) < 2:
             raise UsageError(f"block {list(atoms)!r} needs at least two atoms")
-        if len(atoms) > limits.max_block_atoms:
-            raise SizeGuard(f"block with {len(atoms)} atoms exceeds limit "
-                            f"{limits.max_block_atoms}",
-                            limit="max_block_atoms",
-                            value=limits.max_block_atoms, atoms=len(atoms))
+        # the block alone has one context per partition of its atoms into two
+        # or more cells, and Bell(k) >= 2^(k-1) also bounds its 2^k elements
+        k = len(atoms)
+        if k > _BELL_EXACT_ATOMS and (1 << k - 1) - 1 > limits.max_contexts:
+            raise SizeGuard(f"block with {k} atoms has at least 2^{k - 1} - 1 "
+                            f"contexts, over limit {limits.max_contexts}",
+                            limit="max_contexts", value=limits.max_contexts,
+                            atoms=k)
+        needed = _bell(k) - 1
+        if needed > limits.max_contexts:
+            raise SizeGuard(f"block with {k} atoms has {needed} contexts, "
+                            f"over limit {limits.max_contexts}",
+                            limit="max_contexts", value=limits.max_contexts,
+                            needed=needed)
         key = frozenset(atoms)
         if key not in seen_sets:
             seen_sets.add(key)
@@ -622,14 +646,15 @@ def from_greechie(blocks, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
                             for a in atoms)
         given_blocks.append((final_atoms, table))
 
-    return _build(labels, sorted(order_pairs), ortho_map, origin="greechie",
+    return _build(labels, sorted(order_pairs), ortho_map,
                   given_blocks=given_blocks)
 
 
 def generate(name: str, n: int | None = None, *,
              limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
-    """Builtin structures: ``boolean`` (2^n), ``mo`` (n blocks of one
-    complementary pair each), and ``cabello18``."""
+    """Builtin structures, each a Greechie pasting: ``boolean`` (one block of
+    n atoms), ``mo`` (n two-atom blocks sharing only 0 and 1), and
+    ``cabello18``."""
     if name == "cabello18":
         if n is not None:
             raise UsageError("cabello18 takes no size parameter")
@@ -637,27 +662,11 @@ def generate(name: str, n: int | None = None, *,
     if name == "boolean":
         if n is None or n < 1:
             raise UsageError("boolean requires n >= 1")
-        if n > limits.max_boolean_atoms:
-            raise SizeGuard(f"boolean({n}) exceeds the configured bound "
-                            f"{limits.max_boolean_atoms}",
-                            limit="max_boolean_atoms",
-                            value=limits.max_boolean_atoms, atoms=n)
+        if n == 1:   # from_greechie would call a one-atom block a usage error
+            raise DegenerateStructure("no element outside {0, 1}")
         letters = [_BOOLEAN_LETTERS[i] if i < len(_BOOLEAN_LETTERS) else f"p{i}"
                    for i in range(n)]
-
-        def lab(sub: frozenset[int]) -> str:
-            if not sub:
-                return "0"
-            if len(sub) == n:
-                return "1"
-            return "+".join(letters[i] for i in sorted(sub))
-
-        subsets = [frozenset(c) for r in range(n + 1)
-                   for c in itertools.combinations(range(n), r)]
-        labels = [lab(s) for s in subsets]
-        pairs = [(lab(s), lab(s | {i})) for s in subsets for i in range(n) if i not in s]
-        ortho = {lab(s): lab(frozenset(range(n)) - s) for s in subsets}
-        return _build(labels, pairs, ortho, origin="builtin")
+        return from_greechie([letters], limits=limits)
     if name == "mo":
         if n is None or n < 1:
             raise UsageError("mo requires n >= 1")
@@ -665,13 +674,6 @@ def generate(name: str, n: int | None = None, *,
             raise SizeGuard(f"mo({n}) exceeds {len(_MO_LETTERS)} blocks",
                             limit="mo_blocks", value=len(_MO_LETTERS),
                             blocks=n)
-        labels = ["0", "1"]
-        pairs = []
-        ortho = {"0": "1", "1": "0"}
-        for i in range(n):
-            a, b = _MO_LETTERS[i], _MO_LETTERS[i] + "'"
-            labels += [a, b]
-            pairs += [("0", a), ("0", b), (a, "1"), (b, "1")]
-            ortho[a], ortho[b] = b, a
-        return _build(labels, pairs, ortho, origin="builtin")
+        return from_greechie([[x, x + "'"] for x in _MO_LETTERS[:n]],
+                             limits=limits)
     raise UsageError(f"unknown builtin {name!r}")

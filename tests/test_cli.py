@@ -11,6 +11,7 @@ import json
 import os
 import pathlib
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -237,14 +238,48 @@ def test_structure_and_search_guards_report_details(capsys):
     for argv, details in (
             (("sections", "--builtin", "cabello18", "--search-budget", "5"),
              {"limit": "search_budget", "value": 5, "nodes": 6}),
-            (("validate", "--builtin", "boolean:7"),
-             {"limit": "max_boolean_atoms", "value": 6, "atoms": 7}),
+            (("validate", "--builtin", "boolean:9"),
+             {"limit": "max_contexts", "value": 10_000, "needed": 21_146}),
             (("validate", "--builtin", "mo:27"),
              {"limit": "mo_blocks", "value": 26, "blocks": 27})):
         code, out, err = _run(capsys, *argv)
         assert code == 2 and out == ""
         blob = json.loads(err)
         assert blob["error"] == "SizeGuard" and blob["details"] == details
+
+
+def test_boolean_blocks_up_to_the_context_limit_are_builtins(capsys):
+    for spec, want in (
+            ("boolean:7", '{"atoms":7,"blocks":1,"contexts":876,'
+                          '"elements":128,"kind":"lattice","valid":true}\n'),
+            ("boolean:8", '{"atoms":8,"blocks":1,"contexts":4139,'
+                          '"elements":256,"kind":"lattice","valid":true}\n')):
+        assert _run(capsys, "validate", "--builtin", spec) == (0, want, "")
+    code, out, err = _run(capsys, "validate", "--builtin", "boolean:9")
+    assert code == 2 and out == ""
+    assert json.loads(err)["details"]["needed"] == 21_146
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "validate", "--builtin", "boolean:100000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert json.loads(err)["details"] == {"limit": "max_contexts",
+                                          "value": 10_000, "atoms": 100_000}
+
+
+def test_a_block_past_the_context_limit_is_refused_before_it_is_built(
+        capsys, tmp_path):
+    """Bell(12) - 1 contexts: refused from the atom count alone."""
+    block = _jfile(tmp_path, "block.json", {
+        "format": "greechie", "blocks": [[f"x{i}" for i in range(12)]]})
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "validate", "--input", block)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "SizeGuard",
+        "message": "block with 12 atoms has 4213596 contexts, over limit 10000",
+        "details": {"limit": "max_contexts", "value": 10_000,
+                    "needed": 4_213_596}}
 
 
 def test_env_var_mirrors_flag(capsys, monkeypatch):
@@ -328,7 +363,7 @@ def test_one_parser_serves_every_call(capsys, tmp_path, monkeypatch):
         ("validate", "--input", hexagon, "--builtin", "boolean:2"),
         ("op", "not", "--coheyting", "--builtin", "boolean:3",
          "--subobject", str(das)),
-        ("validate", "--builtin", "boolean:7"),
+        ("validate", "--builtin", "boolean:9"),
         ("op", "not", "--builtin", "boolean:3", "--subobject", str(das)),
         ("validate", "--input", hexagon),
         ("sections", "--builtin", "boolean:3", "--list"),

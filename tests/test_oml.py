@@ -1,14 +1,16 @@
 """Structure validation, builtins, and Greechie pasting."""
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biheyt
-from biheyt import (DegenerateStructure, InconsistentIdentification,
+from biheyt import (DegenerateStructure, InconsistentIdentification, Limits,
                     OrthomodularityViolated, SizeGuard, UnboundedPair,
-                    UsageError, from_greechie, generate, validate)
+                    UsageError, enumerate_contexts, from_greechie, generate,
+                    validate)
 from biheyt.oml import _build
 
 # Benzene ring O6: two chains 0 < a < b < 1 and 0 < b' < a' < 1 with a/a',
@@ -117,19 +119,71 @@ def test_generate_mo3_counts():
 
 def test_generate_guards():
     with pytest.raises(SizeGuard) as info:
-        generate("boolean", 7)
-    assert info.value.details == {"limit": "max_boolean_atoms", "value": 6,
-                                  "atoms": 7}
+        generate("boolean", 9)
+    assert info.value.details == {"limit": "max_contexts", "value": 10_000,
+                                  "needed": 21_146}
     with pytest.raises(SizeGuard) as info:
         generate("mo", 27)
     assert info.value.details == {"limit": "mo_blocks", "value": 26,
                                   "blocks": 27}
     with pytest.raises(UsageError):
         generate("boolean", 0)
+    with pytest.raises(DegenerateStructure) as info:
+        generate("boolean", 1)
+    assert info.value.message == "no element outside {0, 1}"
     with pytest.raises(UsageError):
         generate("cabello18", 3)
     with pytest.raises(UsageError):
         generate("nosuch", 2)
+
+
+# Bell(k), the number of partitions of a k-set (OEIS A000110), k = 0..9
+BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_a_block_has_one_context_per_partition_into_two_or_more_cells(k):
+    """The guard's count is exact: a k-atom block passes at max_contexts =
+    Bell(k) - 1, has that many contexts, and is refused one below."""
+    needed = BELL[k] - 1
+    at_limit = Limits(max_contexts=needed)
+    poset = enumerate_contexts(generate("boolean", k, limits=at_limit),
+                               limits=at_limit)
+    assert len(poset.contexts) == needed
+    with pytest.raises(SizeGuard) as info:
+        generate("boolean", k, limits=Limits(max_contexts=needed - 1))
+    assert info.value.details == {"limit": "max_contexts",
+                                  "value": needed - 1, "needed": needed}
+
+
+def test_a_block_too_large_to_count_is_refused_by_its_atom_count():
+    """Up to 256 atoms the guard reports the exact count; past that it
+    reports the atoms, as 2^(k-1) - 1 contexts already pass the limit."""
+    bell = [1]   # B(m+1) = sum over j of C(m, j) B(j)
+    for m in range(256):
+        bell.append(sum(math.comb(m, j) * b for j, b in enumerate(bell)))
+    with pytest.raises(SizeGuard) as info:
+        generate("boolean", 256)
+    assert info.value.details == {"limit": "max_contexts", "value": 10_000,
+                                  "needed": bell[256] - 1}
+    for k in (257, 100_000):
+        with pytest.raises(SizeGuard) as info:
+            generate("boolean", k)
+        assert info.value.details == {"limit": "max_contexts",
+                                      "value": 10_000, "atoms": k}
+
+
+@pytest.mark.parametrize("name, n", [("boolean", k) for k in range(2, 9)]
+                         + [("mo", k) for k in (1, 2, 3, 12)])
+def test_builtin_pastings_match_the_blocks_found_from_their_order(name, n):
+    """Each builtin is built as a Greechie pasting; validating its explicit
+    dump finds its blocks from the order alone, and both give the same
+    structure down to the block join tables."""
+    pasted = generate(name, n)
+    found = validate(_dump_explicit(pasted))
+    for field in ("labels", "_down", "_up", "ortho", "kind", "blocks",
+                  "_block_joins"):
+        assert getattr(pasted, field) == getattr(found, field), field
 
 
 def test_greechie_single_block_is_boolean():
@@ -253,8 +307,8 @@ def test_greechie_input_shape_errors():
         from_greechie([["a", "x|y"]])
     with pytest.raises(SizeGuard) as info:
         from_greechie([[f"x{i}" for i in range(13)]])
-    assert info.value.details == {"limit": "max_block_atoms", "value": 12,
-                                  "atoms": 13}
+    assert info.value.details == {"limit": "max_contexts", "value": 10_000,
+                                  "needed": 27_644_436}
 
 
 def test_degenerate_structures_rejected():
@@ -400,10 +454,8 @@ def test_a_given_block_must_order_its_joins_like_their_subsets():
     ortho = {"0": "1", "1": "0", "p": "q", "q": "p"}
     table = {0: "0", 1: "p", 2: "q", 3: "1"}
     flipped = {m: table[3 ^ m] for m in table}
-    _build(labels, pairs, ortho, origin="greechie",
-           given_blocks=[(("p", "q"), table)])
+    _build(labels, pairs, ortho, given_blocks=[(("p", "q"), table)])
     with pytest.raises(InconsistentIdentification) as info:
-        _build(labels, pairs, ortho, origin="greechie",
-               given_blocks=[(("p", "q"), flipped)])
+        _build(labels, pairs, ortho, given_blocks=[(("p", "q"), flipped)])
     assert info.value.message == ("block ['p', 'q'] does not restrict to a "
                                   "Boolean algebra after identification")
