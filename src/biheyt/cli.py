@@ -268,12 +268,12 @@ def _cmd_sections(args, limits) -> str:
 
 def _cmd_enumerate(args, limits) -> str:
     poset = _poset(args, limits)
+    # counting builds no subobject, so a listing past the limit builds none
+    out = {"count": sum(len(batch) for _, batch in _subobject_batches(poset, limits))}
     if args.list_all:
         subs = enumerate_subobjects(poset, limits=limits)
-        return canonical_json({"count": len(subs),
-                               "subobjects": [s.to_mapping() for s in subs]})
-    batches = _subobject_batches(poset, limits)
-    return canonical_json({"count": sum(len(batch) for _, batch in batches)})
+        out["subobjects"] = [s.to_mapping() for s in subs]
+    return canonical_json(out)
 
 
 def _cmd_export_dot(args, limits) -> str:

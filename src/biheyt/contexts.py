@@ -37,16 +37,15 @@ class Context:
     elements: frozenset[int]
 
 
-def _partitions(items: tuple):
-    """All set partitions, deterministically ordered, cells keep item order."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
+def _partitions(k: int) -> list[tuple[int, ...]]:
+    """Partitions of k items into two or more cells, each item in turn
+    joining a cell so far or starting its own; cells are bitmasks."""
+    parts: list[tuple[int, ...]] = [()]
+    for p in range(k):
+        parts = [part[:i] + (part[i] | 1 << p,) + part[i + 1:]
+                 for part in parts for i in range(len(part))] \
+            + [part + (1 << p,) for part in parts]
+    return [part for part in parts if len(part) > 1]
 
 
 class ContextPoset:
@@ -54,26 +53,27 @@ class ContextPoset:
 
     Built by ``enumerate_contexts``.  Contexts are indexed in canonical order
     (sorted by id).  Every table is alpha read off the structure's order
-    rows.  One walk over the subsets of context i's atoms gives each atom
-    mask m as an element bitset; ``_mask_to_elem[i][m]`` is the element
-    whose ``_down`` row meets the atoms in exactly that bitset, and
-    ``_elem_mask[i]`` is its inverse.  The context is Boolean iff that pairs
-    its elements one to one with its masks.  ``_least[j]`` maps the key of
-    each element e of j, the elements of j above it (``_up[e] & _elements[j]``
-    shifted down by ``_shift[j]``), to e.  The least element of j above any
-    element p exists iff p's key is in the map, and is its value: the
-    coarse-graining of p, and for an atom of V its restriction to V'.  So
-    ``image_mask`` is a lookup, and ``pullback_mask`` is the mask in V of an
-    element of V'.  V' <= V iff V' has no element outside V.  No pair of
-    contexts is tested: each element gets a bitset of the contexts holding
-    it, and the AND of those bitsets over the elements of j is j with its
-    supercontexts.  That is one AND of n-bit ints per element of each
-    context, so the work still grows with n squared, over machine words
+    rows: each element of context i is keyed by its ``_down`` row ANDed with
+    the atoms of i, and as the atoms ascend, the sorted keys run through the
+    atom masks m in order; ``_mask_to_elem[i][m]`` is the element with the
+    m-th key and ``_elem_mask[i]`` its inverse.  The context is Boolean iff
+    its elements hold its atoms and have 2^k distinct keys.  ``_least[j]``
+    maps the key of each element e of j, the elements of j above it
+    (``_up[e] & _elements[j]`` shifted down by ``_shift[j]``), to e.  The
+    least element of j above any element p exists iff p's key is in the
+    map, and is its value: the coarse-graining of p, and for an atom of V
+    its restriction to V'.  So ``image_mask`` is a lookup, and
+    ``pullback_mask`` is the mask in V of an element of V'.  V' <= V iff V'
+    has no element outside V.  No pair of contexts is tested: each element
+    gets a bitset of the contexts holding it, and the AND of those bitsets
+    over the atoms of j holds j's supercontexts, each then checked against
+    all of j.  The work still grows with n squared, over machine words
     rather than over pairs.  Per inclusion the masks in V of the atoms of
-    V' must partition V's atoms.  ``_below[i]`` and ``_above[i]`` list the
-    strict subcontexts and supercontexts of i in ascending order.  Every
-    table is built here and never changed; the poset holds no cache or
-    other mutable state, so it is immutable and safe to share.
+    V' must partition V's atoms.
+    ``_below[i]`` and ``_above[i]`` list the strict subcontexts and
+    supercontexts of i in ascending order.  Every table is built here and
+    never changed; the poset holds no cache or other mutable state, so it
+    is immutable and safe to share.
     """
 
     def __init__(self, structure: OrthoStructure, contexts: tuple[Context, ...]):
@@ -81,64 +81,65 @@ class ContextPoset:
         self.contexts = contexts
         self._by_id = {c.id: i for i, c in enumerate(contexts)}
         n = len(contexts)
-        self._elements = elements = tuple(sum(1 << e for e in c.elements)
-                                          for c in contexts)
-
-        offsets = []
-        total = 0
-        for c in contexts:
-            offsets.append(total)
-            total += len(c.atoms)
-        self._offsets = tuple(offsets)
-        self.total_bits = total
-        self._full = full = tuple((1 << len(c.atoms)) - 1 for c in contexts)
-
+        self._full = tuple((1 << len(c.atoms)) - 1 for c in contexts)
+        # The preimages in i of the atoms of j <= i partition the atoms of i
+        # iff each atom of i lies below exactly one atom of j.  Read in base
+        # 2^w, spread[e] has digit d = 1 iff d <= e, so the digits of the sum
+        # of spread[b] over the atoms b of j count the atoms of j above each
+        # element.  2^w exceeds any atom count, so no digit carries.
+        w = max([1] + [len(c.atoms) for c in contexts]).bit_length()
         down, up = structure._down, structure._up
-        elem_mask: list[dict[int, int]] = []
-        mask_to_elem: list[tuple[int, ...]] = []
-        least: list[dict[int, int]] = []
-        shifts: list[int] = []
-        for c, mine in zip(contexts, elements):
-            walk = [0]   # walk[m]: the atoms of mask m as an element bitset
-            for a in c.atoms:
-                walk += [w | 1 << a for w in walk]
-            below = {down[e] & walk[-1]: e for e in c.elements}
-            if not len(c.elements) == len(below) == len(walk):
+        spread = [0] * structure.n
+        for e, row in enumerate(down):
+            while row:
+                low = row & -row
+                row ^= low
+                spread[e] |= 1 << (low.bit_length() - 1) * w
+        offsets, elements, elem_mask, mask_to_elem, least, shifts, ones = (
+            [] for _ in range(7))
+        holders = [0] * structure.n
+        total = 0
+        for i, c in enumerate(contexts):
+            top = sum([1 << a for a in c.atoms])
+            below = {down[e] & top: e for e in c.elements}
+            inverse = tuple([below[key] for key in sorted(below)])
+            mine = sum([1 << e for e in inverse])
+            if not len(c.elements) == len(below) == 1 << len(c.atoms) or top & ~mine:
                 raise AssertionError(f"context {c.id!r} is not Boolean (bug)")
-            inverse = tuple(map(below.__getitem__, walk))
-            elem_mask.append({e: m for m, e in enumerate(inverse)})
-            mask_to_elem.append(inverse)
             # every key holds 1, and the one key holding 0 holds all of the
             # context, so the keys drop bits 0 and 1 and the empty bits up
             # to the context's lowest other element
             rest = mine & ~3
             shift = (rest & -rest).bit_length() - 1
-            least.append({(up[e] & mine) >> shift: e for e in c.elements})
+            least.append({(up[e] & mine) >> shift: e for e in inverse})
+            elem_mask.append({e: m for m, e in enumerate(inverse)})
+            mask_to_elem.append(inverse)
+            elements.append(mine)
             shifts.append(shift)
-        self._elem_mask = tuple(elem_mask)
-        self._mask_to_elem = tuple(mask_to_elem)
-        self._least = tuple(least)
-        self._shift = tuple(shifts)
-
-        holders = [0] * structure.n
-        for i, c in enumerate(contexts):
-            for e in c.elements:
+            ones.append(sum([1 << a * w for a in c.atoms]))
+            offsets.append(total)
+            total += len(c.atoms)
+            for e in inverse:
                 holders[e] |= 1 << i
+        self._offsets, self.total_bits = tuple(offsets), total
+        self._elements, self._shift = tuple(elements), tuple(shifts)
+        self._elem_mask, self._mask_to_elem = tuple(elem_mask), tuple(mask_to_elem)
+        self._least = tuple(least)
+
         below: list[list[int]] = [[] for _ in range(n)]
         above: list[list[int]] = [[] for _ in range(n)]
         for j, c in enumerate(contexts):
-            m = -1
-            for e in c.elements:
-                m &= holders[e]
+            counts = sum([spread[b] for b in c.atoms])
+            m = (1 << n) - 1
+            for a in c.atoms:
+                m &= holders[a]
             while m:
                 low = m & -m
                 m ^= low
                 i = low.bit_length() - 1
-                back = [elem_mask[i][b] for b in c.atoms]
-                covered = 0
-                for q in back:
-                    covered |= q
-                if not covered == sum(back) == full[i]:
+                if elements[j] & ~elements[i]:
+                    continue
+                if counts & ones[i] * ((1 << w) - 1) != ones[i]:
                     raise AssertionError("preimages do not partition the atoms (bug)")
                 if i != j:
                     below[i].append(j)
@@ -200,35 +201,31 @@ class ContextPoset:
 def enumerate_contexts(structure: OrthoStructure, *,
                        limits: Limits = DEFAULT_LIMITS) -> ContextPoset:
     """All nontrivial Boolean subalgebras, as a ContextPoset."""
-    found: dict[int, tuple[tuple[int, ...], list[int]]] = {}
-    for bi, block in enumerate(structure.blocks):
-        joins = structure._block_joins[bi]
-        pos = {a: p for p, a in enumerate(block.atoms)}
-        for part in _partitions(block.atoms):
-            if len(part) < 2:
-                continue   # one cell would give the trivial subalgebra
+    labels = structure.labels
+    found: dict[int, Context] = {}
+    partitions: dict[int, list[tuple[int, ...]]] = {}
+    for block, joins in zip(structure.blocks, structure._block_joins):
+        k = len(block.atoms)
+        if k not in partitions:
+            partitions[k] = _partitions(k)
+        for part in partitions[k]:
             unions = [0]   # every union of cells, as a mask of block atoms
             for cell in part:
-                m = 0
-                for a in cell:
-                    m |= 1 << pos[a]
-                unions += [u | m for u in unions]
+                unions += [u | cell for u in unions]
             elems = [joins[u] for u in unions]
-            key = sum(1 << e for e in elems)   # joins is one-to-one
+            key = sum([1 << e for e in elems])   # joins is one-to-one
             if key not in found:
                 # the cells sit at the powers of two of the walk
-                atoms = tuple(sorted(elems[1 << k] for k in range(len(part))))
-                found[key] = atoms, elems
+                atoms = sorted([elems[1 << c] for c in range(len(part))])
+                found[key] = Context(id="|".join([labels[a] for a in atoms]),
+                                     atoms=tuple(atoms), elements=frozenset(elems))
                 if len(found) > limits.max_contexts:
                     raise SizeGuard(
                         f"context count exceeds limit {limits.max_contexts}",
                         limit="max_contexts", value=limits.max_contexts,
                         reached=len(found))
 
-    contexts = [Context(id="|".join(structure.labels[a] for a in atoms),
-                        atoms=atoms, elements=frozenset(elems))
-                for atoms, elems in found.values()]
-    contexts.sort(key=lambda c: c.id)
+    contexts = sorted(found.values(), key=lambda c: c.id)
     poset = ContextPoset(structure, tuple(contexts))
     for i in poset.minimal:
         if len(poset.contexts[i].atoms) != 2:

@@ -19,6 +19,10 @@ join.  So ``_by_up`` maps each ``_up`` row to its element and decides a join
 with one AND and one lookup; ``_by_down`` does the same for meets.  The
 lattice test, the orthomodular law and ``lub``/``glb`` all read these maps.
 
+A pasting arrives at ``_build`` as rows, ortho and block join tables that
+``from_greechie`` writes by index from atom masks; only the ``oml-explicit``
+format is parsed from labels and permuted into canonical order (``_parse``).
+
 Structures are immutable once built and safe to share across threads.
 """
 from __future__ import annotations
@@ -151,12 +155,12 @@ class OrthoStructure:
 # -- order helpers ------------------------------------------------------------
 
 
-def _close_order(n: int, up: list[int]) -> None:
+def _close_order(up: list[int]) -> None:
     """Reflexive-transitive closure of successor masks, in place."""
     changed = True
     while changed:
         changed = False
-        for i in range(n):
+        for i in range(len(up)):
             acc = m = up[i]
             while m:
                 low = m & -m
@@ -204,25 +208,49 @@ def _bell(k: int) -> int:
 # -- validation pipeline -------------------------------------------------------
 
 
-def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
-           given_blocks: list[tuple[tuple[str, ...], dict[int, str]]] | None = None,
-           ) -> OrthoStructure:
-    """Validate and assemble a structure from label-level data.
+def _order(up: list[int], labels, fail, report=None) -> tuple[list[int], int, int]:
+    """Close the ``_up`` rows in place; return the ``_down`` rows and bounds.
 
-    ``given_blocks`` carries block provenance from a pasting: per block, the
-    atom labels in order and the map from atom-subset bitmask to the label of
-    the blockwise join.  Pastings need it because a plain orthoposet does not
-    determine its blocks (orthogonality cliques cutting across blocks can
-    close up to Boolean subposets of their own); without it, only structures
-    whose bounds all exist are accepted and blocks are discovered.
+    A cycle raises ``fail`` with the first element i, in the order that
+    ``report()`` lists them (the row order if None), both below and above
+    some j != i, and the first such j in that order.  Then come the bounds.
     """
+    _close_order(up)
+    n = len(up)
+    full = (1 << n) - 1
+    down = [0] * n
+    for i, m in enumerate(up):
+        while m:
+            low = m & -m
+            m ^= low
+            down[low.bit_length() - 1] |= 1 << i
+    if any(u & d != 1 << i for i, (u, d) in enumerate(zip(up, down))):
+        order = range(n) if report is None else report()
+        i = next(i for i in order if up[i] & down[i] != 1 << i)
+        j = next(j for j in order if j != i and (up[i] & down[i]) >> j & 1)
+        raise fail(f"order cycle: {labels[i]!r} <= {labels[j]!r} <= {labels[i]!r}",
+                   witness=[labels[i], labels[j]])
+    ends = []
+    for rows, other, end, bound in ((up, down, "bottom", "meet"),
+                                    (down, up, "top", "join")):
+        found = [i for i in range(n) if rows[i] == full]
+        if len(found) != 1:
+            w = [labels[i] for i in range(n) if other[i] == 1 << i][:2]
+            raise UnboundedPair(f"no global {end}: {w[0]!r} and {w[1]!r} have no "
+                                f"{bound}", witness=w)
+        ends += found
+    if n <= 2:
+        raise DegenerateStructure("no element outside {0, 1}")
+    return down, ends[0], ends[1]
 
-    def order_fail(message, **details):
-        # Greechie pastings reach here only when identification broke the order.
-        if given_blocks is not None:
-            return InconsistentIdentification(message, **details)
-        return NotAPartialOrder(message, **details)
 
+def _parse(labels: list[str], order_pairs, ortho_map: dict[str, str]) -> OrthoStructure:
+    """Rows from label-level data, in input order, then in canonical order.
+
+    The order generators are closed into ``_up`` rows over the elements as
+    listed, cycles and bounds are checked in that order, and only then are
+    the rows permuted into canonical order for ``_build``.
+    """
     n = len(labels)
     if n == 0:
         raise DegenerateStructure("structure has no elements")
@@ -242,41 +270,7 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
         if a not in seen or b not in seen:
             raise UsageError(f"order pair {pair!r} references unknown label")
         up[seen[a]] |= 1 << seen[b]
-    _close_order(n, up)
-
-    for i in range(n):
-        m = up[i]
-        while m:
-            low = m & -m
-            m ^= low
-            j = low.bit_length() - 1
-            if j != i and (up[j] >> i) & 1:
-                raise order_fail(
-                    f"order cycle: {labels[i]!r} <= {labels[j]!r} <= {labels[i]!r}",
-                    witness=[labels[i], labels[j]])
-
-    full = (1 << n) - 1
-    down = [0] * n
-    for i in range(n):
-        m = up[i]
-        while m:
-            low = m & -m
-            m ^= low
-            down[low.bit_length() - 1] |= 1 << i
-
-    bottoms = [i for i in range(n) if up[i] == full]
-    tops = [i for i in range(n) if down[i] == full]
-    if len(bottoms) != 1:
-        minimal = sorted(i for i in range(n) if down[i] == 1 << i)
-        w = [labels[minimal[0]], labels[minimal[1]]]
-        raise UnboundedPair(f"no global bottom: {w[0]!r} and {w[1]!r} have no meet", witness=w)
-    if len(tops) != 1:
-        maximal = sorted(i for i in range(n) if up[i] == 1 << i)
-        w = [labels[maximal[0]], labels[maximal[1]]]
-        raise UnboundedPair(f"no global top: {w[0]!r} and {w[1]!r} have no join", witness=w)
-    zero_old, one_old = bottoms[0], tops[0]
-    if n <= 2:
-        raise DegenerateStructure("no element outside {0, 1}")
+    down, zero_old, one_old = _order(up, labels, NotAPartialOrder)
 
     # Canonical element order: bottom, top, rest sorted by label.
     rest = sorted((i for i in range(n) if i not in (zero_old, one_old)),
@@ -293,11 +287,6 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
         return out
 
     new_labels = tuple(labels[i] for i in order)
-    new_up = tuple(remap_mask(up[i]) for i in order)
-    new_down = tuple(remap_mask(down[i]) for i in order)
-    up_t, down_t = new_up, new_down
-    zero, one = 0, 1
-
     ortho = [None] * n
     for lab, lab2 in ortho_map.items():
         if lab not in seen or lab2 not in seen:
@@ -306,64 +295,79 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
     if any(o is None for o in ortho):
         missing = new_labels[ortho.index(None)]
         raise UsageError(f"ortho must map every element; missing {missing!r}")
-    ortho = tuple(ortho)
+    return _build(new_labels, [remap_mask(up[i]) for i in order],
+                  [remap_mask(down[i]) for i in order], ortho)
+
+
+def _build(labels: tuple[str, ...], up: list[int], down: list[int], ortho, *,
+           given_blocks: list[tuple[tuple[int, ...], list[int]]] | None = None,
+           ) -> OrthoStructure:
+    """Validate and assemble a structure from rows in canonical order.
+
+    ``up`` and ``down`` are the closed, acyclic order rows with the bottom
+    at index 0 and the top at 1, and ``ortho`` maps every index.  A pasting
+    arrives here as rows; only the explicit format is parsed and permuted
+    (``_parse``).  ``given_blocks`` carries block provenance from a pasting:
+    per block, its atoms in order and the element of each atom-subset
+    bitmask.  Pastings need it because a plain orthoposet does not determine
+    its blocks (orthogonality cliques cutting across blocks can close up to
+    Boolean subposets of their own); without it, only structures whose
+    bounds all exist are accepted and blocks are discovered.
+    """
+    n = len(labels)
+    up, down, ortho = tuple(up), tuple(down), tuple(ortho)
 
     for i in range(n):
         if ortho[ortho[i]] != i:
             raise OrthoNotInvolutive(
-                f"ortho(ortho({new_labels[i]!r})) = {new_labels[ortho[ortho[i]]]!r}",
-                witness=new_labels[i])
+                f"ortho(ortho({labels[i]!r})) = {labels[ortho[ortho[i]]]!r}",
+                witness=labels[i])
     for i in range(n):
-        m = up_t[i]
+        m = up[i]
         while m:
             low = m & -m
             m ^= low
             j = low.bit_length() - 1
-            if not (up_t[ortho[j]] >> ortho[i]) & 1:
+            if not (up[ortho[j]] >> ortho[i]) & 1:
                 raise OrthocomplementViolated(
-                    f"ortho is not order-reversing on {new_labels[i]!r} <= {new_labels[j]!r}",
-                    witness=[new_labels[i], new_labels[j]])
+                    f"ortho is not order-reversing on {labels[i]!r} <= {labels[j]!r}",
+                    witness=[labels[i], labels[j]])
+    # a shared upper bound u != 1 of a and ortho(a) would make ortho(u) != 0
+    # a shared lower bound, so only the lower bounds need a look
     for i in range(n):
-        lows = down_t[i] & down_t[ortho[i]]
-        if lows != 1 << zero:
-            shared = (lows & ~(1 << zero)).bit_length() - 1
+        lows = down[i] & down[ortho[i]]
+        if lows != 1:
+            shared = (lows & ~1).bit_length() - 1
             raise OrthocomplementViolated(
-                f"{new_labels[i]!r} and its orthocomplement share lower bound "
-                f"{new_labels[shared]!r}", witness=[new_labels[i], new_labels[shared]])
-        highs = up_t[i] & up_t[ortho[i]]
-        if highs != 1 << one:
-            shared = (highs & ~(1 << one)).bit_length() - 1
-            raise OrthocomplementViolated(
-                f"{new_labels[i]!r} and its orthocomplement share upper bound "
-                f"{new_labels[shared]!r}", witness=[new_labels[i], new_labels[shared]])
+                f"{labels[i]!r} and its orthocomplement share lower bound "
+                f"{labels[shared]!r}", witness=[labels[i], labels[shared]])
 
     # the order has no cycle, so distinct elements have distinct rows
-    by_down = {row: i for i, row in enumerate(down_t)}
-    by_up = {row: i for i, row in enumerate(up_t)}
+    by_down = {row: i for i, row in enumerate(down)}
+    by_up = {row: i for i, row in enumerate(up)}
 
     # ortho is an order-reversing involution, so a ^ b = ortho(ortho a v
     # ortho b): every pair has a meet as soon as every pair has a join
     if all(row & other in by_up
-           for i, row in enumerate(up_t) for other in up_t[i + 1:]):
+           for i, row in enumerate(up) for other in up[i + 1:]):
         kind = LATTICE
         for i in range(n):
-            m = up_t[i] & ~(1 << i)
+            m = up[i] & ~(1 << i)
             while m:
                 low = m & -m
                 m ^= low
                 j = low.bit_length() - 1
-                meet = by_down[down_t[j] & down_t[ortho[i]]]
-                if by_up[up_t[i] & up_t[meet]] != j:
+                meet = by_down[down[j] & down[ortho[i]]]
+                if by_up[up[i] & up[meet]] != j:
                     raise OrthomodularityViolated(
-                        f"{new_labels[i]!r} <= {new_labels[j]!r} but "
-                        f"{new_labels[j]!r} != {new_labels[i]!r} v "
-                        f"({new_labels[j]!r} ^ ortho({new_labels[i]!r}))",
-                        witness=[new_labels[i], new_labels[j]])
+                        f"{labels[i]!r} <= {labels[j]!r} but "
+                        f"{labels[j]!r} != {labels[i]!r} v "
+                        f"({labels[j]!r} ^ ortho({labels[i]!r}))",
+                        witness=[labels[i], labels[j]])
     else:
         kind = PASTED
 
-    atoms = tuple(i for i in range(n)
-                  if i != zero and down_t[i] == (1 << zero) | (1 << i))
+    atoms = tuple(i for i in range(1, n) if down[i] == 1 | 1 << i)
 
     blocks: list[Block] = []
     block_joins: list[dict[int, int]] = []
@@ -375,31 +379,28 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
         # joins[m1] <= joins[m2] with a bit of m1 outside m2, the join a of
         # that bit would lie below joins[m1] <= joins[m2] <= the join of all
         # other bits, ortho(a), so a = 0 = joins[0] (checked above).
-        ix = {lab: i for i, lab in enumerate(new_labels)}
         atom_set = frozenset(atoms)
-        for atom_labels, table in given_blocks:
-            cand = tuple(ix[a] for a in atom_labels)
+        for cand, joins in given_blocks:
             k = len(cand)
             masks = range(1 << k)
-            joins = {mask: ix[table[mask]] for mask in masks}
-            ok = (atom_set.issuperset(cand) and len(set(joins.values())) == 1 << k
+            ok = (atom_set.issuperset(cand) and len(set(joins)) == 1 << k
                   and all(ortho[joins[m]] == joins[masks[-1] ^ m] for m in masks)
-                  and all(down_t[joins[m | 1 << b]] >> joins[m] & 1
+                  and all(down[joins[m | 1 << b]] >> joins[m] & 1
                           for m in masks for b in range(k)))
             if not ok:
+                atom_labels = sorted(labels[a] for a in cand)
                 raise InconsistentIdentification(
-                    f"block {sorted(atom_labels)!r} does not restrict to a "
-                    "Boolean algebra after identification",
-                    block=sorted(atom_labels))
-            blocks.append(Block(atoms=cand, elements=frozenset(joins.values())))
-            block_joins.append(joins)
+                    f"block {atom_labels!r} does not restrict to a Boolean "
+                    "algebra after identification", block=atom_labels)
+            blocks.append(Block(atoms=cand, elements=frozenset(joins)))
+            block_joins.append(dict(enumerate(joins)))
     elif kind == PASTED:
         # Without block provenance an incomplete order is unusable: the
         # orthoposet alone does not determine blocks.
-        unbounded = next([new_labels[i], new_labels[j]] for i in range(n)
+        unbounded = next([labels[i], labels[j]] for i in range(n)
                          for j in range(i, n)
-                         if down_t[i] & down_t[j] not in by_down
-                         or up_t[i] & up_t[j] not in by_up)
+                         if down[i] & down[j] not in by_down
+                         or up[i] & up[j] not in by_up)
         raise UnboundedPair(
             f"{unbounded[0]!r} and {unbounded[1]!r} have no meet or join; "
             "structures with missing bounds are only accepted in block form",
@@ -409,14 +410,14 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
         # sets.  The join of an atom subset S is the unique element lying
         # above exactly S whose orthocomplement lies above exactly the rest
         # (unique by orthomodularity), so every candidate must verify.
-        neigh = {a: {b for b in atoms if b != a and (down_t[ortho[b]] >> a) & 1}
+        neigh = {a: {b for b in atoms if b != a and (down[ortho[b]] >> a) & 1}
                  for a in atoms}
         for cand in _maximal_cliques(list(atoms), neigh):
             k = len(cand)
             supp = [0] * n
             for pos, a in enumerate(cand):
                 for e in range(n):
-                    if (down_t[e] >> a) & 1:
+                    if (down[e] >> a) & 1:
                         supp[e] |= 1 << pos
             top_mask = (1 << k) - 1
             by_pair: dict[tuple[int, int], list[int]] = {}
@@ -435,7 +436,7 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
             block_joins.append(joins)
 
     sort_key = sorted(range(len(blocks)),
-                      key=lambda bi: tuple(new_labels[a] for a in blocks[bi].atoms))
+                      key=lambda bi: tuple(labels[a] for a in blocks[bi].atoms))
     blocks = [blocks[bi] for bi in sort_key]
     block_joins = [block_joins[bi] for bi in sort_key]
 
@@ -452,12 +453,12 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
             for e in blocks[bi].elements:
                 holders &= elem_blocks[e]
             if holders != 1 << bi:
-                atom_labels = sorted(new_labels[a] for a in blocks[bi].atoms)
+                atom_labels = sorted(labels[a] for a in blocks[bi].atoms)
                 raise InconsistentIdentification(
                     f"block {atom_labels!r} collapsed into another block",
                     block=atom_labels)
     if 0 in elem_blocks:
-        missing = new_labels[elem_blocks.index(0)]
+        missing = labels[elem_blocks.index(0)]
         if given_blocks is None:
             raise AssertionError("element outside every block in a validated "
                                  "orthomodular lattice (implementation bug)")
@@ -465,9 +466,9 @@ def _build(labels: list[str], order_pairs, ortho_map: dict[str, str], *,
                                          element=missing)
 
     return OrthoStructure(
-        labels=new_labels, n=n, zero=zero, one=one, kind=kind, ortho=ortho,
-        blocks=tuple(blocks), _index={lab: i for i, lab in enumerate(new_labels)},
-        _down=down_t, _up=up_t, _by_down=by_down, _by_up=by_up, _atoms=atoms,
+        labels=labels, n=n, zero=0, one=1, kind=kind, ortho=ortho,
+        blocks=tuple(blocks), _index={lab: i for i, lab in enumerate(labels)},
+        _down=down, _up=up, _by_down=by_down, _by_up=by_up, _atoms=atoms,
         _block_joins=tuple(block_joins), _elem_blocks=tuple(elem_blocks))
 
 
@@ -501,7 +502,7 @@ def validate(raw: dict, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
     if not isinstance(ortho, dict) or not all(isinstance(x, str)
                                               for x in ortho.values()):
         raise UsageError("'ortho' must be an object mapping labels to labels")
-    return _build(list(elements), [tuple(p) for p in pairs], dict(ortho))
+    return _parse(list(elements), [tuple(p) for p in pairs], dict(ortho))
 
 
 def from_greechie(blocks, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
@@ -548,49 +549,42 @@ def from_greechie(blocks, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
             seen_sets.add(key)
             norm.append(atoms)
 
-    # Union-find over (block, subset) nodes under the identification rule.
-    nodes: list[tuple[int, frozenset[str]]] = []
-    node_ix: dict[tuple[int, frozenset[str]], int] = {}
-    for bi, atoms in enumerate(norm):
-        for r in range(len(atoms) + 1):
-            for comb in itertools.combinations(atoms, r):
-                node = (bi, frozenset(comb))
-                node_ix[node] = len(nodes)
-                nodes.append(node)
+    # Each atom label is one bit, in label order, so a node (block, subset)
+    # is its atom mask and equal masks are one node already.  walks[bi][m] is
+    # the atom mask of the subset m, bit p of m for the block's p-th atom.
+    names = sorted({a for atoms in norm for a in atoms})
+    bit = {a: 1 << i for i, a in enumerate(names)}
+    walks = []
+    for atoms in norm:
+        walk = [0]
+        for a in atoms:
+            walk += [w | bit[a] for w in walk]
+        walks.append(walk)
 
-    parent = list(range(len(nodes)))
+    # Union-find identifying two nodes whose in-block complements are equal.
+    # Nodes so identified have identified complements, so ortho is one map,
+    # and a label spells one support, so distinct classes get distinct labels.
+    parent: dict[int, int] = {}
+    complement_of: dict[int, int] = {}
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(s: int) -> int:
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+    for walk in walks:
+        for s in walk:
+            parent.setdefault(s, s)
+            t = complement_of.setdefault(walk[-1] ^ s, s)
+            if t != s:
+                parent[find(s)] = find(t)
 
-    by_support: dict[frozenset[str], int] = {}
-    by_complement: dict[frozenset[str], int] = {}
-    for ix, (bi, sub) in enumerate(nodes):
-        if sub in by_support:
-            union(ix, by_support[sub])
-        else:
-            by_support[sub] = ix
-        comp = frozenset(norm[bi]) - sub
-        if comp in by_complement:
-            union(ix, by_complement[comp])
-        else:
-            by_complement[comp] = ix
-
-    cls_of = [find(i) for i in range(len(nodes))]
-    zero_cls = cls_of[node_ix[(0, frozenset())]]
-    one_cls = cls_of[node_ix[(0, frozenset(norm[0]))]]
+    zero_cls, one_cls = find(0), find(walks[0][-1])
     if zero_cls == one_cls:
         raise InconsistentIdentification("identification forces 0 = 1")
-    for bi, atoms in enumerate(norm):
-        atom_cls = [cls_of[node_ix[(bi, frozenset((a,)))]] for a in atoms]
+    for atoms in norm:
+        atom_cls = [find(bit[a]) for a in atoms]
         if len(set(atom_cls)) != len(atoms):
             raise InconsistentIdentification(
                 f"identification merges two atoms of block {list(atoms)!r}")
@@ -599,55 +593,62 @@ def from_greechie(blocks, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
             raise InconsistentIdentification(
                 f"identification collapses atom {a!r} onto a bound")
 
-    # Canonical label per class: "0"/"1" for the bounds, an atom label if the
-    # class contains a singleton, otherwise the smallest "+"-joined support.
-    members: dict[int, list[tuple[int, frozenset[str]]]] = {}
-    for ix, node in enumerate(nodes):
-        members.setdefault(cls_of[ix], []).append(node)
-    label_of: dict[int, str] = {zero_cls: "0", one_cls: "1"}
-    for cls, reps in members.items():
-        if cls in label_of:
-            continue
-        singles = sorted(next(iter(sub)) for _, sub in reps if len(sub) == 1)
-        if singles:
-            label_of[cls] = singles[0]
-        else:
-            label_of[cls] = min("+".join(sorted(sub)) for _, sub in reps)
-    labels = [label_of[c] for c in sorted(label_of)]
-    if len(set(labels)) != len(labels):
-        raise InconsistentIdentification("identification produced colliding labels")
+    # Canonical label per class: "0"/"1" for the bounds, the smallest atom
+    # label if the class holds a singleton, otherwise the smallest
+    # "+"-joined support; then index 0, 1 and the rest sorted by label.
+    members: dict[int, list[int]] = {}
+    for s in parent:
+        members.setdefault(find(s), []).append(s)
+    def spell(s: int) -> str:
+        out = []
+        while s:
+            out.append(names[(s & -s).bit_length() - 1])
+            s &= s - 1
+        return "+".join(out)
 
-    order_pairs: set[tuple[str, str]] = set()
-    ortho_map: dict[str, str] = {}
-    given_blocks: list[tuple[tuple[str, ...], dict[int, str]]] = []
-    for bi, atoms in enumerate(norm):
-        aset = frozenset(atoms)
-        table: dict[int, str] = {}
-        for r in range(len(atoms) + 1):
-            for comb in itertools.combinations(atoms, r):
-                sub = frozenset(comb)
-                me = label_of[cls_of[node_ix[(bi, sub)]]]
-                comp = label_of[cls_of[node_ix[(bi, aset - sub)]]]
-                prev = ortho_map.setdefault(me, comp)
-                if prev != comp:
-                    raise InconsistentIdentification(
-                        f"element {me!r} gets two orthocomplements {prev!r}, {comp!r}")
-                mask = 0
-                for pos, a in enumerate(atoms):
-                    if a in sub:
-                        mask |= 1 << pos
-                table[mask] = me
-                for a in aset - sub:
-                    bigger = label_of[cls_of[node_ix[(bi, sub | {a})]]]
-                    order_pairs.add((me, bigger))
-        # identification may have renamed atoms (merged classes keep the
-        # smallest label), so report the block by its final atom labels
-        final_atoms = tuple(label_of[cls_of[node_ix[(bi, frozenset((a,)))]]]
-                            for a in atoms)
-        given_blocks.append((final_atoms, table))
+    label_of = {zero_cls: "0", one_cls: "1"}
+    for cls, supports in members.items():
+        if cls not in label_of:
+            singles = [s for s in supports if not s & (s - 1)]
+            label_of[cls] = spell(min(singles)) if singles else min(map(spell, supports))
+    rest = sorted((c for c in label_of if c not in (zero_cls, one_cls)),
+                  key=label_of.__getitem__)
+    index = {c: i for i, c in enumerate([zero_cls, one_cls] + rest)}
+    labels = ("0", "1") + tuple(label_of[c] for c in rest)
+    elem = {s: index[find(s)] for s in parent}
 
-    return _build(labels, sorted(order_pairs), ortho_map,
-                  given_blocks=given_blocks)
+    # Per block, the element of each subset, and ortho and the order rows
+    # straight from those: the complement of mask m is top - m, and each
+    # row holds the subset's supersets in the block, the rows of m and
+    # m | bit merging along every cover step from the top down.
+    tables = [[elem[s] for s in walk] for walk in walks]
+    ortho = [0] * len(labels)
+    up = [0] * len(labels)
+    for joins in tables:
+        for e, comp in zip(joins, reversed(joins)):
+            ortho[e] = comp
+        rows = [1 << e for e in joins]
+        for p in range(len(joins).bit_length() - 1):
+            rows = [row if m >> p & 1 else row | rows[m | 1 << p]
+                    for m, row in enumerate(rows)]
+        for e, row in zip(joins, rows):
+            up[e] |= row
+
+    def report():
+        # each element where its first subset comes, block by block and
+        # subsets by size, then in combinations order
+        seen: dict[int, None] = {}
+        for joins in tables:
+            k = len(joins).bit_length() - 1
+            for r in range(k + 1):
+                for comb in itertools.combinations(range(k), r):
+                    seen.setdefault(joins[sum(1 << p for p in comb)])
+        return list(seen)
+
+    down, _, _ = _order(up, labels, InconsistentIdentification, report)
+    given = [(tuple(joins[1 << p] for p in range(len(joins).bit_length() - 1)),
+              joins) for joins in tables]
+    return _build(labels, up, down, ortho, given_blocks=given)
 
 
 def generate(name: str, n: int | None = None, *,

@@ -24,7 +24,7 @@ from .contexts import Context, ContextPoset, delta
 from .errors import SizeGuard
 from .limits import DEFAULT_LIMITS, Limits
 from .oml import OrthoStructure
-from .presheaf import ClopenSubobject, _same_poset, enumerate_subobjects
+from .presheaf import ClopenSubobject, _same_poset, _subobject_batches, enumerate_subobjects
 
 
 def brute_heyting_implies(s: ClopenSubobject, t: ClopenSubobject, *,
@@ -170,19 +170,20 @@ def check_adjunctions(poset: ContextPoset, *,
     The selections {R : R ^ S <= T} and {R : S <= T v R} that decide the laws
     have the brute-force results as their join and meet, so ``oracle``
     compares both hooks, and both negations, with no second pass.  Both
-    selections depend on S & ~T alone and are kept per gap.  Raises
-    ``SizeGuard`` before any operation call when the N**3 triples exceed
-    ``search_budget``.
+    selections depend on S & ~T alone and are kept per gap.  The
+    subobjects are counted before any is built, so ``SizeGuard`` at
+    ``max_subobjects``, or when the N**3 triples exceed ``search_budget``,
+    comes first.
     """
     impl = heyting_impl or biheyting.heyting_implies
     sub = coheyting_sub or biheyting.coheyting_subtract
-    subs = enumerate_subobjects(poset, limits=limits)
-    n = len(subs)
+    n = sum(len(batch) for _, batch in _subobject_batches(poset, limits))
     if n ** 3 > limits.search_budget:
         raise SizeGuard(f"law check needs {n ** 3} subobject triples, over "
                         f"search budget {limits.search_budget}",
                         limit="search_budget", value=limits.search_budget,
                         needed=n ** 3)
+    subs = enumerate_subobjects(poset, limits=limits)
     cols = _Columns(subs)
     mismatches, first = 0, None
     for s in subs:

@@ -692,6 +692,28 @@ def test_the_subobject_count_builds_no_subobject(monkeypatch):
         _quiet(["enumerate", "--builtin", "boolean:3", "--list"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--list", "--builtin", "cabello18",
+     "--max-subobjects", "1000"],
+    ["check", "laws", "--builtin", "cabello18", "--max-subobjects", "1000"],
+    ["check", "laws", "--builtin", "mo:4"]])
+def test_a_refused_listing_or_law_check_builds_no_subobject(monkeypatch,
+                                                           argv):
+    """Both count first, so each guard trips before a subobject is built,
+    with the bytes the count alone writes."""
+    def refuse(*_):
+        raise AssertionError("a subobject was built")
+
+    monkeypatch.setattr(presheaf, "_set_bits", refuse)
+    code, out, err = _quiet(argv)
+    assert (code, out) == (2, "")
+    if "--max-subobjects" in argv:
+        assert err == _quiet(["enumerate", *argv[2:]])[2]
+    else:
+        assert json.loads(err)["details"] == {
+            "limit": "search_budget", "value": 10_000_000, "needed": 256 ** 3}
+
+
 def test_enumerate_on_a_long_chain_stops_at_its_guard(tmp_path):
     """The 400-block chain pasting has 1,201 contexts, more than the
     default recursion limit has frames for; the walk uses none."""

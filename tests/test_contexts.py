@@ -264,10 +264,13 @@ def test_corrupt_contexts_are_bugs(boolean3_poset):
     ContextPoset(st, (fake,))
     with pytest.raises(AssertionError, match="partition"):
         ContextPoset(st, (top, fake))
-    # more elements than atom masks, then fewer: each count alone misses one
+    # more elements than atom masks, then fewer: each count alone misses one;
+    # then as many, one per mask, but p+r stands in for the atom p
     lone = Context("p", (p,), boolean3_poset.context("p|q+r").elements)
     short = Context("p|q", (p, q), frozenset({st.zero, st.one, p}))
-    for bad in (lone, short):
+    stand_in = Context("p|q", (p, q),
+                       frozenset({st.zero, st.one, st.el("p+r"), q}))
+    for bad in (lone, short, stand_in):
         with pytest.raises(AssertionError, match="not Boolean"):
             ContextPoset(st, (bad,))
 

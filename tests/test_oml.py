@@ -449,13 +449,14 @@ def test_a_block_that_is_not_boolean_after_identification_is_rejected():
 def test_a_given_block_must_order_its_joins_like_their_subsets():
     """An ortho-closed join table of distinct elements over the atoms p, q
     that runs downwards fails a cover step of the given-block check."""
-    labels = ["0", "1", "p", "q"]
-    pairs = [("0", "p"), ("0", "q"), ("p", "1"), ("q", "1")]
-    ortho = {"0": "1", "1": "0", "p": "q", "q": "p"}
-    table = {0: "0", 1: "p", 2: "q", 3: "1"}
-    flipped = {m: table[3 ^ m] for m in table}
-    _build(labels, pairs, ortho, given_blocks=[(("p", "q"), table)])
+    labels = ("0", "1", "p", "q")
+    up = [0b1111, 0b0010, 0b0110, 0b1010]
+    down = [0b0001, 0b1111, 0b0101, 0b1001]
+    ortho = [1, 0, 3, 2]
+    table = [0, 2, 3, 1]
+    flipped = [table[3 ^ m] for m in range(4)]
+    _build(labels, up, down, ortho, given_blocks=[((2, 3), table)])
     with pytest.raises(InconsistentIdentification) as info:
-        _build(labels, pairs, ortho, given_blocks=[(("p", "q"), flipped)])
+        _build(labels, up, down, ortho, given_blocks=[((2, 3), flipped)])
     assert info.value.message == ("block ['p', 'q'] does not restrict to a "
                                   "Boolean algebra after identification")
