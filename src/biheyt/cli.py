@@ -271,8 +271,9 @@ def _cmd_enumerate(args, limits) -> str:
     # counting builds no subobject, so a listing past the limit builds none
     out = {"count": sum(len(batch) for _, batch in _subobject_batches(poset, limits))}
     if args.list_all:
-        subs = enumerate_subobjects(poset, limits=limits)
-        out["subobjects"] = [s.to_mapping() for s in subs]
+        # the subobjects die with the comprehension, before the JSON is built
+        out["subobjects"] = [s.to_mapping()
+                             for s in enumerate_subobjects(poset, limits=limits)]
     return canonical_json(out)
 
 

@@ -22,6 +22,8 @@ lattice test, the orthomodular law and ``lub``/``glb`` all read these maps.
 A pasting arrives at ``_build`` as rows, ortho and block join tables that
 ``from_greechie`` writes by index from atom masks; only the ``oml-explicit``
 format is parsed from labels and permuted into canonical order (``_parse``).
+Only ``_parse`` tests ortho for involution and order reversal, which a
+pasting has by construction; ``_build`` runs the rest for both formats.
 
 Structures are immutable once built and safe to share across threads.
 """
@@ -249,7 +251,9 @@ def _parse(labels: list[str], order_pairs, ortho_map: dict[str, str]) -> OrthoSt
 
     The order generators are closed into ``_up`` rows over the elements as
     listed, cycles and bounds are checked in that order, and only then are
-    the rows permuted into canonical order for ``_build``.
+    the rows permuted into canonical order for ``_build``.  Then ortho must
+    be an involution and order-reversing; a pasting needs neither test, as
+    its in-block complements stay one map and reverse every cover step.
     """
     n = len(labels)
     if n == 0:
@@ -295,33 +299,12 @@ def _parse(labels: list[str], order_pairs, ortho_map: dict[str, str]) -> OrthoSt
     if any(o is None for o in ortho):
         missing = new_labels[ortho.index(None)]
         raise UsageError(f"ortho must map every element; missing {missing!r}")
-    return _build(new_labels, [remap_mask(up[i]) for i in order],
-                  [remap_mask(down[i]) for i in order], ortho)
-
-
-def _build(labels: tuple[str, ...], up: list[int], down: list[int], ortho, *,
-           given_blocks: list[tuple[tuple[int, ...], list[int]]] | None = None,
-           ) -> OrthoStructure:
-    """Validate and assemble a structure from rows in canonical order.
-
-    ``up`` and ``down`` are the closed, acyclic order rows with the bottom
-    at index 0 and the top at 1, and ``ortho`` maps every index.  A pasting
-    arrives here as rows; only the explicit format is parsed and permuted
-    (``_parse``).  ``given_blocks`` carries block provenance from a pasting:
-    per block, its atoms in order and the element of each atom-subset
-    bitmask.  Pastings need it because a plain orthoposet does not determine
-    its blocks (orthogonality cliques cutting across blocks can close up to
-    Boolean subposets of their own); without it, only structures whose
-    bounds all exist are accepted and blocks are discovered.
-    """
-    n = len(labels)
-    up, down, ortho = tuple(up), tuple(down), tuple(ortho)
-
+    up = [remap_mask(up[i]) for i in order]
     for i in range(n):
         if ortho[ortho[i]] != i:
             raise OrthoNotInvolutive(
-                f"ortho(ortho({labels[i]!r})) = {labels[ortho[ortho[i]]]!r}",
-                witness=labels[i])
+                f"ortho(ortho({new_labels[i]!r})) = "
+                f"{new_labels[ortho[ortho[i]]]!r}", witness=new_labels[i])
     for i in range(n):
         m = up[i]
         while m:
@@ -330,8 +313,30 @@ def _build(labels: tuple[str, ...], up: list[int], down: list[int], ortho, *,
             j = low.bit_length() - 1
             if not (up[ortho[j]] >> ortho[i]) & 1:
                 raise OrthocomplementViolated(
-                    f"ortho is not order-reversing on {labels[i]!r} <= {labels[j]!r}",
-                    witness=[labels[i], labels[j]])
+                    f"ortho is not order-reversing on {new_labels[i]!r} <= "
+                    f"{new_labels[j]!r}", witness=[new_labels[i], new_labels[j]])
+    return _build(new_labels, up, [remap_mask(down[i]) for i in order], ortho)
+
+
+def _build(labels: tuple[str, ...], up: list[int], down: list[int], ortho, *,
+           given_blocks: list[tuple[tuple[int, ...], list[int]]] | None = None,
+           ) -> OrthoStructure:
+    """Validate and assemble a structure from rows in canonical order.
+
+    ``up`` and ``down`` are the closed, acyclic order rows with the bottom
+    at index 0 and the top at 1, and ``ortho`` is an order-reversing
+    involution (``_parse`` checks it; a pasting writes it so).
+    ``given_blocks`` carries a pasting's blocks: per block, its atoms in
+    order and the element of each atom-subset bitmask.  A plain orthoposet
+    does not determine its blocks (orthogonality cliques cutting across
+    blocks can close up to Boolean subposets of their own), so without it
+    only lattices are accepted, and each maximal orthogonal set of atoms
+    gets its join table by ``_by_up`` lookups.  Both formats then run the
+    same checks, but only a pasting can fail those on its blocks.
+    """
+    n = len(labels)
+    up, down, ortho = tuple(up), tuple(down), tuple(ortho)
+
     # a shared upper bound u != 1 of a and ortho(a) would make ortho(u) != 0
     # a shared lower bound, so only the lower bounds need a look
     for i in range(n):
@@ -364,37 +369,7 @@ def _build(labels: tuple[str, ...], up: list[int], down: list[int], ortho, *,
                         f"{labels[j]!r} != {labels[i]!r} v "
                         f"({labels[j]!r} ^ ortho({labels[i]!r}))",
                         witness=[labels[i], labels[j]])
-    else:
-        kind = PASTED
-
-    atoms = tuple(i for i in range(1, n) if down[i] == 1 | 1 << i)
-
-    blocks: list[Block] = []
-    block_joins: list[dict[int, int]] = []
-    if given_blocks is not None:
-        # Adopt the pasting's own blocks, verifying each join table restricts
-        # to a Boolean algebra: atoms are structure atoms, 2^k distinct
-        # elements, ortho-closed, and order mirroring subset inclusion.  The
-        # order needs only the k 2^k cover steps m -> m | bit to go up: were
-        # joins[m1] <= joins[m2] with a bit of m1 outside m2, the join a of
-        # that bit would lie below joins[m1] <= joins[m2] <= the join of all
-        # other bits, ortho(a), so a = 0 = joins[0] (checked above).
-        atom_set = frozenset(atoms)
-        for cand, joins in given_blocks:
-            k = len(cand)
-            masks = range(1 << k)
-            ok = (atom_set.issuperset(cand) and len(set(joins)) == 1 << k
-                  and all(ortho[joins[m]] == joins[masks[-1] ^ m] for m in masks)
-                  and all(down[joins[m | 1 << b]] >> joins[m] & 1
-                          for m in masks for b in range(k)))
-            if not ok:
-                atom_labels = sorted(labels[a] for a in cand)
-                raise InconsistentIdentification(
-                    f"block {atom_labels!r} does not restrict to a Boolean "
-                    "algebra after identification", block=atom_labels)
-            blocks.append(Block(atoms=cand, elements=frozenset(joins)))
-            block_joins.append(dict(enumerate(joins)))
-    elif kind == PASTED:
+    elif given_blocks is None:
         # Without block provenance an incomplete order is unusable: the
         # orthoposet alone does not determine blocks.
         unbounded = next([labels[i], labels[j]] for i in range(n)
@@ -406,62 +381,67 @@ def _build(labels: tuple[str, ...], up: list[int], down: list[int], ortho, *,
             "structures with missing bounds are only accepted in block form",
             witness=unbounded)
     else:
-        # Lattice: blocks are closures of maximal pairwise-orthogonal atom
-        # sets.  The join of an atom subset S is the unique element lying
-        # above exactly S whose orthocomplement lies above exactly the rest
-        # (unique by orthomodularity), so every candidate must verify.
+        kind = PASTED
+
+    atoms = tuple(i for i in range(1, n) if down[i] == 1 | 1 << i)
+
+    if given_blocks is None:
+        # A finite orthomodular lattice's blocks are generated by its maximal
+        # orthogonal sets of atoms (Kalmbach 1983, ch. 4); a join is a lookup.
         neigh = {a: {b for b in atoms if b != a and (down[ortho[b]] >> a) & 1}
                  for a in atoms}
+        given_blocks = []
         for cand in _maximal_cliques(list(atoms), neigh):
-            k = len(cand)
-            supp = [0] * n
-            for pos, a in enumerate(cand):
-                for e in range(n):
-                    if (down[e] >> a) & 1:
-                        supp[e] |= 1 << pos
-            top_mask = (1 << k) - 1
-            by_pair: dict[tuple[int, int], list[int]] = {}
-            for e in range(n):
-                by_pair.setdefault((supp[e], supp[ortho[e]]), []).append(e)
-            joins = {}
-            for mask in range(1 << k):
-                hits = by_pair.get((mask, top_mask ^ mask), ())
-                if len(hits) != 1:
-                    raise AssertionError(
-                        "maximal orthogonal atom set failed Boolean closure "
-                        "in a validated orthomodular lattice (implementation "
-                        "bug)")
-                joins[mask] = hits[0]
-            blocks.append(Block(atoms=cand, elements=frozenset(joins.values())))
-            block_joins.append(joins)
+            joins = [0]
+            for a in cand:
+                joins += [by_up[up[j] & up[a]] for j in joins]
+            given_blocks.append((cand, joins))
+
+    # Adopt each block whose join table restricts to a Boolean algebra: its
+    # atoms are structure atoms and its 2^k joins distinct, which only a
+    # pasting's identifications can break.  The rest holds by construction:
+    # ortho[joins[m]] == joins[top ^ m] as a pasting writes ortho so, and in
+    # a clique A as ortho(join S) = join(A - S) by orthomodularity; joins[m]
+    # <= joins[m | bit] as a pasting writes its rows so, and a clique's
+    # joins grow with the subset.  So were joins[m1] <= joins[m2] with a bit
+    # of m1 outside m2, its atom a would lie below the join of all other
+    # bits, ortho(a), and be 0.
+    blocks: list[Block] = []
+    for cand, joins in given_blocks:
+        elements = frozenset(joins)
+        if (len(elements) != 1 << len(cand)
+                or any(down[a] != 1 | 1 << a for a in cand)):
+            atom_labels = sorted(labels[a] for a in cand)
+            raise InconsistentIdentification(
+                f"block {atom_labels!r} does not restrict to a Boolean "
+                "algebra after identification", block=atom_labels)
+        blocks.append(Block(atoms=cand, elements=elements))
 
     sort_key = sorted(range(len(blocks)),
                       key=lambda bi: tuple(labels[a] for a in blocks[bi].atoms))
     blocks = [blocks[bi] for bi in sort_key]
-    block_joins = [block_joins[bi] for bi in sort_key]
+    block_joins = [dict(enumerate(given_blocks[bi][1])) for bi in sort_key]
 
     elem_blocks = [0] * n
     for bi, b in enumerate(blocks):
         for e in b.elements:
             elem_blocks[e] |= 1 << bi
 
-    if given_blocks is not None:
-        # A block lies inside another iff the blocks holding all of its
-        # elements are more than itself.  Report the first in given order.
-        for _, bi in sorted(zip(sort_key, range(len(blocks)))):
-            holders = -1
-            for e in blocks[bi].elements:
-                holders &= elem_blocks[e]
-            if holders != 1 << bi:
-                atom_labels = sorted(labels[a] for a in blocks[bi].atoms)
-                raise InconsistentIdentification(
-                    f"block {atom_labels!r} collapsed into another block",
-                    block=atom_labels)
+    # A block lies inside another iff the blocks holding all of its
+    # elements are more than itself.  Report the first in given order.  On
+    # a lattice neither check fires: maximal cliques do not nest, and x and
+    # ortho(x) join orthogonal atom sets below them, parts of one clique.
+    for _, bi in sorted(zip(sort_key, range(len(blocks)))):
+        holders = -1
+        for e in blocks[bi].elements:
+            holders &= elem_blocks[e]
+        if holders != 1 << bi:
+            atom_labels = sorted(labels[a] for a in blocks[bi].atoms)
+            raise InconsistentIdentification(
+                f"block {atom_labels!r} collapsed into another block",
+                block=atom_labels)
     if 0 in elem_blocks:
         missing = labels[elem_blocks.index(0)]
-        if given_blocks is None:
-            raise AssertionError("element outside every block in a validated "
-                                 "orthomodular lattice (implementation bug)")
         raise InconsistentIdentification(f"element {missing!r} lies in no block",
                                          element=missing)
 

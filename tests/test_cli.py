@@ -114,7 +114,7 @@ def test_negation_pipeline(capsys, tmp_path):
     code, out, _ = _run(capsys, "das", "--input", structure_file,
                         "--element", "p", "--output", das_file)
     assert code == 0 and out == ""
-    assert json.loads(open(das_file).read()) == DAS_P
+    assert json.loads((tmp_path / "das_p.json").read_text()) == DAS_P
     code, out, _ = _run(capsys, "op", "not", "--heyting",
                         "--input", structure_file, "--subobject", das_file)
     assert code == 0

@@ -11,7 +11,6 @@ from biheyt import (DegenerateStructure, InconsistentIdentification, Limits,
                     OrthomodularityViolated, SizeGuard, UnboundedPair,
                     UsageError, enumerate_contexts, from_greechie, generate,
                     validate)
-from biheyt.oml import _build
 
 # Benzene ring O6: two chains 0 < a < b < 1 and 0 < b' < a' < 1 with a/a',
 # b/b' complementary.  It is an ortholattice but not orthomodular.
@@ -180,10 +179,36 @@ def test_builtin_pastings_match_the_blocks_found_from_their_order(name, n):
     dump finds its blocks from the order alone, and both give the same
     structure down to the block join tables."""
     pasted = generate(name, n)
-    found = validate(_dump_explicit(pasted))
-    for field in ("labels", "_down", "_up", "ortho", "kind", "blocks",
-                  "_block_joins"):
+    found = _assert_explicit_dump_matches(pasted)
+    for field in ("blocks", "_block_joins"):
         assert getattr(pasted, field) == getattr(found, field), field
+
+
+def _assert_explicit_dump_matches(pasted):
+    """Validate the explicit dump of a lattice pasting and compare.
+
+    The explicit format finds each block's atoms in index order, a pasting
+    keeps them in the order its block lists them, and a block's join table
+    numbers its subsets by that order.  So a block given with its atoms out
+    of sorted order gets another ``Block.atoms`` order and bit numbering on
+    the two paths, and blocks sorted by their atom labels may even come in
+    another order.  Compared are each block's element set and its join of
+    every atom set.
+    """
+    found = validate(_dump_explicit(pasted))
+    for field in ("labels", "_down", "_up", "ortho", "kind"):
+        assert getattr(pasted, field) == getattr(found, field), field
+
+    def tables(structure):
+        return {block.elements: {frozenset(a for p, a in enumerate(block.atoms)
+                                           if m >> p & 1): e
+                                 for m, e in joins.items()}
+                for block, joins in zip(structure.blocks,
+                                        structure._block_joins)}
+
+    assert tables(pasted) == tables(found)
+    assert len(found.blocks) == len(pasted.blocks)
+    return found
 
 
 def test_greechie_single_block_is_boolean():
@@ -368,15 +393,8 @@ def test_tree_pastings_validate_and_round_trip(blocks):
     assert st1.kind == "lattice"
     got = {frozenset(st1.label(a) for a in blk.atoms) for blk in st1.blocks}
     assert got == {frozenset(b) for b in blocks}
-    st2 = validate(_dump_explicit(st1))
-    assert st2.labels == st1.labels
-    assert st2.kind == st1.kind
-    got2 = {frozenset(st2.label(a) for a in blk.atoms) for blk in st2.blocks}
-    assert got2 == got
-    for x in range(st1.n):
-        assert st2.ortho_of(x) == st1.ortho_of(x)
-        for y in range(st1.n):
-            assert st2.leq(x, y) == st1.leq(x, y)
+    _assert_block_tables_are_boolean(st1)
+    _assert_explicit_dump_matches(st1)
 
 
 # Five three-atom blocks in a loop: 15 contexts, 11 global sections.
@@ -388,6 +406,11 @@ def chain_pasting(blocks):
     """A chain pasting of three-atom blocks, each sharing one atom with the
     next; the labels sort along the chain."""
     return [[f"x{k:04d}", f"y{k:04d}", f"x{k + 1:04d}"] for k in range(blocks)]
+
+
+def test_the_chain_pasting_matches_the_blocks_found_from_its_order():
+    # each block lists its atoms x, y, x' out of sorted order
+    _assert_explicit_dump_matches(from_greechie(chain_pasting(60)))
 
 
 def _extremum(mask, rows):
@@ -446,17 +469,26 @@ def test_a_block_that_is_not_boolean_after_identification_is_rejected():
     assert info.value.details == {"block": ["a", "b"]}
 
 
-def test_a_given_block_must_order_its_joins_like_their_subsets():
-    """An ortho-closed join table of distinct elements over the atoms p, q
-    that runs downwards fails a cover step of the given-block check."""
-    labels = ("0", "1", "p", "q")
-    up = [0b1111, 0b0010, 0b0110, 0b1010]
-    down = [0b0001, 0b1111, 0b0101, 0b1001]
-    ortho = [1, 0, 3, 2]
-    table = [0, 2, 3, 1]
-    flipped = [table[3 ^ m] for m in range(4)]
-    _build(labels, up, down, ortho, given_blocks=[((2, 3), table)])
-    with pytest.raises(InconsistentIdentification) as info:
-        _build(labels, up, down, ortho, given_blocks=[((2, 3), flipped)])
-    assert info.value.message == ("block ['p', 'q'] does not restrict to a "
-                                  "Boolean algebra after identification")
+def _assert_block_tables_are_boolean(structure):
+    """Every block join table has 2^k distinct elements, is closed under
+    ortho and climbs along every cover step m -> m | bit.  ``_build`` checks
+    only the first of these; the others hold by how each table is made."""
+    for block, joins in zip(structure.blocks, structure._block_joins):
+        k = len(block.atoms)
+        top = (1 << k) - 1
+        assert sorted(joins) == list(range(1 << k))
+        assert len(set(joins.values())) == 1 << k
+        for m in range(1 << k):
+            assert structure.ortho[joins[m]] == joins[top ^ m]
+            for b in range(k):
+                assert structure.leq(joins[m], joins[m | 1 << b])
+
+
+@pytest.mark.parametrize("name, n", [("boolean", k) for k in range(2, 9)]
+                         + [("mo", k) for k in range(1, 27)]
+                         + [("cabello18", None)])
+def test_builtin_block_tables_are_boolean(name, n):
+    structure = generate(name, n)
+    _assert_block_tables_are_boolean(structure)
+    if structure.kind == "lattice":
+        _assert_block_tables_are_boolean(validate(_dump_explicit(structure)))
