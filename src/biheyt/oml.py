@@ -388,8 +388,13 @@ def _build(labels: tuple[str, ...], up: list[int], down: list[int], ortho, *,
     if given_blocks is None:
         # A finite orthomodular lattice's blocks are generated by its maximal
         # orthogonal sets of atoms (Kalmbach 1983, ch. 4); a join is a lookup.
-        neigh = {a: {b for b in atoms if b != a and (down[ortho[b]] >> a) & 1}
-                 for a in atoms}
+        # a <= ortho(b) iff b <= ortho(a): a's neighbours lie below ortho(a)
+        is_atom, neigh = sum(1 << a for a in atoms), {a: set() for a in atoms}
+        for a in atoms:
+            m = down[ortho[a]] & is_atom
+            while m:
+                neigh[a].add((m & -m).bit_length() - 1)
+                m &= m - 1
         given_blocks = []
         for cand in _maximal_cliques(list(atoms), neigh):
             joins = [0]
@@ -428,8 +433,9 @@ def _build(labels: tuple[str, ...], up: list[int], down: list[int], ortho, *,
             elem_blocks[e] |= 1 << bi
 
     # A block lies inside another iff the blocks holding all of its
-    # elements are more than itself.  Report the first in given order.  On
-    # a lattice neither check fires: maximal cliques do not nest, and x and
+    # elements are more than itself; report the first in given order.  On a
+    # lattice maximal cliques do not nest.  No element lies in no block: a
+    # pasting's is a (block, subset) node's class, and a lattice's x and
     # ortho(x) join orthogonal atom sets below them, parts of one clique.
     for _, bi in sorted(zip(sort_key, range(len(blocks)))):
         holders = -1
@@ -440,10 +446,6 @@ def _build(labels: tuple[str, ...], up: list[int], down: list[int], ortho, *,
             raise InconsistentIdentification(
                 f"block {atom_labels!r} collapsed into another block",
                 block=atom_labels)
-    if 0 in elem_blocks:
-        missing = labels[elem_blocks.index(0)]
-        raise InconsistentIdentification(f"element {missing!r} lies in no block",
-                                         element=missing)
 
     return OrthoStructure(
         labels=labels, n=n, zero=0, one=1, kind=kind, ortho=ortho,

@@ -6,9 +6,9 @@ enumeration column-wise (``_Columns``): one int op per spectrum point decides
 a fact for all N subobjects.  They read nothing but the subobjects' bits, so
 they stay independent of the closed-form production code and the two can
 certify each other.  ``check_adjunctions`` verifies both adjunctions over
-every triple and, in the same pass, compares every operation with its
-brute-force twin; it accepts replacement operation hooks so a corrupted
-operation is caught with a concrete counterexample.
+every triple, comparing every operation with its brute-force twin in the
+same pass, and scans R only at a pair whose operations mismatch; replacement
+operation hooks let a corrupted operation be caught with a counterexample.
 ``restriction_image_projection`` checks the table-driven coarse-graining
 against ``_least_dominating``, a scan of the subcontext for the least
 dominating element; the tests hold ``delta_global`` to the same scan.
@@ -16,7 +16,6 @@ dominating element; the tests hold ``delta_global`` to the same scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Any, Callable
 
 from . import biheyting
@@ -165,15 +164,16 @@ def check_adjunctions(poset: ContextPoset, *,
     ``R ^ S <= T iff R <= (S => T)`` and ``(S <= T v R iff (S - T) <= R``.
     The operation hooks default to the production implementations; passing a
     deliberately wrong one must yield a counterexample (first in canonical
-    order), which is how the oracle itself is tested.  Each pair decides all
-    R at once; ``triples_checked`` counts triples up to the counterexample.
-    The selections {R : R ^ S <= T} and {R : S <= T v R} that decide the laws
-    have the brute-force results as their join and meet, so ``oracle``
-    compares both hooks, and both negations, with no second pass.  Both
-    selections depend on S & ~T alone and are kept per gap.  The
-    subobjects are counted before any is built, so ``SizeGuard`` at
-    ``max_subobjects``, or when the N**3 triples exceed ``search_budget``,
-    comes first.
+    order), which is how the oracle itself is tested.  ``triples_checked``
+    counts triples up to the counterexample.  The R with R ^ S <= T hold 0
+    and are closed under joins, so they are the R below their join, the
+    brute S => T; dually the R with S <= T v R are the R above the brute
+    S - T.  So ``oracle`` compares both hooks, and both negations, in the
+    same pass, and R is scanned, all at once, only at a pair where an
+    operation mismatches.  The brute results depend on S & ~T alone and are
+    kept per gap.  The subobjects are counted before any is built, so
+    ``SizeGuard`` at ``max_subobjects``, or when the N**3 triples exceed
+    ``search_budget``, comes first.
     """
     impl = heyting_impl or biheyting.heyting_implies
     sub = coheyting_sub or biheyting.coheyting_subtract
@@ -193,37 +193,42 @@ def check_adjunctions(poset: ContextPoset, *,
             if got != want:
                 mismatches += 1
                 first = first or {"op": op, "subobject": s.to_mapping()}
-    by_gap: dict[int, tuple[int, int, int, int]] = {}
+    # With G = S & ~T, {R : R & G == 0} holds 0 and is closed under joins,
+    # so it is {R <= brute S => T}; dually {R : G <= R} is {R >= brute S - T}.
+    by_gap: dict[int, tuple[int, int]] = {}
     triples, found = n ** 3, None
-    for pair, (s, t) in enumerate(product(subs, subs)):
-        i_bits, d_bits = impl(s, t).bits, sub(s, t).bits
-        gap = s.bits & ~t.bits
-        if gap not in by_gap:
-            avoid, contain = cols.avoiding(gap), cols.containing(gap)
-            by_gap[gap] = (avoid, contain, cols.join(avoid), cols.meet(contain))
-        meet_below, inside_join, brute_i, brute_d = by_gap[gap]
-        for op, got, want in (("implies", i_bits, brute_i),
-                              ("subtract", d_bits, brute_d)):
-            if got != want:
-                mismatches += 1
-                first = first or {"op": op, "subobject": s.to_mapping(),
-                                  "other": t.to_mapping()}
-        below_impl, sub_below = cols.avoiding(~i_bits), cols.containing(d_bits)
-        heyting = below_impl ^ meet_below
-        bad = heyting | (sub_below ^ inside_join)
-        if bad and found is None:
-            k = (bad & -bad).bit_length() - 1
-            where = {"S": s.to_mapping(), "T": t.to_mapping(),
-                     "R": subs[k].to_mapping()}
-            if heyting >> k & 1:
-                found = {"law": "heyting", **where,
-                         "meet_below": bool(meet_below >> k & 1),
-                         "below_implication": bool(below_impl >> k & 1)}
-            else:
-                found = {"law": "coheyting", **where,
-                         "inside_join": bool(inside_join >> k & 1),
-                         "subtraction_below": bool(sub_below >> k & 1)}
-            triples = pair * n + k + 1
+    for si, s in enumerate(subs):
+        s_bits = s.bits
+        for ti, t in enumerate(subs):
+            i_bits, d_bits = impl(s, t).bits, sub(s, t).bits
+            gap = s_bits & ~t.bits
+            brute_i, brute_d = by_gap.get(gap) or by_gap.setdefault(gap, (
+                cols.join(cols.avoiding(gap)), cols.meet(cols.containing(gap))))
+            if i_bits == brute_i and d_bits == brute_d:
+                continue
+            for op, got, want in (("implies", i_bits, brute_i),
+                                  ("subtract", d_bits, brute_d)):
+                if got != want:
+                    mismatches += 1
+                    first = first or {"op": op, "subobject": s.to_mapping(),
+                                      "other": t.to_mapping()}
+            meet_below, below_impl = cols.avoiding(gap), cols.avoiding(~i_bits)
+            inside_join, sub_below = cols.containing(gap), cols.containing(d_bits)
+            heyting = below_impl ^ meet_below
+            bad = heyting | (sub_below ^ inside_join)
+            if bad and found is None:
+                k = (bad & -bad).bit_length() - 1
+                where = {"S": s.to_mapping(), "T": t.to_mapping(),
+                         "R": subs[k].to_mapping()}
+                if heyting >> k & 1:
+                    found = {"law": "heyting", **where,
+                             "meet_below": bool(meet_below >> k & 1),
+                             "below_implication": bool(below_impl >> k & 1)}
+                else:
+                    found = {"law": "coheyting", **where,
+                             "inside_join": bool(inside_join >> k & 1),
+                             "subtraction_below": bool(sub_below >> k & 1)}
+                triples = (si * n + ti) * n + k + 1
     return AdjunctionReport(n, triples, found, {
         "first_mismatch": first, "mismatches": mismatches,
         "negation_checks": 2 * n, "pair_checks": 2 * n * n,

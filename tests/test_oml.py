@@ -471,8 +471,11 @@ def test_a_block_that_is_not_boolean_after_identification_is_rejected():
 
 def _assert_block_tables_are_boolean(structure):
     """Every block join table has 2^k distinct elements, is closed under
-    ortho and climbs along every cover step m -> m | bit.  ``_build`` checks
-    only the first of these; the others hold by how each table is made."""
+    ortho and climbs along every cover step m -> m | bit, and the tables
+    together hold every element.  ``_build`` checks only the first of these;
+    the others hold by how each table is made."""
+    assert set().union(*(joins.values() for joins in structure._block_joins)
+                       ) == set(range(structure.n))
     for block, joins in zip(structure.blocks, structure._block_joins):
         k = len(block.atoms)
         top = (1 << k) - 1

@@ -353,6 +353,56 @@ def test_both_laws_failing_at_one_triple_report_the_heyting_law(name):
         s.to_mapping()
 
 
+def test_mismatches_that_keep_both_laws_are_counted_but_pass():
+    """An operation can differ from its brute twin and still obey its law
+    for every R.  On boolean:3, with S everything and T empty, S => T is
+    empty, and one point of the top context added to it lies below no
+    subobject but the empty one; S - T is everything, and some point taken
+    from it leaves everything the only subobject above the rest.  The
+    comparison counts the one mismatch, and the laws pass."""
+    poset = _poset("boolean:3")
+    subs = enumerate_subobjects(poset)
+    at = (top(poset), bottom(poset))
+    assert heyting_implies(*at).bits == 0
+    widest = max(range(len(poset.contexts)),
+                 key=lambda i: len(poset.contexts[i].atoms))
+    report = _assert_like_the_row_scan(poset, heyting_impl=_flip_at(
+        heyting_implies, at, poset._offsets[widest]))
+    assert report.passed
+    _assert_one_mismatch(report, "implies", at)
+
+    full = coheyting_subtract(*at).bits
+    assert full == (1 << poset.total_bits) - 1
+    point = next(p for p in range(poset.total_bits)
+                 if all(r.bits == full for r in subs
+                        if r.bits | 1 << p == full))
+    report = _assert_like_the_row_scan(poset, coheyting_sub=_flip_at(
+        coheyting_subtract, at, point))
+    assert report.passed
+    _assert_one_mismatch(report, "subtract", at)
+
+
+@pytest.mark.parametrize("name, seed", [("mo:2", 1), ("mo:3", 2),
+                                        ("boolean:3", 3)])
+def test_random_corruptions_report_like_the_row_scans(name, seed):
+    """Seeded corruptions of either operation at a random pair, each XOR-ing
+    a random set of points into its result: caught or not, the laws and the
+    brute-force comparison both equal the row scans'."""
+    poset = _poset(name)
+    subs = enumerate_subobjects(poset)
+    rng = random.Random(seed)
+    for _ in range(4):
+        at = (rng.choice(subs), rng.choice(subs))
+        hook, op = rng.choice([("heyting_impl", heyting_implies),
+                               ("coheyting_sub", coheyting_subtract)])
+        flips = rng.getrandbits(poset.total_bits) or 1
+        for p in range(poset.total_bits):
+            if flips >> p & 1:
+                op = _flip_at(op, at, p)
+        report = _assert_like_the_row_scan(poset, **{hook: op})
+        assert report.oracle["mismatches"] == 1
+
+
 def test_report_serializes(mo2_poset):
     report = check_adjunctions(mo2_poset)
     blob = report.to_json()
