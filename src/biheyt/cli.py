@@ -11,9 +11,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
+from operator import getitem
+from typing import Iterable, Iterator
 
 from .biheyting import (coheyting_not, coheyting_subtract, heyting_implies,
                         heyting_not, is_coheyting_regular, is_heyting_regular,
@@ -25,8 +28,7 @@ from .limits import DEFAULT_LIMITS, Limits
 from .oml import validate
 from .oracle import (brute_coheyting_subtract, brute_heyting_implies,
                      brute_negations, check_adjunctions)
-from .presheaf import (_section_states, _subobject_batches, enumerate_subobjects,
-                       global_sections)
+from .presheaf import _section_rows, _section_states, _subobject_batches
 from .serialize import (builtin_structure, canonical_json, contexts_dot,
                         subobject_dot, subobject_from_mapping,
                         subobject_to_json)
@@ -150,7 +152,9 @@ def _load_json(path: str):
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}",
                          path=path) from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, bytes that are not UTF-8, an integer past the digit
+        # limit, or nesting past the recursion limit
         raise UsageError(f"invalid JSON in {path}: {exc}", path=path) from None
 
 
@@ -257,24 +261,52 @@ def _cmd_check(args, limits) -> str:
     return canonical_json({"check": args.predicate, "result": result})
 
 
-def _cmd_sections(args, limits) -> str:
-    poset = _poset(args, limits)
-    if args.list_all:
-        # the sections die with the comprehension, before the JSON is built
-        sections = [g.to_mapping() for g in global_sections(poset, limits=limits)]
-        return canonical_json({"count": len(sections), "sections": sections})
-    return canonical_json({"count": sum(1 for _ in _section_states(poset, limits))})
+def _fragments(poset, elements) -> list[list[str]]:
+    """For each context, the JSON ``"id":"label"`` of each element given for
+    it, in the given order.  Contexts are indexed in sorted-id order, so the
+    canonical JSON of a row's mapping is ``{``, its contexts' fragments
+    joined by commas in index order, and ``}``."""
+    labels = poset.structure.labels
+    dump = functools.cache(json.dumps)   # an element recurs across contexts
+    return [[head + dump(labels[e]) for e in elems] for head, elems
+            in zip([json.dumps(c.id) + ":" for c in poset.contexts], elements)]
 
 
-def _cmd_enumerate(args, limits) -> str:
+def _listing(key: str, count: int, chunks: Iterable[str]) -> Iterator[str]:
+    """``{"count":N,"<key>":[...]}`` around ``chunks``, each a run of rows
+    joined by commas, as it comes."""
+    yield f'{{"count":{count},"{key}":['
+    for k, chunk in enumerate(chunks):
+        if k:
+            yield ","
+        yield chunk
+    yield "]}"
+
+
+def _cmd_sections(args, limits) -> "str | Iterator[str]":
     poset = _poset(args, limits)
-    # counting builds no subobject, so a listing past the limit builds none
-    out = {"count": sum(len(batch) for _, batch in _subobject_batches(poset, limits))}
-    if args.list_all:
-        # the subobjects die with the comprehension, before the JSON is built
-        out["subobjects"] = [s.to_mapping()
-                             for s in enumerate_subobjects(poset, limits=limits)]
-    return canonical_json(out)
+    if not args.list_all:
+        return canonical_json({"count": sum(1 for _ in _section_states(poset, limits))})
+    rows = _section_rows(poset, limits)
+    tables = [dict(zip(c.atoms, frags)) for c, frags in
+              zip(poset.contexts, _fragments(poset, [c.atoms for c in poset.contexts]))]
+    return _listing("sections", len(rows), [",".join(
+        ["{" + ",".join(map(getitem, tables, row)) + "}" for row in rows])])
+
+
+def _cmd_enumerate(args, limits) -> "str | Iterator[str]":
+    poset = _poset(args, limits)
+    # counting builds no subobject, so a listing past the limit writes none;
+    # the listing then walks again and writes a memo batch at a time
+    count = sum(len(batch) for _, batch in _subobject_batches(poset, limits))
+    if not args.list_all:
+        return canonical_json({"count": count})
+    spec = tuple(zip(_fragments(poset, poset._mask_to_elem), poset._offsets,
+                     poset._full))
+    return _listing("subobjects", count, (",".join(
+        ["{" + ",".join([t[bits >> off & f] for t, off, f in spec]) + "}"
+         for bits in map(lower.__or__, batch)])
+        for lower, batch in _subobject_batches(poset, limits)))
 
 
 def _cmd_export_dot(args, limits) -> str:
@@ -298,15 +330,18 @@ _COMMANDS = {
 }
 
 
-def _emit(text: str, output: "str | None") -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _emit(out: "str | Iterable[str]", output: "str | None") -> None:
+    """Write a command's text, or a listing's chunks as they come, to stdout
+    or to ``output``, ending with one newline."""
+    if isinstance(out, str):
+        out = (out.removesuffix("\n"),)
+    chunks = itertools.chain(out, ("\n",))
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise UsageError(f"cannot write {output}: {exc.strerror or exc}",
                          path=output) from None

@@ -388,14 +388,19 @@ def global_sections(poset: ContextPoset, *,
     states, so it keeps and decodes none.  An empty result is a
     Kochen-Specker style obstruction.
     """
+    return tuple(map(GlobalSection, repeat(poset), _section_rows(poset, limits)))
+
+
+def _section_rows(poset: ContextPoset, limits: Limits) -> list[tuple[int, ...]]:
+    """The atom tuples of ``global_sections``, sorted; ``biheyt sections
+    --list`` writes them with no ``GlobalSection`` built."""
     states = list(_section_states(poset, limits))
     columns = [[elem[state >> off & f] for state in states] for elem, off, f
                in zip(poset._mask_to_elem, poset._offsets, poset._full)]
     n = len(columns)
     if any(state.bit_count() != n for state in states) or any(0 in c for c in columns):
         raise AssertionError("section is not one point per context (bug)")
-    rows = sorted(zip(*columns)) if columns else [()] * len(states)
-    return tuple(map(GlobalSection, repeat(poset), rows))
+    return sorted(zip(*columns)) if columns else [()] * len(states)
 
 
 def _section_states(poset: ContextPoset, limits: Limits):

@@ -443,6 +443,51 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     assert payload["message"].startswith(f"cannot write {path}: ")
 
 
+@pytest.mark.parametrize("command", [
+    ("enumerate", "--list", "--builtin", "boolean:3"),
+    ("sections", "--list", "--builtin", "mo:2")])
+def test_a_listing_reports_its_guard_before_its_output(tmp_path, command):
+    """The guard trips before ``--output`` is opened, so a refused listing
+    exits 2 and leaves no file, writable or not; a listing within its
+    guard exits 3 on an unwritable path and otherwise writes stdout's
+    bytes."""
+    guard = ("--max-subobjects" if command[0] == "enumerate"
+             else "--search-budget", "1")
+    refused = _quiet([*command, *guard])
+    assert refused[:2] == (2, "")
+    missing = tmp_path / "missing" / "x.json"
+    fresh = tmp_path / "x.json"
+    for path in (missing, fresh):
+        assert _quiet([*command, *guard, "--output", str(path)]) == refused
+        assert not path.exists()
+    code, out, err = _quiet([*command, "--output", str(missing)])
+    assert (code, out) == (3, "")
+    assert json.loads(err)["details"] == {"path": str(missing)}
+    code, out, err = _quiet(list(command))
+    assert (code, err) == (0, "")
+    assert _quiet([*command, "--output", str(fresh)]) == (0, "", "")
+    assert fresh.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("flag", ["--input", "--subobject"])
+@pytest.mark.parametrize("content", [
+    b"\xff{}",                       # not UTF-8
+    b"1" * 4301,                      # past the integer digit limit
+    b"[" * 100_000 + b"]" * 100_000,  # past the recursion limit
+], ids=["not-utf8", "long-integer", "deep-nesting"])
+def test_an_undecodable_file_is_a_usage_error(tmp_path, flag, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    argv = (["validate", "--input", str(path)] if flag == "--input" else
+            ["op", "not", "--builtin", "mo:2", "--subobject", str(path)])
+    code, out, err = _quiet(argv)
+    assert (code, out) == (3, "") and err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "UsageError"
+    assert payload["details"] == {"path": str(path)}
+    assert payload["message"].startswith(f"invalid JSON in {path}: ")
+
+
 def test_missing_subcommand_mentions_help(capsys):
     code, _, err = _run(capsys)
     assert code == 3
@@ -535,14 +580,29 @@ def _quiet(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _listed(argv):
+    """``run`` of a listing, which must succeed with the same bytes on
+    stdout and through ``--output``; returns them."""
+    code, out, err = _quiet(argv)
+    assert (code, err) == (0, "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "out.json")
+        assert _quiet([*argv, "--output", str(path)]) == (0, "", "")
+        assert path.read_bytes() == out.encode("utf-8")
+    return out
+
+
 def _count_matches_the_search(poset, argv):
-    """``sections`` counts without decoding; ``--list`` decodes.  Both give
-    the count of ``global_sections``."""
-    want = len(global_sections(poset))
+    """``sections`` counts without decoding; ``--list`` writes the rows.
+    Both agree with ``global_sections``: the listing byte for byte with the
+    canonical JSON of its mappings."""
+    sections = global_sections(poset)
+    want = len(sections)
     code, out, err = _quiet(["sections", *argv])
     assert (code, out, err) == (0, canonical_json({"count": want}) + "\n", "")
-    code, out, _ = _quiet(["sections", "--list", *argv])
-    assert code == 0 and json.loads(out)["count"] == want
+    rows = [g.to_mapping() for g in sections]
+    assert _listed(["sections", "--list", *argv]) \
+        == canonical_json({"count": want, "sections": rows}) + "\n"
 
 
 @pytest.mark.parametrize("spec", ["boolean:2", "boolean:3", "boolean:4",
@@ -613,26 +673,28 @@ def test_a_state_with_no_point_at_a_context_is_a_bug(monkeypatch):
 
 
 def _subobject_count_matches_the_listing(poset, argv, budget):
-    """``enumerate`` sums the memo batches and builds no subobject;
-    ``--list`` builds them.  Both give the count of
-    ``enumerate_subobjects``, or both exit 2 with its guard's bytes."""
+    """``enumerate`` sums the memo batches; ``--list`` then writes their
+    rows.  Both agree with ``enumerate_subobjects``: the listing byte for
+    byte with the canonical JSON of its mappings.  Or both exit 2 with its
+    guard's bytes."""
     argv = [*argv, "--max-subobjects", str(budget)]
     try:
-        count = len(enumerate_subobjects(
-            poset, limits=Limits(max_subobjects=budget)))
+        subs = enumerate_subobjects(poset, limits=Limits(max_subobjects=budget))
     except SizeGuard as exc:
         want = (2, "", canonical_json(exc.to_json()) + "\n")
         assert _quiet(["enumerate", *argv]) == want
         assert _quiet(["enumerate", "--list", *argv]) == want
         return
     assert _quiet(["enumerate", *argv]) \
-        == (0, canonical_json({"count": count}) + "\n", "")
-    code, out, _ = _quiet(["enumerate", "--list", *argv])
-    assert code == 0 and json.loads(out)["count"] == count
+        == (0, canonical_json({"count": len(subs)}) + "\n", "")
+    rows = [s.to_mapping() for s in subs]
+    assert _listed(["enumerate", "--list", *argv]) \
+        == canonical_json({"count": len(subs), "subobjects": rows}) + "\n"
 
 
-@pytest.mark.parametrize("spec", ["boolean:2", "boolean:3", "mo:1", "mo:2",
-                                  "mo:3", "mo:5", "mo:8"])
+# every builtin within the default max_subobjects: mo:10 and boolean:4 pass it
+@pytest.mark.parametrize("spec", ["boolean:2", "boolean:3",
+                                  *[f"mo:{n}" for n in range(1, 10)]])
 def test_subobject_count_matches_the_listing_on_builtins(spec):
     name, _, n = spec.partition(":")
     poset = enumerate_contexts(generate(name, int(n)))
@@ -650,6 +712,18 @@ def test_subobject_count_matches_the_listing_on_pastings(blocks):
         path = _jfile(pathlib.Path(tmp), "tree.json",
                       {"format": "greechie", "blocks": blocks})
         _subobject_count_matches_the_listing(poset, ["--input", path], 70_000)
+
+
+def test_listings_escape_awkward_labels(tmp_path):
+    """Labels that need JSON escaping, outside ASCII too, are written as
+    the canonical JSON of the mappings writes them."""
+    blocks = [['a"', "b\\", "c\t"], ["c\t", "é", "☃"]]
+    poset = enumerate_contexts(from_greechie(blocks))
+    argv = ["--input", _jfile(tmp_path, "awkward.json",
+                              {"format": "greechie", "blocks": blocks})]
+    _count_matches_the_search(poset, argv)
+    _subobject_count_matches_the_listing(poset, argv,
+                                         DEFAULT_LIMITS.max_subobjects)
 
 
 def test_the_count_of_boolean4_fits_its_budget():
@@ -682,14 +756,24 @@ def test_both_subobject_paths_trip_the_same_guard(tmp_path, argv, budgets):
 
 
 def test_the_subobject_count_builds_no_subobject(monkeypatch):
+    """Neither the count nor the listing builds a subobject; the listing
+    writes the bytes of the built subobjects' mappings all the same."""
+    want = {}
+    for spec in ("boolean:3", "mo:5"):
+        name, _, n = spec.partition(":")
+        subs = enumerate_subobjects(enumerate_contexts(generate(name, int(n))))
+        want[spec] = canonical_json({"count": len(subs), "subobjects":
+                                     [s.to_mapping() for s in subs]}) + "\n"
+
     def refuse(*_):
         raise AssertionError("a subobject was built")
 
     monkeypatch.setattr(presheaf, "_set_bits", refuse)
     assert _quiet(["enumerate", "--builtin", "boolean:3"]) \
         == (0, '{"count":95}\n', "")
-    with pytest.raises(AssertionError, match="was built"):
-        _quiet(["enumerate", "--builtin", "boolean:3", "--list"])
+    for spec, out in want.items():
+        assert _quiet(["enumerate", "--builtin", spec, "--list"]) \
+            == (0, out, "")
 
 
 @pytest.mark.parametrize("argv", [
