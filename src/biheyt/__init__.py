@@ -1,10 +1,11 @@
 """Bi-Heyting algebra of clopen subobjects of the spectral presheaf.
 
-Finite orthomodular structures (Boolean cubes, horizontal sums, Greechie
-pastings) are turned into their poset of Boolean subalgebra contexts; clopen
-subobjects of the resulting spectral presheaf form a complete bi-Heyting
-algebra with Heyting implication/negation, co-Heyting subtraction/negation,
-and outer daseinisation mapping lattice elements into it.
+Finite orthomodular lattices (Boolean cubes, horizontal sums) and Greechie
+pastings of Boolean blocks, which need not be orthomodular, are turned into
+their poset of Boolean subalgebra contexts; clopen subobjects of the
+resulting spectral presheaf form a complete bi-Heyting algebra with Heyting
+implication/negation, co-Heyting subtraction/negation, and outer
+daseinisation mapping lattice elements into it.
 """
 from .biheyting import (bottom, coheyting_not, coheyting_subtract,
                         double_coheyting_not, double_heyting_not,

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 from .biheyting import (coheyting_not, coheyting_subtract, heyting_implies,
                         heyting_not, is_coheyting_regular, is_heyting_regular,
                         is_tight, join, meet)
-from .contexts import ContextPoset, enumerate_contexts
+from .contexts import ContextPoset, _contexts, enumerate_contexts
 from .daseinisation import daseinise
 from .errors import BiheytError, SizeGuard, UsageError, ValidationError
 from .limits import DEFAULT_LIMITS, Limits
@@ -35,6 +35,8 @@ from .serialize import (builtin_structure, canonical_json, contexts_dot,
 
 _BINARY_OPS = ("meet", "join", "implies", "subtract")
 _UNARY_OPS = ("not", "conot")
+# `sections --list` joins and writes this many rows at a time
+_SECTION_CHUNK = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,32 +180,33 @@ def _subobject_arg(poset, path, flag):
 
 def _cmd_validate(args, limits) -> str:
     structure = _structure(args, limits)
-    poset = enumerate_contexts(structure, limits=limits)
     return canonical_json({
         "atoms": len(structure.atoms()),
         "blocks": len(structure.blocks),
-        "contexts": len(poset.contexts),
+        "contexts": len(_contexts(structure, limits)),
         "elements": structure.n,
         "kind": structure.kind,
         "valid": True,
     })
 
 
+# validate, contexts (JSON) and spectrum list the contexts and their atoms,
+# which the partition walk gives; they build no poset table.
 def _cmd_contexts(args, limits) -> str:
-    poset = _poset(args, limits)
     if args.format == "dot":
-        return contexts_dot(poset)
-    label = poset.structure.label
-    rows = [{"atoms": [label(a) for a in c.atoms], "id": c.id}
-            for c in poset.contexts]
+        return contexts_dot(_poset(args, limits))
+    structure = _structure(args, limits)
+    labels = structure.labels
+    rows = [{"atoms": [labels[a] for a in c.atoms], "id": c.id}
+            for c in _contexts(structure, limits)]
     return canonical_json({"contexts": rows, "count": len(rows)})
 
 
 def _cmd_spectrum(args, limits) -> str:
-    poset = _poset(args, limits)
-    label = poset.structure.label
-    return canonical_json({c.id: [label(a) for a in c.atoms]
-                           for c in poset.contexts})
+    structure = _structure(args, limits)
+    labels = structure.labels
+    return canonical_json({c.id: [labels[a] for a in c.atoms]
+                           for c in _contexts(structure, limits)})
 
 
 def _cmd_das(args, limits) -> str:
@@ -290,8 +293,10 @@ def _cmd_sections(args, limits) -> "str | Iterator[str]":
     rows = _section_rows(poset, limits)
     tables = [dict(zip(c.atoms, frags)) for c, frags in
               zip(poset.contexts, _fragments(poset, [c.atoms for c in poset.contexts]))]
-    return _listing("sections", len(rows), [",".join(
-        ["{" + ",".join(map(getitem, tables, row)) + "}" for row in rows])])
+    return _listing("sections", len(rows), (",".join(
+        ["{" + ",".join(map(getitem, tables, row)) + "}"
+         for row in rows[k:k + _SECTION_CHUNK]])
+        for k in range(0, len(rows), _SECTION_CHUNK)))
 
 
 def _cmd_enumerate(args, limits) -> "str | Iterator[str]":

@@ -1,4 +1,4 @@
-"""The context category of a finite orthomodular structure.
+"""The context category of a finite orthomodular lattice or pasting.
 
 A context is a nontrivial Boolean subalgebra (the trivial {0, 1} subalgebra is
 excluded; it would wreck the negation formulas downstream).  Every context
@@ -198,9 +198,9 @@ class ContextPoset:
         return self._elem_mask[i][self._mask_to_elem[j][mask_j]]
 
 
-def enumerate_contexts(structure: OrthoStructure, *,
-                       limits: Limits = DEFAULT_LIMITS) -> ContextPoset:
-    """All nontrivial Boolean subalgebras, as a ContextPoset."""
+def _contexts(structure: OrthoStructure, limits: Limits) -> tuple[Context, ...]:
+    """All nontrivial Boolean subalgebras, sorted by id, with no poset table:
+    what a listing of the contexts or of their spectra needs."""
     labels = structure.labels
     found: dict[int, Context] = {}
     partitions: dict[int, list[tuple[int, ...]]] = {}
@@ -225,8 +225,13 @@ def enumerate_contexts(structure: OrthoStructure, *,
                         limit="max_contexts", value=limits.max_contexts,
                         reached=len(found))
 
-    contexts = sorted(found.values(), key=lambda c: c.id)
-    poset = ContextPoset(structure, tuple(contexts))
+    return tuple(sorted(found.values(), key=lambda c: c.id))
+
+
+def enumerate_contexts(structure: OrthoStructure, *,
+                       limits: Limits = DEFAULT_LIMITS) -> ContextPoset:
+    """All nontrivial Boolean subalgebras, as a ContextPoset."""
+    poset = ContextPoset(structure, _contexts(structure, limits))
     for i in poset.minimal:
         if len(poset.contexts[i].atoms) != 2:
             raise AssertionError("minimal context with more than two atoms (bug)")

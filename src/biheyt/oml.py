@@ -1,4 +1,4 @@
-"""Finite orthomodular structures.
+"""Finite orthostructures: orthomodular lattices and pastings of Boolean blocks.
 
 An ``OrthoStructure`` is a finite bounded poset with an orthocomplement. Two
 kinds are distinguished after validation:
@@ -7,7 +7,8 @@ kinds are distinguished after validation:
   law holds (a <= b implies b = a v (b ^ ortho(a))).
 * ``"pasted"``: some pair has no global bound; only blockwise operations are
   guaranteed.  Such structures arise from pasting Boolean blocks along shared
-  atoms (Greechie-style).
+  atoms (Greechie-style), and need not be orthomodular posets: in
+  ``cabello18`` the orthogonal atoms ``0001`` and ``0010`` have no join.
 
 Blocks are the maximal pairwise-commuting, operation-closed subsets; each is a
 finite Boolean algebra determined by a maximal pairwise-orthogonal set of

@@ -57,12 +57,21 @@ def _quote(name: str) -> str:
 
 def _covers_up(poset: ContextPoset) -> tuple[tuple[int, ...], ...]:
     """For each context, the contexts covering it, ascending."""
-    # j covers i iff no other strict supercontext of i lies inside j
-    elements = poset._elements
-    return tuple(
-        tuple(j for j in up
-              if not any(k != j and not elements[k] & ~elements[j] for k in up))
-        for up in poset._above)
+    # j covers i iff j is above i and above no strict supercontext of i
+    masks = [sum([1 << j for j in up]) for up in poset._above]
+    covers = []
+    for up, m in zip(poset._above, masks):
+        beyond = 0
+        for k in up:
+            beyond |= masks[k]
+        m &= ~beyond
+        row = []
+        while m:
+            low = m & -m
+            m ^= low
+            row.append(low.bit_length() - 1)
+        covers.append(tuple(row))
+    return tuple(covers)
 
 
 def _dot(poset: ContextPoset, title: str, nodes: list[str]) -> str:

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biheyt import (DEFAULT_LIMITS, Limits, SizeGuard, canonical_json, cli,
-                    enumerate_contexts, enumerate_subobjects, from_greechie,
-                    generate, global_sections, presheaf)
+from biheyt import (DEFAULT_LIMITS, BiheytError, ContextPoset, Limits,
+                    SizeGuard, canonical_json, cli, enumerate_contexts,
+                    enumerate_subobjects, from_greechie, generate,
+                    global_sections, presheaf)
 from biheyt.cli import run
 
 from test_oml import PENTAGON, chain_pasting, tree_pasting
@@ -622,6 +623,35 @@ def test_section_count_matches_the_listing_on_pastings(blocks):
         path = _jfile(pathlib.Path(tmp), "tree.json",
                       {"format": "greechie", "blocks": blocks})
         _count_matches_the_search(poset, ["--input", path])
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8, 4096])
+def test_section_listing_bytes_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    # mo:3 has 8 sections: chunks of one row, a ragged last chunk, exactly
+    # one full chunk, and one chunk larger than the listing
+    monkeypatch.setattr(cli, "_SECTION_CHUNK", chunk)
+    _count_matches_the_search(enumerate_contexts(generate("mo", 3)),
+                              ["--builtin", "mo:3"])
+
+
+@pytest.mark.parametrize("spec", ["boolean:3", "mo:12", "cabello18"])
+def test_context_listings_build_no_poset(monkeypatch, spec):
+    """``validate``, ``contexts`` (JSON) and ``spectrum`` read only the
+    partition walk: with ``ContextPoset`` refusing to be built they write
+    the same bytes, while ``contexts --format dot`` needs the poset."""
+    listings = [("validate",), ("contexts",), ("contexts", "--format", "json"),
+                ("spectrum",)]
+    want = {argv: _quiet([*argv, "--builtin", spec]) for argv in listings}
+    dot = ["contexts", "--format", "dot", "--builtin", spec]
+    assert _quiet(dot)[0] == 0
+
+    def refuse(self, *args, **kwargs):
+        raise BiheytError("ContextPoset built")
+    monkeypatch.setattr(ContextPoset, "__init__", refuse)
+    for argv, before in want.items():
+        assert before[0] == 0 and _quiet([*argv, "--builtin", spec]) == before
+    code, out, err = _quiet(dot)
+    assert code != 0 and out == "" and "ContextPoset built" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,10 +7,11 @@ exactly one four-element context per shared atom.
 import pytest
 from hypothesis import given, settings
 
-from biheyt import (Context, ContextPoset, Limits, NoLeastUpperWitness,
-                    SizeGuard, UsageError, builtin_structure, delta,
-                    delta_global, enumerate_contexts, from_greechie, generate,
-                    maximal_above, minimal_below)
+from biheyt import (DEFAULT_LIMITS, Context, ContextPoset, Limits,
+                    NoLeastUpperWitness, SizeGuard, UsageError,
+                    builtin_structure, delta, delta_global, enumerate_contexts,
+                    from_greechie, generate, maximal_above, minimal_below)
+from biheyt.contexts import _contexts
 from biheyt.oracle import _least_dominating
 from biheyt.serialize import _covers_up
 
@@ -31,6 +32,10 @@ FOUR_LOOP = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"], ["g", "h", "a"]]
 # orthogonal to both shared atoms of the third block, so it has no least
 # dominator there, as "0100" has none in a block of cabello18.
 TRIANGLE = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "a"]]
+
+BUILTINS = ["boolean:2", "boolean:3", "boolean:4", "boolean:5", "boolean:6",
+            "boolean:7", "boolean:8", "mo:1", "mo:2", "mo:5", "mo:12", "mo:26",
+            "cabello18"]
 
 
 def _bell(n):
@@ -214,6 +219,29 @@ def test_inclusion_lists_and_covers(boolean4_poset, cabello18_poset):
             assert poset._above[i] == tuple(above)
             assert covers[i] == tuple(
                 j for j in above if not any(ei < els[k] < els[j] for k in above))
+
+
+def _covers_by_scan(poset):
+    """The covers of each context: its strict supercontexts j with no other
+    strict supercontext of it inside j, by testing every pair."""
+    elements = poset._elements
+    return tuple(
+        tuple(j for j in up
+              if not any(k != j and not elements[k] & ~elements[j] for k in up))
+        for up in poset._above)
+
+
+@pytest.mark.parametrize("spec", BUILTINS)
+def test_covers_match_the_pair_scan(spec):
+    poset = _poset(spec)
+    assert _covers_up(poset) == _covers_by_scan(poset)
+
+
+@given(blocks=tree_pasting())
+@settings(max_examples=40, deadline=None)
+def test_covers_match_the_pair_scan_on_trees(blocks):
+    poset = _poset(blocks)
+    assert _covers_up(poset) == _covers_by_scan(poset)
 
 
 def _check_tables(poset):
@@ -424,6 +452,35 @@ def test_context_limit_guard(boolean3):
         enumerate_contexts(boolean3, limits=Limits(max_contexts=2))
     assert info.value.details == {"limit": "max_contexts", "value": 2,
                                   "reached": 3}
+
+
+@pytest.mark.parametrize("spec", BUILTINS)
+def test_partition_walk_gives_the_poset_contexts(spec):
+    structure = builtin_structure(spec)
+    assert _contexts(structure, DEFAULT_LIMITS) \
+        == enumerate_contexts(structure).contexts
+
+
+@given(blocks=tree_pasting())
+@settings(max_examples=40, deadline=None)
+def test_partition_walk_gives_the_poset_contexts_on_trees(blocks):
+    structure = from_greechie(blocks)
+    assert _contexts(structure, DEFAULT_LIMITS) \
+        == enumerate_contexts(structure).contexts
+
+
+@pytest.mark.parametrize("spec, cap", [
+    ("boolean:3", 2), ("boolean:5", 20), ("mo:12", 11), ("cabello18", 30)])
+def test_partition_walk_trips_the_guard_of_the_poset(spec, cap):
+    structure = builtin_structure(spec)
+    limits = Limits(max_contexts=cap)
+    with pytest.raises(SizeGuard) as walk:
+        _contexts(structure, limits)
+    with pytest.raises(SizeGuard) as poset:
+        enumerate_contexts(structure, limits=limits)
+    assert (str(walk.value), walk.value.details) \
+        == (str(poset.value), poset.value.details)
+    assert walk.value.details["reached"] == cap + 1
 
 
 def test_context_lookup_errors(boolean3_poset):
