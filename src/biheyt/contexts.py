@@ -155,11 +155,18 @@ class ContextPoset:
     # -- lookups --------------------------------------------------------------
 
     def index(self, ctx: "Context | str | int") -> int:
-        if isinstance(ctx, int):
+        if isinstance(ctx, str):
+            key = ctx
+        # an int, not a bool; ``type(ctx) is int`` is only the fast path
+        elif type(ctx) is int or isinstance(ctx, int) and not isinstance(ctx, bool):
             if not 0 <= ctx < len(self.contexts):
                 raise UsageError(f"context index {ctx} out of range")
             return ctx
-        key = ctx.id if isinstance(ctx, Context) else ctx
+        elif isinstance(ctx, Context):
+            key = ctx.id
+        else:
+            raise UsageError(f"context {ctx!r} is neither a Context, an id "
+                             f"nor an index")
         try:
             return self._by_id[key]
         except KeyError:
@@ -252,7 +259,7 @@ def maximal_above(poset: ContextPoset, ctx) -> tuple[Context, ...]:
 
 def _require_subcontext(poset: ContextPoset, i: int, j: int) -> None:
     """The check that ``delta`` and ``restrict`` share: context j <= i."""
-    if not poset.includes(i, j):
+    if poset._elements[j] & ~poset._elements[i]:
         raise UsageError(f"{poset.contexts[j].id!r} is not a subcontext of "
                          f"{poset.contexts[i].id!r}")
 
@@ -270,7 +277,7 @@ def delta(poset: ContextPoset, big, small, p: int | str) -> int:
     if p not in poset.contexts[i].elements:
         raise UsageError(f"element {st.label(p)!r} not in context "
                          f"{poset.contexts[i].id!r}")
-    return delta_global(poset, j, p)
+    return poset._least_above(j, p)
 
 
 def delta_global(poset: ContextPoset, ctx, p: int | str) -> int:

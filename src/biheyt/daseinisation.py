@@ -14,12 +14,18 @@ from .presheaf import ClopenSubobject
 
 
 def daseinise(poset: ContextPoset, p: int | str) -> ClopenSubobject:
-    st = poset.structure
-    p = st.el(p)
+    """The least dominator of p in every context, from the poset's tables;
+    ``delta_global`` raises its error at the first context with none."""
+    p = poset.structure.el(p)
+    row = poset.structure._up[p]
     bits = 0
-    for i in range(len(poset.contexts)):
-        e = delta_global(poset, i, p)
-        bits |= poset._elem_mask[i][e] << poset._offsets[i]
+    for i, least, mine, shift, masks, off in zip(
+            range(len(poset.contexts)), poset._least, poset._elements,
+            poset._shift, poset._elem_mask, poset._offsets):
+        e = least.get((row & mine) >> shift)
+        if e is None:
+            e = delta_global(poset, i, p)
+        bits |= masks[e] << off
     return ClopenSubobject(poset, bits)
 
 

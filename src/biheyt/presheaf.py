@@ -32,6 +32,26 @@ class SpectrumPoint:
     label: str
 
 
+def _point(context_id: str, atom: int, label: str) -> SpectrumPoint:
+    """A ``SpectrumPoint`` built without the frozen ``__init__``: the fields
+    go straight into the instance dict, in the order ``__init__`` sets them."""
+    pt = object.__new__(SpectrumPoint)
+    d = pt.__dict__
+    d["context_id"], d["atom"], d["label"] = context_id, atom, label
+    return pt
+
+
+def _points(context_id: str, atoms: Iterable[int], labels) -> tuple[SpectrumPoint, ...]:
+    """``_point`` at each atom, inlined: a call per point costs a sixth more."""
+    out = []
+    for a in atoms:
+        pt = object.__new__(SpectrumPoint)
+        d = pt.__dict__
+        d["context_id"], d["atom"], d["label"] = context_id, a, labels[a]
+        out.append(pt)
+    return tuple(out)
+
+
 class ClopenSubobject:
     """A monotone family of projections, one per context.
 
@@ -58,12 +78,12 @@ class ClopenSubobject:
         return self.poset._mask_to_elem[i][self.mask_at(i)]
 
     def points_at(self, ctx) -> tuple[SpectrumPoint, ...]:
-        i = self.poset.index(ctx)
-        c = self.poset.contexts[i]
-        m = self.mask_at(i)
-        st = self.poset.structure
-        return tuple(SpectrumPoint(c.id, a, st.label(a))
-                     for p, a in enumerate(c.atoms) if (m >> p) & 1)
+        poset = self.poset
+        i = poset.index(ctx)
+        c = poset.contexts[i]
+        m = self.bits >> poset._offsets[i]
+        return _points(c.id, [a for p, a in enumerate(c.atoms) if m >> p & 1],
+                       poset.structure.labels)
 
     def to_mapping(self) -> dict[str, str]:
         poset, bits = self.poset, self.bits
@@ -123,10 +143,8 @@ class GlobalSection:
 
 def spectrum(poset: ContextPoset, ctx) -> tuple[SpectrumPoint, ...]:
     """The spectrum at a context: its atoms, in canonical order."""
-    i = poset.index(ctx)
-    c = poset.contexts[i]
-    st = poset.structure
-    return tuple(SpectrumPoint(c.id, a, st.label(a)) for a in c.atoms)
+    c = poset.contexts[poset.index(ctx)]
+    return _points(c.id, c.atoms, poset.structure.labels)
 
 
 def restrict(poset: ContextPoset, point: SpectrumPoint, sub) -> SpectrumPoint:
@@ -136,8 +154,10 @@ def restrict(poset: ContextPoset, point: SpectrumPoint, sub) -> SpectrumPoint:
     _require_subcontext(poset, i, j)
     if point.atom not in poset.contexts[i].atoms:
         raise UsageError(f"{point.label!r} is not an atom of {point.context_id!r}")
-    a = poset._least_above(j, point.atom)
-    return SpectrumPoint(poset.contexts[j].id, a, poset.structure.label(a))
+    st = poset.structure
+    # the least element of j above an atom of i, which always exists
+    a = poset._least[j][(st._up[point.atom] & poset._elements[j]) >> poset._shift[j]]
+    return _point(poset.contexts[j].id, a, st.labels[a])
 
 
 def alpha(poset: ContextPoset, ctx, p: int | str) -> frozenset[int]:
@@ -155,14 +175,15 @@ def alpha_inv(poset: ContextPoset, ctx, atoms: Iterable[int | str]) -> int:
     """Inverse of ``alpha``: the join of a set of context atoms."""
     i = poset.index(ctx)
     st = poset.structure
+    masks = poset._elem_mask[i]
     m = 0
     for a in atoms:
         a = st.el(a)
-        try:
-            m |= 1 << poset.contexts[i].atoms.index(a)
-        except ValueError:
+        bit = masks.get(a, 0)   # an atom's mask has one bit
+        if not bit or bit & bit - 1:
             raise UsageError(f"{st.label(a)!r} is not an atom of "
-                             f"{poset.contexts[i].id!r}") from None
+                             f"{poset.contexts[i].id!r}")
+        m |= bit
     return poset._mask_to_elem[i][m]
 
 
@@ -171,9 +192,13 @@ def alpha_inv(poset: ContextPoset, ctx, atoms: Iterable[int | str]) -> int:
 
 def _monotone_witness(poset: ContextPoset, masks: list[int]) -> tuple[int, int] | None:
     """First inclusion pair (sub, super) violating monotonicity, if any."""
+    up, elements, shift, least, elem_mask = (
+        poset.structure._up, poset._elements, poset._shift, poset._least,
+        poset._elem_mask)
     for i, below in enumerate(poset._below):
+        row = up[poset._mask_to_elem[i][masks[i]]]
         for j in below:
-            if poset.image_mask(i, j, masks[i]) & ~masks[j]:
+            if elem_mask[j][least[j][(row & elements[j]) >> shift[j]]] & ~masks[j]:
                 return (j, i)
     return None
 
@@ -190,10 +215,10 @@ def make_subobject(poset: ContextPoset, family: Mapping) -> ClopenSubobject:
     for key, val in family.items():
         i = poset.index(key)
         e = st.el(val)
-        if e not in poset.contexts[i].elements:
+        masks[i] = poset._elem_mask[i].get(e)
+        if masks[i] is None:
             raise UsageError(f"element {st.label(e)!r} not in context "
                              f"{poset.contexts[i].id!r}")
-        masks[i] = poset._elem_mask[i][e]
     for i, m in enumerate(masks):
         if m is None:
             raise UsageError(f"context {poset.contexts[i].id!r} not assigned")
