@@ -93,9 +93,9 @@ def _build_parser() -> _Parser:
                    help="second operand (binary verbs)")
     kind = p.add_mutually_exclusive_group()
     kind.add_argument("--heyting", action="store_true",
-                      help="with `not`: Heyting negation (default)")
+                      help="`not` only: Heyting negation (default)")
     kind.add_argument("--coheyting", action="store_true",
-                      help="with `not`: co-Heyting negation")
+                      help="`not` only: co-Heyting negation")
     p.add_argument("--oracle", action="store_true",
                    help="brute-force reference (implies subtract not conot)")
 
@@ -172,9 +172,12 @@ def _poset(args, limits) -> ContextPoset:
     return enumerate_contexts(_structure(args, limits), limits=limits)
 
 
-def _subobject_arg(poset, path, flag):
+def _require(path, flag) -> None:
     if path is None:
         raise UsageError(f"{flag} is required for this command")
+
+
+def _subobject_arg(poset, path):
     return subobject_from_mapping(poset, _load_json(path))
 
 
@@ -221,10 +224,17 @@ def _cmd_das(args, limits) -> str:
 def _cmd_op(args, limits) -> str:
     if args.oracle and args.verb in ("meet", "join"):
         raise UsageError(f"op {args.verb} takes no --oracle")
-    poset = _poset(args, limits)
-    s = _subobject_arg(poset, args.subobject, "--subobject")
+    kind = "--heyting" if args.heyting else "--coheyting" if args.coheyting else None
+    if kind and args.verb != "not":
+        raise UsageError(f"op {args.verb} takes no {kind}")
     if args.verb in _BINARY_OPS:
-        t = _subobject_arg(poset, args.subobject2, "--subobject2")
+        _require(args.subobject2, "--subobject2")
+    elif args.subobject2 is not None:
+        raise UsageError(f"op {args.verb} takes a single --subobject")
+    poset = _poset(args, limits)
+    s = _subobject_arg(poset, args.subobject)
+    if args.verb in _BINARY_OPS:
+        t = _subobject_arg(poset, args.subobject2)
         if args.verb == "meet":
             out = meet([s, t])
         elif args.verb == "join":
@@ -236,8 +246,6 @@ def _cmd_op(args, limits) -> str:
             out = (brute_coheyting_subtract(s, t, limits=limits)
                    if args.oracle else coheyting_subtract(s, t))
     else:
-        if args.subobject2 is not None:
-            raise UsageError(f"op {args.verb} takes a single --subobject")
         coheyting = args.verb == "conot" or args.coheyting
         if args.oracle:
             neg, coneg = brute_negations(s, limits=limits)
@@ -252,12 +260,14 @@ def _cmd_check(args, limits) -> str:
         raise UsageError(f"check {args.predicate} takes no --oracle")
     if args.subobject is not None and args.predicate == "laws":
         raise UsageError("check laws takes no --subobject")
+    if args.predicate != "laws":
+        _require(args.subobject, "--subobject")
     poset = _poset(args, limits)
     if args.predicate == "laws":
         report = check_adjunctions(poset, limits=limits)
         return canonical_json({"adjunctions": report.to_json(),
                                "oracle": report.oracle if args.oracle else None})
-    s = _subobject_arg(poset, args.subobject, "--subobject")
+    s = _subobject_arg(poset, args.subobject)
     result = {"regular": is_heyting_regular,
               "coregular": is_coheyting_regular,
               "tight": is_tight}[args.predicate](s)
@@ -315,11 +325,14 @@ def _cmd_enumerate(args, limits) -> "str | Iterator[str]":
 
 
 def _cmd_export_dot(args, limits) -> str:
+    if args.what == "contexts" and args.subobject is not None:
+        raise UsageError("export-dot contexts takes no --subobject")
+    if args.what == "subobject":
+        _require(args.subobject, "--subobject")
     poset = _poset(args, limits)
     if args.what == "contexts":
         return contexts_dot(poset)
-    s = _subobject_arg(poset, args.subobject, "--subobject")
-    return subobject_dot(s)
+    return subobject_dot(_subobject_arg(poset, args.subobject))
 
 
 _COMMANDS = {

@@ -66,10 +66,10 @@ class ContextPoset:
     ``pullback_mask`` is the mask in V of an element of V'.  V' <= V iff V'
     has no element outside V.  No pair of contexts is tested: each element
     gets a bitset of the contexts holding it, and the AND of those bitsets
-    over the atoms of j holds j's supercontexts, each then checked against
-    all of j.  The work still grows with n squared, over machine words
-    rather than over pairs.  Per inclusion the masks in V of the atoms of
-    V' must partition V's atoms.
+    over all the elements of j is exactly j and its strict supercontexts.
+    The work still grows with n squared, over machine words rather than
+    over pairs.  Per inclusion the masks in V of the atoms of V' must
+    partition V's atoms: no two overlap, and their OR is V's full mask.
     ``_below[i]`` and ``_above[i]`` list the strict subcontexts and
     supercontexts of i in ascending order.  Every table is built here and
     never changed; the poset holds no cache or other mutable state, so it
@@ -81,29 +81,22 @@ class ContextPoset:
         self.contexts = contexts
         self._by_id = {c.id: i for i, c in enumerate(contexts)}
         n = len(contexts)
-        self._full = tuple((1 << len(c.atoms)) - 1 for c in contexts)
-        # The preimages in i of the atoms of j <= i partition the atoms of i
-        # iff each atom of i lies below exactly one atom of j.  Read in base
-        # 2^w, spread[e] has digit d = 1 iff d <= e, so the digits of the sum
-        # of spread[b] over the atoms b of j count the atoms of j above each
-        # element.  2^w exceeds any atom count, so no digit carries.
-        w = max([1] + [len(c.atoms) for c in contexts]).bit_length()
+        self._full = full = tuple((1 << len(c.atoms)) - 1 for c in contexts)
         down, up = structure._down, structure._up
-        spread = [0] * structure.n
-        for e, row in enumerate(down):
-            while row:
-                low = row & -row
-                row ^= low
-                spread[e] |= 1 << (low.bit_length() - 1) * w
-        offsets, elements, elem_mask, mask_to_elem, least, shifts, ones = (
-            [] for _ in range(7))
+        offsets, elements, elem_mask, mask_to_elem, least, shifts = (
+            [] for _ in range(6))
         holders = [0] * structure.n
         total = 0
         for i, c in enumerate(contexts):
-            top = sum([1 << a for a in c.atoms])
+            top = 0
+            for a in c.atoms:
+                top |= 1 << a
             below = {down[e] & top: e for e in c.elements}
             inverse = tuple([below[key] for key in sorted(below)])
-            mine = sum([1 << e for e in inverse])
+            mine = 0
+            for e in inverse:
+                mine |= 1 << e
+                holders[e] |= 1 << i
             if not len(c.elements) == len(below) == 1 << len(c.atoms) or top & ~mine:
                 raise AssertionError(f"context {c.id!r} is not Boolean (bug)")
             # every key holds 1, and the one key holding 0 holds all of the
@@ -112,15 +105,12 @@ class ContextPoset:
             rest = mine & ~3
             shift = (rest & -rest).bit_length() - 1
             least.append({(up[e] & mine) >> shift: e for e in inverse})
-            elem_mask.append({e: m for m, e in enumerate(inverse)})
+            elem_mask.append(dict(zip(inverse, range(len(inverse)))))
             mask_to_elem.append(inverse)
             elements.append(mine)
             shifts.append(shift)
-            ones.append(sum([1 << a * w for a in c.atoms]))
             offsets.append(total)
             total += len(c.atoms)
-            for e in inverse:
-                holders[e] |= 1 << i
         self._offsets, self.total_bits = tuple(offsets), total
         self._elements, self._shift = tuple(elements), tuple(shifts)
         self._elem_mask, self._mask_to_elem = tuple(elem_mask), tuple(mask_to_elem)
@@ -129,17 +119,21 @@ class ContextPoset:
         below: list[list[int]] = [[] for _ in range(n)]
         above: list[list[int]] = [[] for _ in range(n)]
         for j, c in enumerate(contexts):
-            counts = sum([spread[b] for b in c.atoms])
             m = (1 << n) - 1
-            for a in c.atoms:
-                m &= holders[a]
+            for e in mask_to_elem[j]:
+                m &= holders[e]
             while m:
                 low = m & -m
                 m ^= low
                 i = low.bit_length() - 1
-                if elements[j] & ~elements[i]:
-                    continue
-                if counts & ones[i] * ((1 << w) - 1) != ones[i]:
+                masks = elem_mask[i]
+                cover = 0
+                for b in c.atoms:
+                    x = masks[b]
+                    if cover & x:
+                        raise AssertionError("preimages do not partition the atoms (bug)")
+                    cover |= x
+                if cover != full[i]:
                     raise AssertionError("preimages do not partition the atoms (bug)")
                 if i != j:
                     below[i].append(j)

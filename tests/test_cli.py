@@ -433,6 +433,43 @@ def test_flags_a_command_would_ignore_are_usage_errors(capsys, tmp_path):
         assert blob["message"] == f"{argv[0]} {argv[1]} takes no {flag}"
 
 
+_ARGV_USAGE_ERRORS = [
+    (("op", "conot", "--heyting"), "op conot takes no --heyting"),
+    (("op", "conot", "--coheyting"), "op conot takes no --coheyting"),
+    *[(("op", verb, "--subobject2", "S", flag), f"op {verb} takes no {flag}")
+      for verb in ("meet", "join", "implies", "subtract")
+      for flag in ("--heyting", "--coheyting")],
+    (("export-dot", "contexts", "--subobject", "S"),
+     "export-dot contexts takes no --subobject"),
+    *[(("check", predicate), "--subobject is required for this command")
+      for predicate in ("regular", "coregular", "tight")],
+    *[(("op", verb, "--subobject2", "S"), f"op {verb} takes a single --subobject")
+      for verb in ("not", "conot")],
+    *[(("op", verb), "--subobject2 is required for this command")
+      for verb in ("meet", "join", "implies", "subtract")],
+    (("export-dot", "subobject"), "--subobject is required for this command")]
+
+
+@pytest.mark.parametrize("argv, message", _ARGV_USAGE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in _ARGV_USAGE_ERRORS])
+def test_argv_usage_errors_come_before_any_structure(capsys, tmp_path,
+                                                     monkeypatch, argv, message):
+    """Each usage error that argv alone decides exits 3 with its message,
+    though the input is not orthomodular (exit 1 once validated), no poset
+    can be built and the operand files do not exist."""
+    def refuse(self, *args, **kwargs):
+        raise BiheytError("ContextPoset built")
+    monkeypatch.setattr(ContextPoset, "__init__", refuse)
+    missing = str(tmp_path / "missing.json")
+    argv = [missing if a == "S" else a for a in argv]
+    if argv[0] == "op":
+        argv += ["--subobject", missing]
+    code, out, err = _run(capsys, *argv, "--input",
+                          _jfile(tmp_path, "o6.json", O6))
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "UsageError", "message": message}
+
+
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     path = str(tmp_path / "missing" / "x.json")
     code, out, err = _run(capsys, "validate", "--builtin", "boolean:3",

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from biheyt import (DEFAULT_LIMITS, Context, ContextPoset, Limits,
                     NoLeastUpperWitness, SizeGuard, UsageError,
                     builtin_structure, delta, delta_global, enumerate_contexts,
-                    from_greechie, generate, maximal_above, minimal_below)
+                    from_greechie, generate, maximal_above, minimal_below,
+                    validate)
 from biheyt.contexts import _contexts
 from biheyt.oracle import _least_dominating
 from biheyt.serialize import _covers_up
 
-from test_oml import PENTAGON, chain_pasting, tree_pasting
+from test_oml import PENTAGON, _dump_explicit, chain_pasting, tree_pasting
 
 BOOLEAN3_IDS = ["p+q|r", "p+r|q", "p|q+r", "p|q|r"]
 MO2_IDS = ["a|a'", "b|b'"]
@@ -121,10 +122,18 @@ def test_maximal_contexts(boolean3_poset, mo2_poset, cabello18_poset):
     assert len(tops) == 9 and all(len(c.atoms) == 4 for c in tops)
 
 
-def _poset(spec):
+def _structure(spec):
+    """A builtin name, a Greechie block list, or ("explicit", spec) for the
+    explicit dump of either."""
     if isinstance(spec, str):
-        return enumerate_contexts(builtin_structure(spec))
-    return enumerate_contexts(from_greechie(spec))
+        return builtin_structure(spec)
+    if spec[0] == "explicit":
+        return validate(_dump_explicit(_structure(spec[1])))
+    return from_greechie(spec)
+
+
+def _poset(spec):
+    return enumerate_contexts(_structure(spec))
 
 
 def test_inclusion_matches_element_subsets(boolean4_poset, cabello18_poset):
@@ -314,6 +323,111 @@ def test_overlapping_preimages_are_bugs(boolean3_poset):
     ContextPoset(st, (fake,))
     with pytest.raises(AssertionError, match="partition"):
         ContextPoset(st, (top, fake))
+
+
+class _SpreadReference(ContextPoset):
+    """The table build that the holder AND over elements replaced: the AND
+    of the holder bitsets over the atoms of j, an element test per context
+    so found, and a partition check that counts, per element, the atoms of
+    j above it in base-2^w digits."""
+
+    def __init__(self, structure, contexts):
+        self.structure = structure
+        self.contexts = contexts
+        self._by_id = {c.id: i for i, c in enumerate(contexts)}
+        n = len(contexts)
+        self._full = tuple((1 << len(c.atoms)) - 1 for c in contexts)
+        # Read in base 2^w, spread[e] has digit d = 1 iff d <= e, so the
+        # digits of the sum of spread[b] over the atoms b of j count the
+        # atoms of j above each element.  2^w exceeds any atom count, so no
+        # digit carries.
+        w = max([1] + [len(c.atoms) for c in contexts]).bit_length()
+        down, up = structure._down, structure._up
+        spread = [0] * structure.n
+        for e, row in enumerate(down):
+            while row:
+                low = row & -row
+                row ^= low
+                spread[e] |= 1 << (low.bit_length() - 1) * w
+        offsets, elements, elem_mask, mask_to_elem, least, shifts, ones = (
+            [] for _ in range(7))
+        holders = [0] * structure.n
+        total = 0
+        for i, c in enumerate(contexts):
+            top = sum([1 << a for a in c.atoms])
+            below = {down[e] & top: e for e in c.elements}
+            inverse = tuple([below[key] for key in sorted(below)])
+            mine = sum([1 << e for e in inverse])
+            if not len(c.elements) == len(below) == 1 << len(c.atoms) or top & ~mine:
+                raise AssertionError(f"context {c.id!r} is not Boolean (bug)")
+            rest = mine & ~3
+            shift = (rest & -rest).bit_length() - 1
+            least.append({(up[e] & mine) >> shift: e for e in inverse})
+            elem_mask.append({e: m for m, e in enumerate(inverse)})
+            mask_to_elem.append(inverse)
+            elements.append(mine)
+            shifts.append(shift)
+            ones.append(sum([1 << a * w for a in c.atoms]))
+            offsets.append(total)
+            total += len(c.atoms)
+            for e in inverse:
+                holders[e] |= 1 << i
+        self._offsets, self.total_bits = tuple(offsets), total
+        self._elements, self._shift = tuple(elements), tuple(shifts)
+        self._elem_mask, self._mask_to_elem = tuple(elem_mask), tuple(mask_to_elem)
+        self._least = tuple(least)
+
+        below = [[] for _ in range(n)]
+        above = [[] for _ in range(n)]
+        for j, c in enumerate(contexts):
+            counts = sum([spread[b] for b in c.atoms])
+            m = (1 << n) - 1
+            for a in c.atoms:
+                m &= holders[a]
+            while m:
+                low = m & -m
+                m ^= low
+                i = low.bit_length() - 1
+                if elements[j] & ~elements[i]:
+                    continue
+                if counts & ones[i] * ((1 << w) - 1) != ones[i]:
+                    raise AssertionError("preimages do not partition the atoms (bug)")
+                if i != j:
+                    below[i].append(j)
+                    above[j].append(i)
+        self._below = tuple(map(tuple, below))
+        self._above = tuple(map(tuple, above))
+        self.minimal = tuple(i for i in range(n) if not below[i])
+        self.maximal = tuple(i for i in range(n) if not above[i])
+
+
+_TABLES = ("_by_id", "_full", "_offsets", "total_bits", "_elements", "_shift",
+           "_elem_mask", "_mask_to_elem", "_least", "_below", "_above",
+           "minimal", "maximal")
+
+
+def _assert_tables_match_the_spread_reference(structure):
+    contexts = _contexts(structure, DEFAULT_LIMITS)
+    poset = ContextPoset(structure, contexts)
+    reference = _SpreadReference(structure, contexts)
+    for name in _TABLES:
+        assert getattr(poset, name) == getattr(reference, name), name
+
+
+@pytest.mark.parametrize("spec", [
+    *BUILTINS, FOUR_LOOP, PENTAGON, TRIANGLE, chain_pasting(50),
+    ("explicit", "boolean:4"), ("explicit", "mo:3"),
+    ("explicit", [["a", "b", "c"], ["c", "d", "e", "f"]])],
+    ids=lambda spec: spec if isinstance(spec, str) else
+    f"explicit {spec[1]}" if spec[0] == "explicit" else f"{len(spec)} blocks")
+def test_tables_match_the_spread_reference(spec):
+    _assert_tables_match_the_spread_reference(_structure(spec))
+
+
+@given(blocks=tree_pasting())
+@settings(max_examples=40, deadline=None)
+def test_tables_match_the_spread_reference_on_trees(blocks):
+    _assert_tables_match_the_spread_reference(from_greechie(blocks))
 
 
 def test_delta_to_smaller_context(boolean3_poset):
