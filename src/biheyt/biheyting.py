@@ -140,11 +140,16 @@ def is_coheyting_regular(s: ClopenSubobject) -> bool:
 def is_tight(s: ClopenSubobject) -> bool:
     """True iff every component is the coarse-graining of every larger one.
 
+    The maximal contexts decide it.  Every context k lies below a maximal
+    one, m, and least dominators compose (for j <= k, the least of j above
+    the least of k above p is the least of j above p).  So if the component
+    at m coarse-grains to those at k and at j, the one at k does to j.
+
     Tight subobjects are regular for both negations; the converse fails.
     """
     poset = s.poset
     masks = _components(poset, s.bits)
-    for i in range(len(poset.contexts)):
+    for i in poset.maximal:
         for j in poset._below[i]:
             if poset.image_mask(i, j, masks[i]) != masks[j]:
                 return False

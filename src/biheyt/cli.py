@@ -23,7 +23,7 @@ from .biheyting import (coheyting_not, coheyting_subtract, heyting_implies,
                         is_tight, join, meet)
 from .contexts import ContextPoset, _contexts, enumerate_contexts
 from .daseinisation import daseinise
-from .errors import BiheytError, SizeGuard, UsageError, ValidationError
+from .errors import BiheytError, SizeGuard, UsageError
 from .limits import DEFAULT_LIMITS, Limits
 from .oml import validate
 from .oracle import (brute_coheyting_subtract, brute_heyting_implies,
@@ -33,8 +33,16 @@ from .serialize import (builtin_structure, canonical_json, contexts_dot,
                         subobject_dot, subobject_from_mapping,
                         subobject_to_json)
 
+# `op` verbs in --help order; `not --coheyting` runs `conot`
+_OPS = {"meet": lambda s, t: meet([s, t]), "join": lambda s, t: join([s, t]),
+        "implies": heyting_implies, "subtract": coheyting_subtract,
+        "not": heyting_not, "conot": coheyting_not}
 _BINARY_OPS = ("meet", "join", "implies", "subtract")
-_UNARY_OPS = ("not", "conot")
+# the brute-force references that `op --oracle` runs instead
+_ORACLE_OPS = {
+    "implies": brute_heyting_implies, "subtract": brute_coheyting_subtract,
+    "not": lambda s, *, limits: brute_negations(s, limits=limits)[0],
+    "conot": lambda s, *, limits: brute_negations(s, limits=limits)[1]}
 # `sections --list` joins and writes this many rows at a time
 _SECTION_CHUNK = 256
 
@@ -86,7 +94,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("op", parents=[common],
                        help="apply an algebra operation to subobjects")
-    p.add_argument("verb", choices=_BINARY_OPS + _UNARY_OPS)
+    p.add_argument("verb", choices=tuple(_OPS))
     p.add_argument("--subobject", required=True, metavar="FILE",
                    help="first (or only) operand")
     p.add_argument("--subobject2", metavar="FILE",
@@ -213,46 +221,33 @@ def _cmd_spectrum(args, limits) -> str:
 
 
 def _cmd_das(args, limits) -> str:
-    poset = _poset(args, limits)
-    structure = poset.structure
+    # the labels come with the structure: test them before the poset is built
+    structure = _structure(args, limits)
     if args.element not in structure.labels:
         raise UsageError(f"unknown element label {args.element!r}",
                          label=args.element)
+    poset = enumerate_contexts(structure, limits=limits)
     return subobject_to_json(daseinise(poset, structure.el(args.element)))
 
 
 def _cmd_op(args, limits) -> str:
-    if args.oracle and args.verb in ("meet", "join"):
+    if args.oracle and args.verb not in _ORACLE_OPS:
         raise UsageError(f"op {args.verb} takes no --oracle")
     kind = "--heyting" if args.heyting else "--coheyting" if args.coheyting else None
     if kind and args.verb != "not":
         raise UsageError(f"op {args.verb} takes no {kind}")
-    if args.verb in _BINARY_OPS:
+    binary = args.verb in _BINARY_OPS
+    if binary:
         _require(args.subobject2, "--subobject2")
     elif args.subobject2 is not None:
         raise UsageError(f"op {args.verb} takes a single --subobject")
+    verb = "conot" if args.coheyting else args.verb
     poset = _poset(args, limits)
-    s = _subobject_arg(poset, args.subobject)
-    if args.verb in _BINARY_OPS:
-        t = _subobject_arg(poset, args.subobject2)
-        if args.verb == "meet":
-            out = meet([s, t])
-        elif args.verb == "join":
-            out = join([s, t])
-        elif args.verb == "implies":
-            out = (brute_heyting_implies(s, t, limits=limits)
-                   if args.oracle else heyting_implies(s, t))
-        else:
-            out = (brute_coheyting_subtract(s, t, limits=limits)
-                   if args.oracle else coheyting_subtract(s, t))
-    else:
-        coheyting = args.verb == "conot" or args.coheyting
-        if args.oracle:
-            neg, coneg = brute_negations(s, limits=limits)
-            out = coneg if coheyting else neg
-        else:
-            out = coheyting_not(s) if coheyting else heyting_not(s)
-    return subobject_to_json(out)
+    operands = [_subobject_arg(poset, path)
+                for path in (args.subobject, args.subobject2)[:1 + binary]]
+    if args.oracle:
+        return subobject_to_json(_ORACLE_OPS[verb](*operands, limits=limits))
+    return subobject_to_json(_OPS[verb](*operands))
 
 
 def _cmd_check(args, limits) -> str:
@@ -374,18 +369,11 @@ def run(argv=None) -> int:
         limits = _limits_from(args)
         _emit(_COMMANDS[args.command](args, limits), args.output)
         return 0
-    except ValidationError as exc:
+    except BiheytError as exc:
         sys.stderr.write(canonical_json(exc.to_json()) + "\n")
-        return 1
-    except SizeGuard as exc:
-        sys.stderr.write(canonical_json(exc.to_json()) + "\n")
-        return 2
-    except UsageError as exc:
-        sys.stderr.write(canonical_json(exc.to_json()) + "\n")
-        return 3
-    except BiheytError as exc:  # any future subclass: treat as validation
-        sys.stderr.write(canonical_json(exc.to_json()) + "\n")
-        return 1
+        # any other subclass, ValidationError's included, is a validation error
+        return (2 if isinstance(exc, SizeGuard)
+                else 3 if isinstance(exc, UsageError) else 1)
 
 
 if __name__ == "__main__":

@@ -470,6 +470,37 @@ def test_argv_usage_errors_come_before_any_structure(capsys, tmp_path,
     assert json.loads(err) == {"error": "UsageError", "message": message}
 
 
+UNKNOWN_ZZ = ('{"details":{"label":"zz"},"error":"UsageError",'
+              '"message":"unknown element label \'zz\'"}\n')
+
+
+def test_an_unknown_label_comes_before_any_poset(capsys, monkeypatch):
+    """``das`` tests its label against the structure, so with
+    ``ContextPoset`` refusing to be built the error is unchanged."""
+    argv = ("das", "--element", "zz", "--builtin", "boolean:8")
+    assert _run(capsys, *argv) == (3, "", UNKNOWN_ZZ)
+
+    def refuse(self, *args, **kwargs):
+        raise BiheytError("ContextPoset built")
+    monkeypatch.setattr(ContextPoset, "__init__", refuse)
+    assert _run(capsys, *argv) == (3, "", UNKNOWN_ZZ)
+
+
+def test_an_unknown_label_comes_before_the_context_walk(capsys, tmp_path):
+    """Three chained eight-atom blocks validate, but their contexts pass
+    ``max_contexts``: a known label exits 2 in the walk, an unknown one
+    exits 3 before it."""
+    path = _jfile(tmp_path, "three8.json", {"format": "greechie", "blocks": [
+        [f"a{i}" for i in range(8)], ["a7", *(f"b{i}" for i in range(7))],
+        ["b6", *(f"c{i}" for i in range(7))]]})
+    code, out, err = _run(capsys, "das", "--element", "a0", "--input", path)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["details"] == {"limit": "max_contexts",
+                                          "value": 10_000, "reached": 10_001}
+    assert _run(capsys, "das", "--element", "zz", "--input", path) \
+        == (3, "", UNKNOWN_ZZ)
+
+
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     path = str(tmp_path / "missing" / "x.json")
     code, out, err = _run(capsys, "validate", "--builtin", "boolean:3",
@@ -687,8 +718,9 @@ def test_context_listings_build_no_poset(monkeypatch, spec):
     monkeypatch.setattr(ContextPoset, "__init__", refuse)
     for argv, before in want.items():
         assert before[0] == 0 and _quiet([*argv, "--builtin", spec]) == before
-    code, out, err = _quiet(dot)
-    assert code != 0 and out == "" and "ContextPoset built" in err
+    # a BiheytError of no subclass exits 1, as a validation error does
+    assert _quiet(dot) == (
+        1, "", '{"error":"BiheytError","message":"ContextPoset built"}\n')
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,9 @@ states use only the extremal contexts: minimal subcontexts for the Heyting
 side, maximal supercontexts for the co-Heyting side.  Here they are
 recomputed pointwise, from spectra and ``restrict``, on structures too large
 to enumerate (``cabello18``, ``boolean:5``, random tree pastings), for
-daseinisation images and random monotone families.
+daseinisation images and random monotone families.  ``is_tight`` reads only
+the inclusions below maximal contexts; here it is compared with the loop
+over every inclusion.
 """
 import functools
 import random
@@ -14,13 +16,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biheyt import (LATTICE, alpha_inv, builtin_structure, coheyting_not,
+from biheyt import (LATTICE, NoLeastUpperWitness, alpha_inv,
+                    builtin_structure, coheyting_not, coheyting_subtract,
                     daseinise, double_coheyting_not, double_heyting_not,
-                    enumerate_contexts, from_greechie, heyting_not,
-                    make_subobject, maximal_above, minimal_below, restrict,
+                    enumerate_contexts, from_greechie, heyting_implies,
+                    heyting_not, is_tight, join, make_subobject,
+                    maximal_above, meet, minimal_below, restrict,
                     restriction_image_projection, spectrum)
 
-from test_oml import tree_pasting
+from test_oml import PENTAGON, tree_pasting
 
 
 @functools.cache
@@ -109,3 +113,70 @@ def test_closed_forms_on_tree_pastings(blocks, data):
     poset = enumerate_contexts(from_greechie(blocks))
     restr = _restriction(poset)
     _check_closed_forms(poset, restr, data.draw(_operand(poset, restr)))
+
+
+def _tight_at_every_inclusion(s):
+    """Reference for ``is_tight``: compare the components along every
+    inclusion, not only those below a maximal context."""
+    poset = s.poset
+    masks = [(s.bits >> off) & full
+             for off, full in zip(poset._offsets, poset._full)]
+    return all(poset.image_mask(i, j, masks[i]) == masks[j]
+               for i in range(len(poset.contexts)) for j in poset._below[i])
+
+
+def _assert_tightness_matches(poset, restr, seed):
+    """Compare on every daseinisation image that exists, random monotone
+    families, and the meets, joins, implications, subtractions and negations
+    of them; return the verdicts seen."""
+    rng = random.Random(seed)
+    images = []
+    for e in range(poset.structure.n):
+        try:
+            images.append(daseinise(poset, e))
+        except NoLeastUpperWitness:
+            pass
+    base = images + [_random_family(poset, restr, rng, density)
+                     for density in (0.1, 0.3, 0.6) for _ in range(3)]
+    derived = []
+    for _ in range(12):
+        s, t = rng.choice(base), rng.choice(base)
+        derived += [meet([s, t]), join([s, t]), heyting_implies(s, t),
+                    coheyting_subtract(s, t), heyting_not(s), coheyting_not(s)]
+    verdicts = [(is_tight(s), _tight_at_every_inclusion(s))
+                for s in base + derived]
+    assert all(fast == slow for fast, slow in verdicts)
+    return {fast for fast, _ in verdicts}
+
+
+def _both_verdicts_where_inclusions_exist(poset, seen):
+    # with no inclusion every subobject is tight
+    assert seen == ({True, False} if any(poset._below) else {True})
+
+
+TIGHT_SPECS = ([f"boolean:{k}" for k in range(2, 7)]
+               + [f"mo:{k}" for k in (1, 2, 3, 12)] + ["cabello18"])
+
+
+@pytest.mark.parametrize("spec", TIGHT_SPECS)
+def test_maximal_contexts_decide_tightness_on_builtins(spec):
+    poset = enumerate_contexts(builtin_structure(spec))
+    _both_verdicts_where_inclusions_exist(
+        poset, _assert_tightness_matches(poset, _restriction(poset), seed=7))
+
+
+@pytest.mark.parametrize("blocks", [
+    PENTAGON,
+    [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"], ["g", "h", "a"]]],
+    ids=["pentagon", "four-loop"])
+def test_maximal_contexts_decide_tightness_on_loop_pastings(blocks):
+    poset = enumerate_contexts(from_greechie(blocks))
+    _both_verdicts_where_inclusions_exist(
+        poset, _assert_tightness_matches(poset, _restriction(poset), seed=11))
+
+
+@given(blocks=tree_pasting(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_maximal_contexts_decide_tightness_on_tree_pastings(blocks, seed):
+    poset = enumerate_contexts(from_greechie(blocks))
+    _assert_tightness_matches(poset, _restriction(poset), seed)

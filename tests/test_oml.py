@@ -109,6 +109,17 @@ def test_boolean3_blocks_and_commutation(boolean3):
             assert boolean3.commutes(a, b)
 
 
+def _assert_commutes_is_the_lattice_formula(structure):
+    """On an orthomodular lattice a commutes with b iff a == (a ^ b) v
+    (a ^ ortho(b)); ``commutes`` answers by shared blocks."""
+    assert structure.kind == "lattice"
+    for a in range(structure.n):
+        for b in range(structure.n):
+            formula = structure.lub(structure.glb(a, b),
+                                    structure.glb(a, structure.ortho[b])) == a
+            assert structure.commutes(a, b) == formula, (a, b)
+
+
 def test_generate_mo3_counts():
     mo3 = generate("mo", 3)
     assert mo3.n == 8
@@ -177,11 +188,14 @@ def test_a_block_too_large_to_count_is_refused_by_its_atom_count():
 def test_builtin_pastings_match_the_blocks_found_from_their_order(name, n):
     """Each builtin is built as a Greechie pasting; validating its explicit
     dump finds its blocks from the order alone, and both give the same
-    structure down to the block join tables."""
+    structure down to the block join tables; on both, commutation is the
+    lattice formula."""
     pasted = generate(name, n)
     found = _assert_explicit_dump_matches(pasted)
     for field in ("blocks", "_block_joins"):
         assert getattr(pasted, field) == getattr(found, field), field
+    _assert_commutes_is_the_lattice_formula(pasted)
+    _assert_commutes_is_the_lattice_formula(found)
 
 
 def _assert_explicit_dump_matches(pasted):
@@ -395,6 +409,7 @@ def test_tree_pastings_validate_and_round_trip(blocks):
     assert got == {frozenset(b) for b in blocks}
     _assert_block_tables_are_boolean(st1)
     _assert_explicit_dump_matches(st1)
+    _assert_commutes_is_the_lattice_formula(st1)
 
 
 # Five three-atom blocks in a loop: 15 contexts, 11 global sections.
@@ -447,6 +462,7 @@ def test_bounds_match_the_scan_on_pastings():
     pentagon = from_greechie(PENTAGON)
     assert pentagon.kind == "lattice"
     _bounds_match_the_scan(pentagon)
+    _assert_commutes_is_the_lattice_formula(pentagon)
     cabello = generate("cabello18")
     assert cabello.kind == "pasted"
     assert cabello.lub("0001", "0010") is None
