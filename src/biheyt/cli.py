@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from operator import getitem
@@ -28,7 +29,7 @@ from .limits import DEFAULT_LIMITS, Limits
 from .oml import validate
 from .oracle import (brute_coheyting_subtract, brute_heyting_implies,
                      brute_negations, check_adjunctions)
-from .presheaf import _section_rows, _section_states, _subobject_batches
+from .presheaf import _section_count, _section_rows, _subobject_batches
 from .serialize import (builtin_structure, canonical_json, contexts_dot,
                         subobject_dot, subobject_from_mapping,
                         subobject_to_json)
@@ -294,14 +295,17 @@ def _listing(key: str, count: int, chunks: Iterable[str]) -> Iterator[str]:
 def _cmd_sections(args, limits) -> "str | Iterator[str]":
     poset = _poset(args, limits)
     if not args.list_all:
-        return canonical_json({"count": sum(1 for _ in _section_states(poset, limits))})
-    rows = _section_rows(poset, limits)
+        return canonical_json({"count": _section_count(poset, limits)})
+    runs = _section_rows(poset, limits)
     tables = [dict(zip(c.atoms, frags)) for c, frags in
               zip(poset.contexts, _fragments(poset, [c.atoms for c in poset.contexts]))]
-    return _listing("sections", len(rows), (",".join(
-        ["{" + ",".join(map(getitem, tables, row)) + "}"
-         for row in rows[k:k + _SECTION_CHUNK]])
-        for k in range(0, len(rows), _SECTION_CHUNK)))
+    # each run's rows are rendered once; a section is one row of each run
+    parts = [[",".join(map(getitem, tables[contexts.start:contexts.stop], row))
+              for row in rows] for contexts, rows in runs]
+    rows = map("{{{}}}".format, map(",".join, itertools.product(*parts)))
+    # every row holds at least "{}", so only the end gives an empty chunk
+    chunks = iter(lambda: ",".join(itertools.islice(rows, _SECTION_CHUNK)), "")
+    return _listing("sections", math.prod(map(len, parts)), chunks)
 
 
 def _cmd_enumerate(args, limits) -> "str | Iterator[str]":

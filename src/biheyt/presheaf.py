@@ -14,8 +14,11 @@ component is a bitmask slice.
 from __future__ import annotations
 
 import gc
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import groupby, product
+from math import prod
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .contexts import Context, ContextPoset, _require_subcontext
@@ -404,52 +407,125 @@ def global_sections(poset: ContextPoset, *,
                     limits: Limits = DEFAULT_LIMITS) -> tuple[GlobalSection, ...]:
     """All global sections of the spectral presheaf, sorted by their atoms.
 
-    ``_section_states`` yields each section as a packed state.  The states
-    are decoded a context at a time, each slice mapped through
-    ``_mask_to_elem``, and the atom tuples are sorted.  A state is one point
-    per context iff it has as many points as there are contexts and no
-    slice decodes to the bottom, 0, the element of the empty mask; anything
-    else is a bug.  ``biheyt sections`` without ``--list`` only counts the
-    states, so it keeps and decodes none.  An empty result is a
-    Kochen-Specker style obstruction.
+    The sections factor over the runs of ``_section_runs``: a global section
+    is one section of each run, and any choice of one section per run is a
+    global section.  ``_section_rows`` gives each run's sections as atom
+    tuples over its contexts, sorted, and the runs tile the context order,
+    so their product, taken in run order, is sorted too.  The product is
+    streamed into the result; no list of whole rows is built first.  A
+    product of more than ``limits.search_budget`` sections raises
+    ``SizeGuard`` before any ``GlobalSection`` is built.  ``biheyt
+    sections`` without ``--list`` only counts the states of each run, so it
+    keeps and decodes none.  An empty result is a Kochen-Specker style
+    obstruction.
     """
-    return tuple(map(GlobalSection, repeat(poset), _section_rows(poset, limits)))
+    runs = _section_rows(poset, limits)
+    return tuple(GlobalSection(poset, sum(parts, ()))
+                 for parts in product(*[rows for _, rows in runs]))
 
 
-def _section_rows(poset: ContextPoset, limits: Limits) -> list[tuple[int, ...]]:
-    """The atom tuples of ``global_sections``, sorted; ``biheyt sections
-    --list`` writes them with no ``GlobalSection`` built."""
-    states = list(_section_states(poset, limits))
-    columns = [[elem[state >> off & f] for state in states] for elem, off, f
-               in zip(poset._mask_to_elem, poset._offsets, poset._full)]
-    n = len(columns)
-    if any(state.bit_count() != n for state in states) or any(0 in c for c in columns):
-        raise AssertionError("section is not one point per context (bug)")
-    return sorted(zip(*columns)) if columns else [()] * len(states)
+def _section_runs(poset: ContextPoset) -> list[tuple[range, tuple[int, ...]]]:
+    """The runs of the maximal contexts, in context order: each run's range
+    of context indices and its maximal contexts, ascending.
+
+    A maximal context's span runs from the least to the greatest index
+    among it and its strict subcontexts, and a run merges spans that
+    overlap.  Two maximal contexts that share a subcontext have overlapping
+    spans, so a run never splits a connected piece of the poset; and every
+    context lies below a maximal one, so the runs tile the indices.  No
+    inclusion joins two runs, so the sections of the poset are the product
+    of the runs' sections.  A connected poset is one run.  A horizontal sum
+    is several runs when each summand's context ids sort together, and may
+    be one run when they interleave.
+    """
+    spans = []
+    for m in poset.maximal:
+        below = poset._below[m]   # ascending
+        spans.append((min(m, below[0]), max(m, below[-1]), m) if below else (m, m, m))
+    runs: list[list] = []
+    for lo, hi, m in sorted(spans):
+        if runs and lo <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], hi)
+            runs[-1][2].append(m)
+        else:
+            runs.append([lo, hi, [m]])
+    return [(range(lo, hi + 1), tuple(sorted(maximal))) for lo, hi, maximal in runs]
 
 
-def _section_states(poset: ContextPoset, limits: Limits):
-    """Every global section as a packed state, in search order.
+def _section_count(poset: ContextPoset, limits: Limits) -> int:
+    """The number of global sections: the product of the runs' counts,
+    with no state kept."""
+    runs = _section_runs(poset)
+    counts = Counter(k for k, _ in _section_states(poset, limits, runs))
+    return prod(counts[k] for k in range(len(runs)))
 
-    The search picks an atom at each maximal context in index order, atoms
-    ascending, depth-first on an explicit stack of (state, remaining
-    choices).  The state is one int packed like a subobject: the points
-    that the atoms picked so far restrict to.  Each choice of an atom at a
-    maximal context holds two ints: ``pick``, the points it restricts to at
-    that context and every context below it, and ``clash``, the other
-    points of those contexts.  A choice is compatible iff its clash misses
-    the state; the state then grows by its pick.  Restrictions compose and
-    every context lies below a maximal one, so a full state is a section,
-    one point per context.  Every choice tried, compatible or not, is one
-    node, and the search raises ``SizeGuard`` at the node past
-    ``limits.search_budget``.
+
+def _section_rows(poset: ContextPoset,
+                  limits: Limits) -> list[tuple[range, list[tuple[int, ...]]]]:
+    """Each run's range of contexts and its sections' atom tuples over them,
+    sorted; a run after one with no section has none listed.  ``biheyt
+    sections --list`` writes the product of these rows with no
+    ``GlobalSection`` built.
+
+    Each run's states are decoded a context at a time, each slice mapped
+    through ``_mask_to_elem``, and the atom tuples are sorted.  A state is
+    one point per context of its run iff it has as many points as the run
+    has contexts and no slice decodes to the bottom, 0, the element of the
+    empty mask; anything else is a bug.  A listing of more sections than
+    ``limits.search_budget`` raises ``SizeGuard`` with ``needed``, the
+    product count, before anything is built from the rows.  On one run the
+    count is at most the search's nodes, so only a poset of several runs
+    can trip it.
+    """
+    runs = _section_runs(poset)
+    found = {k: [state for _, state in group] for k, group in
+             groupby(_section_states(poset, limits, runs), itemgetter(0))}
+    out = []
+    for k, (contexts, _) in enumerate(runs):
+        states = found.get(k, [])
+        cut = slice(contexts.start, contexts.stop)
+        columns = [[elem[state >> off & f] for state in states] for elem, off, f
+                   in zip(poset._mask_to_elem[cut], poset._offsets[cut], poset._full[cut])]
+        if (any(state.bit_count() != len(contexts) for state in states)
+                or any(0 in c for c in columns)):
+            raise AssertionError("section is not one point per context (bug)")
+        out.append((contexts, sorted(zip(*columns))))
+    needed = prod(len(rows) for _, rows in out)
+    if needed > limits.search_budget:
+        raise SizeGuard(f"section listing needs {needed} sections, over search "
+                        f"budget {limits.search_budget}", limit="search_budget",
+                        value=limits.search_budget, needed=needed)
+    return out
+
+
+def _section_states(poset: ContextPoset, limits: Limits,
+                    runs: list[tuple[range, tuple[int, ...]]]):
+    """Every global section of each run as (run position, packed state),
+    run by run in the order given, in search order within each.
+
+    The search of a run picks an atom at each of its maximal contexts in
+    the order given, atoms ascending, depth-first on an explicit stack of
+    (state, remaining choices).  The state is one int packed like a
+    subobject: the points that the atoms picked so far restrict to.  Each
+    choice of an atom at a maximal context holds two ints: ``pick``, the
+    points it restricts to at that context and every context below it, and
+    ``clash``, the other points of those contexts.  A choice is compatible
+    iff its clash misses the state; the state then grows by its pick.
+    Restrictions compose and every context of a run lies below one of its
+    maximal contexts, so a full state is a section of the run, one point
+    per context.  Every choice tried, compatible or not, is one node; one
+    node count runs across the runs, and the search raises ``SizeGuard`` at
+    the node past ``limits.search_budget``, in whichever run it falls.  A
+    run with no section ends the search, since then the poset has none.
+    With no runs (no contexts) nothing is yielded: the empty product is
+    the one section, the empty family.
     """
     budget = limits.search_budget
     offsets, full = poset._offsets, poset._full
     up = poset.structure._up
     tables = tuple(zip(poset._least, poset._elem_mask, poset._elements,
                        poset._shift, offsets))
-    choices = []
+    choices = {}
     for m in poset.maximal:
         under = (m, *poset._below[m])
         span = sum(full[j] << offsets[j] for j in under)
@@ -458,24 +534,27 @@ def _section_states(poset: ContextPoset, limits: Limits):
         picks = [sum(mask[least[(up[a] & mine) >> shift]] << off
                      for least, mask, mine, shift, off in rows)
                  for a in poset.contexts[m].atoms]
-        choices.append([(pick, span ^ pick) for pick in picks])
-    if not choices:   # no contexts: the empty family is the one section
-        yield 0
-        return
+        choices[m] = [(pick, span ^ pick) for pick in picks]
     nodes = 0
-    stack = [(0, iter(choices[0]))]
-    while stack:
-        state, rest = stack[-1]
-        for pick, clash in rest:
-            nodes += 1
-            if nodes > budget:
-                raise SizeGuard(f"section search exceeded budget {budget}",
-                                limit="search_budget", value=budget, nodes=nodes)
-            if not state & clash:
-                if len(stack) == len(choices):
-                    yield state | pick
-                else:
-                    stack.append((state | pick, iter(choices[len(stack)])))
-                    break
-        else:
-            stack.pop()
+    for k, (_, maximal) in enumerate(runs):
+        run = [choices[m] for m in maximal]
+        found = False
+        stack = [(0, iter(run[0]))]
+        while stack:
+            state, rest = stack[-1]
+            for pick, clash in rest:
+                nodes += 1
+                if nodes > budget:
+                    raise SizeGuard(f"section search exceeded budget {budget}",
+                                    limit="search_budget", value=budget, nodes=nodes)
+                if not state & clash:
+                    if len(stack) == len(run):
+                        found = True
+                        yield k, state | pick
+                    else:
+                        stack.append((state | pick, iter(run[len(stack)])))
+                        break
+            else:
+                stack.pop()
+        if not found:
+            return

@@ -728,7 +728,8 @@ def test_context_listings_build_no_poset(monkeypatch, spec):
     ("--input", "pentagon")])
 def test_both_section_paths_trip_the_same_guard(tmp_path, argv):
     """At a small budget the count and the listing stop at the same node,
-    with the same bytes on stderr and nothing on stdout."""
+    with the same bytes on stderr and nothing on stdout; on mo:12, whose
+    search takes 24 nodes, that holds at budgets 1 and 17."""
     if argv[1] == "pentagon":
         argv = ("--input", _jfile(tmp_path, "pentagon.json",
                                   {"format": "greechie", "blocks": PENTAGON}))
@@ -736,18 +737,50 @@ def test_both_section_paths_trip_the_same_guard(tmp_path, argv):
         flags = [*argv, "--search-budget", budget]
         count = _quiet(["sections", *flags])
         listing = _quiet(["sections", "--list", *flags])
+        if argv[1] == "mo:12" and budget == "89":
+            # twelve runs of one two-atom context: the count takes 24
+            # nodes, and the listing would hold 4,096 sections
+            assert count == (0, '{"count":4096}\n', "")
+            assert listing[:2] == (2, "")
+            assert json.loads(listing[2])["details"] == {
+                "limit": "search_budget", "value": 89, "needed": 4096}
+            continue
         assert count == listing
         assert count[:2] == (2, "")
         assert json.loads(count[2])["details"]["nodes"] == int(budget) + 1
+
+
+def test_section_count_is_a_product_of_runs():
+    """mo:26 is 26 runs of one two-atom context: the count multiplies
+    their counts after 52 nodes."""
+    assert _quiet(["sections", "--builtin", "mo:26"]) \
+        == (0, '{"count":67108864}\n', "")
+
+
+def test_section_listing_past_the_budget_writes_nothing(tmp_path):
+    """mo:24 has 2**24 sections, past the default search budget: the
+    listing exits 2 before it writes a byte, to stdout or to a file."""
+    code, out, err = _quiet(["sections", "--list", "--builtin", "mo:24"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "SizeGuard",
+        "message": "section listing needs 16777216 sections, over search "
+                   "budget 10000000",
+        "details": {"limit": "search_budget", "value": 10000000,
+                    "needed": 16777216}}
+    path = tmp_path / "out.json"
+    assert _quiet(["sections", "--list", "--builtin", "mo:24",
+                   "--output", str(path)]) == (2, "", err)
+    assert not path.exists()
 
 
 def test_a_state_with_two_points_at_a_context_is_a_bug(monkeypatch):
     """The column decode refuses a state that is not one point per context."""
     real = presheaf._section_states
 
-    def doubled(poset, limits):   # every point of the first context
-        for state in real(poset, limits):
-            yield state | poset._full[0] << poset._offsets[0]
+    def doubled(poset, limits, runs):   # every point of the first context
+        for k, state in real(poset, limits, runs):
+            yield k, state | poset._full[0] << poset._offsets[0]
 
     monkeypatch.setattr(presheaf, "_section_states", doubled)
     with pytest.raises(AssertionError, match="one point per context"):
@@ -760,11 +793,11 @@ def test_a_state_with_no_point_at_a_context_is_a_bug(monkeypatch):
     second, a two-atom context, which then holds both of its points."""
     real = presheaf._section_states
 
-    def moved(poset, limits):
+    def moved(poset, limits, runs):
         first = poset._full[0] << poset._offsets[0]
         second = poset._full[1] << poset._offsets[1]
-        for state in real(poset, limits):
-            yield state & ~first | second
+        for k, state in real(poset, limits, runs):
+            yield k, state & ~first | second
 
     monkeypatch.setattr(presheaf, "_section_states", moved)
     with pytest.raises(AssertionError, match="one point per context"):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biheyt import presheaf
+from biheyt.oml import CABELLO18_BLOCKS
 from biheyt import (ContextPoset, Limits, NotASubobject, PosetMismatch,
                     SizeGuard, UsageError, alpha, alpha_inv, delta,
                     enumerate_contexts, enumerate_subobjects, from_greechie,
@@ -640,3 +641,170 @@ def test_section_search_budget_guard(cabello18_poset):
     for budget in (90, 300):
         assert len(global_sections(pentagon,
                                    limits=Limits(search_budget=budget))) == 11
+
+
+def _one_search_rows(poset):
+    """The section rows of one search over every maximal context, decoded a
+    context at a time and sorted: the rows before the sections were
+    factored over runs of contexts."""
+    n = len(poset.contexts)
+    states = ([state for _, state in presheaf._section_states(
+        poset, Limits(), [(range(n), poset.maximal)])] if n else [0])
+    columns = [[elem[state >> off & f] for state in states] for elem, off, f
+               in zip(poset._mask_to_elem, poset._offsets, poset._full)]
+    assert all(state.bit_count() == n for state in states)
+    assert all(0 not in c for c in columns)
+    return sorted(zip(*columns)) if columns else [()] * len(states)
+
+
+def _assert_runs_tile(poset):
+    """The runs' ranges tile the context indices in order, each maximal
+    context is in the run whose range holds it, and no inclusion joins
+    two runs."""
+    runs = presheaf._section_runs(poset)
+    assert [i for contexts, _ in runs for i in contexts] \
+        == list(range(len(poset.contexts)))
+    assert sorted(m for _, maximal in runs for m in maximal) == list(poset.maximal)
+    for contexts, maximal in runs:
+        assert all(j in contexts for m in maximal for j in (m, *poset._below[m]))
+    return runs
+
+
+def _pieces(poset):
+    """The number of connected pieces of the context poset."""
+    seen, pieces = set(), 0
+    for start in range(len(poset.contexts)):
+        if start not in seen:
+            pieces += 1
+            todo = [start]
+            while todo:
+                i = todo.pop()
+                if i not in seen:
+                    seen.add(i)
+                    todo += [*poset._below[i], *poset._above[i]]
+    return pieces
+
+
+def _sections_match_one_search(poset):
+    """The runs' rows, multiplied out in run order, ``global_sections`` and
+    the count all equal one search over every maximal context."""
+    want = _one_search_rows(poset)
+    runs = presheaf._section_rows(poset, Limits())
+    assert [sum(parts, ()) for parts in itertools.product(
+        *[rows for _, rows in runs])] == want
+    assert [g.atoms for g in global_sections(poset)] == want
+    assert presheaf._section_count(poset, Limits()) == len(want)
+    return _assert_runs_tile(poset)
+
+
+@pytest.mark.parametrize("spec", [
+    *[f"boolean:{n}" for n in range(2, 9)], *[f"mo:{n}" for n in range(1, 17)],
+    "cabello18", "loop", "pentagon"])
+def test_section_runs_match_one_search(spec):
+    name, _, n = spec.partition(":")
+    structure = (from_greechie({"loop": FOUR_LOOP, "pentagon": PENTAGON}[name])
+                 if name in ("loop", "pentagon")
+                 else generate(name, int(n) if n else None))
+    runs = _sections_match_one_search(enumerate_contexts(structure))
+    # mo:N is N two-atom blocks, one context each, so N runs; every other
+    # builtin is connected, and so one run
+    assert len(runs) == (int(n) if name == "mo" else 1)
+
+
+def test_sections_without_contexts(boolean3):
+    """No contexts: no runs, and their empty product, the empty family, is
+    the one section."""
+    poset = ContextPoset(boolean3, ())
+    assert _sections_match_one_search(poset) == []
+    assert [g.atoms for g in global_sections(poset)] == [()]
+
+
+@given(tree_pasting())
+@settings(max_examples=30, deadline=None)
+def test_section_runs_match_one_search_on_tree_pastings(blocks):
+    poset = enumerate_contexts(from_greechie(blocks))
+    assert len(_sections_match_one_search(poset)) == _pieces(poset) == 1
+
+
+@st.composite
+def horizontal_sum(draw):
+    """Two or three tree pastings with no atom in common, whose pasting is
+    their horizontal sum: (blocks of the sum, blocks of each summand).  The
+    labels come from one shuffled pool, so in some draws the summands'
+    context ids interleave and in others they do not."""
+    summands = draw(st.lists(tree_pasting(), min_size=2, max_size=3))
+    pool = iter(draw(st.permutations([f"s{i:02d}" for i in range(40)])))
+    relabelled = []
+    for blocks in summands:
+        names = {}
+        relabelled.append([[names.setdefault(a, next(pool)) for a in block]
+                           for block in blocks])
+    return [block for blocks in relabelled for block in blocks], relabelled
+
+
+def test_sections_of_horizontal_sums_multiply():
+    """On a horizontal sum the sections are the product of the summands':
+    the rows equal one search, and the count is the product of the
+    summands' counts.  Both layouts occur among the draws: interleaved ids,
+    where the summands make one run of several pieces, and several runs."""
+    seen = set()
+
+    @given(horizontal_sum())
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def check(drawn):
+        blocks, summands = drawn
+        poset = enumerate_contexts(from_greechie(blocks))
+        runs = _sections_match_one_search(poset)
+        assert _pieces(poset) == len(summands)
+        assert presheaf._section_count(poset, Limits()) == math.prod(
+            presheaf._section_count(enumerate_contexts(from_greechie(b)), Limits())
+            for b in summands)
+        seen.add("one run" if len(runs) == 1 else "several runs")
+
+    check()
+    assert seen == {"one run", "several runs"}
+
+
+@pytest.mark.parametrize("labels, nodes", [(["p", "q", "r"], 876),
+                                           (["-p", "-q", "-r"], 879)],
+                         ids=["cabello18-first", "boolean3-first"])
+def test_cabello18_beside_boolean3_has_no_section(labels, nodes):
+    """cabello18 ⊕ boolean:3 has 0 × 3 sections.  The run whose ids sort
+    first is searched first and one node count runs across the runs:
+    cabello18 alone takes 876 nodes and boolean:3 alone 3, and the run with
+    no section ends the search, so boolean:3 is searched only when it
+    comes first."""
+    poset = enumerate_contexts(from_greechie([*CABELLO18_BLOCKS, labels]))
+    assert len(_assert_runs_tile(poset)) == 2
+    enough, short = Limits(search_budget=nodes), Limits(search_budget=nodes - 1)
+    assert presheaf._section_count(poset, enough) == 0
+    assert global_sections(poset, limits=enough) == ()
+    for search in (lambda: presheaf._section_count(poset, short),
+                   lambda: global_sections(poset, limits=short)):
+        with pytest.raises(SizeGuard) as info:
+            search()
+        assert info.value.details == {"limit": "search_budget",
+                                      "value": nodes - 1, "nodes": nodes}
+
+
+def test_section_listing_past_the_budget_builds_nothing(monkeypatch):
+    """mo:12 is twelve runs of one two-atom context: the search takes 24
+    nodes and the listing holds 4,096 sections.  A listing past the budget
+    raises before any ``GlobalSection`` is built; the count does not."""
+    poset = enumerate_contexts(generate("mo", 12))
+    assert presheaf._section_count(poset, Limits(search_budget=24)) == 4096
+    with pytest.raises(SizeGuard) as info:
+        presheaf._section_count(poset, Limits(search_budget=23))
+    assert info.value.details["nodes"] == 24
+
+    def refuse(*args):
+        raise AssertionError("GlobalSection built")
+    monkeypatch.setattr(presheaf, "GlobalSection", refuse)
+    with pytest.raises(SizeGuard) as info:
+        global_sections(poset, limits=Limits(search_budget=4095))
+    assert str(info.value) \
+        == "section listing needs 4096 sections, over search budget 4095"
+    assert info.value.details == {"limit": "search_budget", "value": 4095,
+                                  "needed": 4096}
+    monkeypatch.undo()
+    assert len(global_sections(poset, limits=Limits(search_budget=4096))) == 4096
