@@ -13,7 +13,7 @@ from .biheyting import (bottom, coheyting_not, coheyting_subtract,
                         is_heyting_regular, is_tight, join, meet, top)
 from .contexts import (Context, ContextPoset, delta, delta_global,
                        enumerate_contexts, maximal_above, minimal_below)
-from .daseinisation import daseinise, daseinise_meet_defect
+from .daseinisation import daseinise
 from .errors import (BiheytError, DegenerateStructure,
                      InconsistentIdentification, NoLeastUpperWitness,
                      NotAPartialOrder, NotASubobject, OrthocomplementViolated,
@@ -47,12 +47,11 @@ __all__ = [
     "brute_coheyting_subtract", "brute_heyting_implies", "brute_negations",
     "builtin_structure", "canonical_json", "check_adjunctions",
     "coheyting_not", "coheyting_subtract", "contexts_dot", "daseinise",
-    "daseinise_meet_defect", "delta", "delta_global", "double_coheyting_not",
-    "double_heyting_not", "enumerate_contexts", "enumerate_subobjects",
-    "from_greechie", "generate", "global_sections", "heyting_implies",
-    "heyting_not", "is_coheyting_regular", "is_heyting_regular", "is_tight",
-    "join", "make_subobject", "maximal_above",
-    "meet", "minimal_below", "restrict", "restriction_image_projection",
-    "spectrum", "subobject_dot", "subobject_from_mapping",
-    "subobject_to_json", "top", "validate",
+    "delta", "delta_global", "double_coheyting_not", "double_heyting_not",
+    "enumerate_contexts", "enumerate_subobjects", "from_greechie", "generate",
+    "global_sections", "heyting_implies", "heyting_not",
+    "is_coheyting_regular", "is_heyting_regular", "is_tight", "join",
+    "make_subobject", "maximal_above", "meet", "minimal_below", "restrict",
+    "restriction_image_projection", "spectrum", "subobject_dot",
+    "subobject_from_mapping", "subobject_to_json", "top", "validate",
 ]

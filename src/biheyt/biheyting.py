@@ -14,8 +14,8 @@ forms:
   complement.  Left adjoint to join:
   ``coheyting_subtract(S, T) <= R  iff  S <= T v R``.
 
-Implication and subtraction unpack each operand once into per-context atom
-masks and join over every inclusion; by monotonicity that agrees with the
+Implication and subtraction unpack S ^ ~T once into per-context atom masks
+and join over every inclusion; by monotonicity that agrees with the
 extremal forms above, which the tests pin.
 
 ``coheyting_not(S) ^ S`` need not be empty: the co-Heyting side is

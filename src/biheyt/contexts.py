@@ -9,11 +9,11 @@ atoms and the int bitset of elements by which partitions are deduplicated.
 
 Context ids are the sorted atom labels joined with "|".  The spectrum of a
 context V is its atom set, and each P in V is the clopen set alpha_V(P) of
-the atoms of V below P.  ``ContextPoset`` derives every table from that one
-rule and the structure's order rows: element <-> atom mask per context, and
-per context a map from the set of its elements above an element to that
-element.  The map finds the least element of V' above any P by one lookup,
-which is coarse-graining ``delta_global(V', P)``; ``delta(V, V', P)`` is the
+the atoms of V below P.  Per context ``ContextPoset`` holds element <-> atom
+mask, from the walk unchecked or from the ``_down`` rows checked (see there
+why), and from the ``_up`` rows a map from the set of its elements above an
+element to that element: one lookup finds the least element of V' above any
+P, the coarse-graining ``delta_global(V', P)``; ``delta(V, V', P)`` is the
 same for P in V and V' <= V, and the restriction of an atom of V to V' is
 its coarse-graining.  The inclusions come from per-element bitsets of the
 contexts holding each element, never from a test of every pair of contexts.
@@ -51,14 +51,19 @@ def _partitions(k: int) -> list[tuple[int, ...]]:
 class ContextPoset:
     """All contexts of a structure, ordered by inclusion, with their tables.
 
-    Built by ``enumerate_contexts``.  Contexts are indexed in canonical order
-    (sorted by id).  Every table is alpha read off the structure's order
-    rows: each element of context i is keyed by its ``_down`` row ANDed with
-    the atoms of i, and as the atoms ascend, the sorted keys run through the
-    atom masks m in order; ``_mask_to_elem[i][m]`` is the element with the
-    m-th key and ``_elem_mask[i]`` its inverse.  The context is Boolean iff
-    its elements hold its atoms and have 2^k distinct keys.  ``_least[j]``
-    maps the key of each element e of j, the elements of j above it
+    Contexts are indexed in canonical order (sorted by id).  Context i has
+    ``_mask_to_elem[i][m]``, its element over the atoms in mask m, and
+    ``_elements[i]``, the bitset of its elements.  ``enumerate_contexts``
+    passes both from the partition walk as ``_tables``, unchecked: a block's
+    join table is one-to-one and its joins grow exactly with the atom set
+    (``oml._build``), so the unions of a partition's cells give a Boolean
+    subalgebra by construction.  ``ContextPoset(structure, contexts)`` keys
+    each element of i by its ``_down`` row ANDed with the atoms of i; as the
+    atoms ascend, the sorted keys run through the masks m in order, giving
+    ``_mask_to_elem[i]``, and i is Boolean iff its elements hold its atoms
+    and have 2^k distinct keys.  Both paths share every other table:
+    ``_elem_mask[i]`` inverts ``_mask_to_elem[i]``, and ``_least[j]`` maps
+    the key of each element e of j, the elements of j above it
     (``_up[e] & _elements[j]`` shifted down by ``_shift[j]``), to e.  The
     least element of j above any element p exists iff p's key is in the
     map, and is its value: the coarse-graining of p, and for an atom of V
@@ -76,29 +81,34 @@ class ContextPoset:
     is immutable and safe to share.
     """
 
-    def __init__(self, structure: OrthoStructure, contexts: tuple[Context, ...]):
+    def __init__(self, structure: OrthoStructure, contexts: tuple[Context, ...],
+                 *, _tables: list[tuple[tuple[int, ...], int]] | None = None):
         self.structure = structure
         self.contexts = contexts
         self._by_id = {c.id: i for i, c in enumerate(contexts)}
         n = len(contexts)
         self._full = full = tuple((1 << len(c.atoms)) - 1 for c in contexts)
         down, up = structure._down, structure._up
-        offsets, elements, elem_mask, mask_to_elem, least, shifts = (
-            [] for _ in range(6))
+        if _tables is None:
+            _tables = []
+            for c in contexts:
+                top = 0
+                for a in c.atoms:
+                    top |= 1 << a
+                below = {down[e] & top: e for e in c.elements}
+                inverse = tuple([below[key] for key in sorted(below)])
+                mine = 0
+                for e in inverse:
+                    mine |= 1 << e
+                if not len(c.elements) == len(below) == 1 << len(c.atoms) or top & ~mine:
+                    raise AssertionError(f"context {c.id!r} is not Boolean (bug)")
+                _tables.append((inverse, mine))
+        offsets, elem_mask, least, shifts = [], [], [], []
         holders = [0] * structure.n
         total = 0
-        for i, c in enumerate(contexts):
-            top = 0
-            for a in c.atoms:
-                top |= 1 << a
-            below = {down[e] & top: e for e in c.elements}
-            inverse = tuple([below[key] for key in sorted(below)])
-            mine = 0
+        for i, (c, (inverse, mine)) in enumerate(zip(contexts, _tables)):
             for e in inverse:
-                mine |= 1 << e
                 holders[e] |= 1 << i
-            if not len(c.elements) == len(below) == 1 << len(c.atoms) or top & ~mine:
-                raise AssertionError(f"context {c.id!r} is not Boolean (bug)")
             # every key holds 1, and the one key holding 0 holds all of the
             # context, so the keys drop bits 0 and 1 and the empty bits up
             # to the context's lowest other element
@@ -106,14 +116,13 @@ class ContextPoset:
             shift = (rest & -rest).bit_length() - 1
             least.append({(up[e] & mine) >> shift: e for e in inverse})
             elem_mask.append(dict(zip(inverse, range(len(inverse)))))
-            mask_to_elem.append(inverse)
-            elements.append(mine)
             shifts.append(shift)
             offsets.append(total)
             total += len(c.atoms)
+        self._mask_to_elem = mask_to_elem = tuple([inv for inv, _ in _tables])
+        self._elements = tuple([mine for _, mine in _tables])
         self._offsets, self.total_bits = tuple(offsets), total
-        self._elements, self._shift = tuple(elements), tuple(shifts)
-        self._elem_mask, self._mask_to_elem = tuple(elem_mask), tuple(mask_to_elem)
+        self._shift, self._elem_mask = tuple(shifts), tuple(elem_mask)
         self._least = tuple(least)
 
         below: list[list[int]] = [[] for _ in range(n)]
@@ -199,9 +208,10 @@ class ContextPoset:
         return self._elem_mask[i][self._mask_to_elem[j][mask_j]]
 
 
-def _contexts(structure: OrthoStructure, limits: Limits) -> tuple[Context, ...]:
-    """All nontrivial Boolean subalgebras, sorted by id, with no poset table:
-    what a listing of the contexts or of their spectra needs."""
+def _contexts(structure: OrthoStructure, limits: Limits,
+              tables: dict | None = None) -> tuple[Context, ...]:
+    """All nontrivial Boolean subalgebras, sorted by id.  ``tables`` gets by
+    id the elements by atom mask (cells in join order) and their bitset."""
     labels = structure.labels
     found: dict[int, Context] = {}
     partitions: dict[int, list[tuple[int, ...]]] = {}
@@ -217,9 +227,17 @@ def _contexts(structure: OrthoStructure, limits: Limits) -> tuple[Context, ...]:
             key = sum([1 << e for e in elems])   # joins is one-to-one
             if key not in found:
                 # the cells sit at the powers of two of the walk
-                atoms = sorted([elems[1 << c] for c in range(len(part))])
+                cells = [elems[1 << c] for c in range(len(part))]
+                atoms = sorted(cells)
                 found[key] = Context(id="|".join([labels[a] for a in atoms]),
                                      atoms=tuple(atoms), elements=frozenset(elems))
+                if tables is not None:
+                    if cells != atoms:
+                        unions = [0]
+                        for _, cell in sorted(zip(cells, part)):
+                            unions += [u | cell for u in unions]
+                        elems = [joins[u] for u in unions]
+                    tables[found[key].id] = (tuple(elems), key)
                 if len(found) > limits.max_contexts:
                     raise SizeGuard(
                         f"context count exceeds limit {limits.max_contexts}",
@@ -232,7 +250,9 @@ def _contexts(structure: OrthoStructure, limits: Limits) -> tuple[Context, ...]:
 def enumerate_contexts(structure: OrthoStructure, *,
                        limits: Limits = DEFAULT_LIMITS) -> ContextPoset:
     """All nontrivial Boolean subalgebras, as a ContextPoset."""
-    poset = ContextPoset(structure, _contexts(structure, limits))
+    tables: dict[str, tuple[tuple[int, ...], int]] = {}
+    contexts = _contexts(structure, limits, tables)
+    poset = ContextPoset(structure, contexts, _tables=[tables[c.id] for c in contexts])
     for i in poset.minimal:
         if len(poset.contexts[i].atoms) != 2:
             raise AssertionError("minimal context with more than two atoms (bug)")

@@ -7,9 +7,7 @@ subobjects, but it is not surjective and only subdistributes over meets:
 """
 from __future__ import annotations
 
-from .biheyting import meet
 from .contexts import ContextPoset, delta_global
-from .errors import UnboundedPair
 from .presheaf import ClopenSubobject
 
 
@@ -28,20 +26,3 @@ def daseinise(poset: ContextPoset, p: int | str) -> ClopenSubobject:
         bits |= masks[e] << off
     return ClopenSubobject(poset, bits)
 
-
-def daseinise_meet_defect(poset: ContextPoset, p: int | str,
-                          q: int | str) -> tuple[ClopenSubobject, ClopenSubobject]:
-    """Both sides of the meet inequality: (daseinise(p ^ q), daseinise(p) ^
-    daseinise(q)).  The first is always below the second."""
-    st = poset.structure
-    p, q = st.el(p), st.el(q)
-    g = st.glb(p, q)
-    if g is None:
-        raise UnboundedPair(
-            f"{st.label(p)!r} and {st.label(q)!r} have no global meet",
-            witness=[st.label(p), st.label(q)])
-    lhs = daseinise(poset, g)
-    rhs = meet([daseinise(poset, p), daseinise(poset, q)])
-    if not lhs <= rhs:
-        raise AssertionError("daseinisation meet defect inverted (bug)")
-    return lhs, rhs

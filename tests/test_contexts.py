@@ -430,6 +430,35 @@ def test_tables_match_the_spread_reference_on_trees(blocks):
     _assert_tables_match_the_spread_reference(from_greechie(blocks))
 
 
+_WALK_TABLES = ("contexts", "_mask_to_elem", "_elements", "_elem_mask",
+                "_least", "_shift", "_offsets", "_below", "_above", "minimal",
+                "maximal")
+
+
+def _assert_walk_tables_match_the_checked_build(structure):
+    walked = enumerate_contexts(structure)
+    checked = ContextPoset(structure, walked.contexts)
+    for name in _WALK_TABLES:
+        assert getattr(walked, name) == getattr(checked, name), name
+
+
+@pytest.mark.parametrize("spec", [
+    "boolean:2", "boolean:3", "boolean:4", "boolean:5", "boolean:6", "mo:1",
+    "mo:2", "mo:5", "mo:12", "cabello18", chain_pasting(100),
+    # the block's atoms are out of label order, so its cells are too
+    [["r", "q", "p"]]],
+    ids=lambda spec: spec if isinstance(spec, str) else "/".join(spec[0])
+    if len(spec) == 1 else f"{len(spec)}-block chain")
+def test_walk_tables_match_the_checked_build(spec):
+    _assert_walk_tables_match_the_checked_build(_structure(spec))
+
+
+@given(blocks=tree_pasting())
+@settings(max_examples=40, deadline=None)
+def test_walk_tables_match_the_checked_build_on_trees(blocks):
+    _assert_walk_tables_match_the_checked_build(from_greechie(blocks))
+
+
 def test_delta_to_smaller_context(boolean3_poset):
     st = boolean3_poset.structure
     out = delta(boolean3_poset, "p|q|r", "p+r|q", "p")
