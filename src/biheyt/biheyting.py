@@ -14,9 +14,11 @@ forms:
   complement.  Left adjoint to join:
   ``coheyting_subtract(S, T) <= R  iff  S <= T v R``.
 
-Implication and subtraction unpack S ^ ~T once into per-context atom masks
-and join over every inclusion; by monotonicity that agrees with the
-extremal forms above, which the tests pin.
+Implication and subtraction are the two closures of the gap G = S ^ ~T on
+the points (V, a) ordered by restriction: S - T is the down-closure of G,
+and S => T the complement of its up-closure.  Each is one loop over the
+contexts where G has points; by monotonicity it agrees with the extremal
+forms above, which the tests pin.
 
 ``coheyting_not(S) ^ S`` need not be empty: the co-Heyting side is
 paraconsistent.  ``heyting_not`` is always below ``coheyting_not``.
@@ -72,25 +74,20 @@ def join(subobjects: Iterable[ClopenSubobject], *,
     return ClopenSubobject(poset, bits)
 
 
-def _components(poset: ContextPoset, bits: int) -> list[int]:
-    """The atom mask of packed bits at every context, in context order."""
-    return [(bits >> off) & full for off, full in zip(poset._offsets, poset._full)]
-
-
 def heyting_implies(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobject:
     """Stagewise implication: keep the points of V all of whose restrictions
-    that land in S also land in T."""
+    that land in S also land in T: the complement of the up-closure of S ^ ~T."""
     _same_poset(s, t)
     poset = s.poset
-    diff = _components(poset, s.bits & ~t.bits)
-    bits = 0
-    for i in range(len(poset.contexts)):
-        bad = diff[i]
-        for j in poset._below[i]:
-            if diff[j]:
-                bad |= poset.pullback_mask(i, j, diff[j])
-        bits |= (poset._full[i] & ~bad) << poset._offsets[i]
-    return ClopenSubobject(poset, bits)
+    offsets, elem_mask = poset._offsets, poset._elem_mask
+    gap = bad = s.bits & ~t.bits
+    for j, (off, full, above) in enumerate(zip(offsets, poset._full, poset._above)):
+        g = (gap >> off) & full
+        if g:   # the atoms above that restrict into g: its element's mask
+            e = poset._mask_to_elem[j][g]
+            for i in above:
+                bad |= elem_mask[i][e] << offsets[i]
+    return ClopenSubobject(poset, ((1 << poset.total_bits) - 1) & ~bad)
 
 
 def heyting_not(s: ClopenSubobject) -> ClopenSubobject:
@@ -103,18 +100,18 @@ def double_heyting_not(s: ClopenSubobject) -> ClopenSubobject:
 
 
 def coheyting_subtract(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobject:
-    """Smallest R with S <= T v R: at V, the union over supersets W of the
-    restriction images of the points of S at W missing from T at W."""
+    """Smallest R with S <= T v R: the down-closure of S ^ ~T."""
     _same_poset(s, t)
     poset = s.poset
-    diff = _components(poset, s.bits & ~t.bits)
-    bits = 0
-    for i in range(len(poset.contexts)):
-        comp = diff[i]
-        for w in poset._above[i]:
-            if diff[w]:
-                comp |= poset.image_mask(w, i, diff[w])
-        bits |= comp << poset._offsets[i]
+    up, offsets, least = poset.structure._up, poset._offsets, poset._least
+    elements, shifts, elem_mask = poset._elements, poset._shift, poset._elem_mask
+    gap = bits = s.bits & ~t.bits
+    for w, (off, full, below) in enumerate(zip(offsets, poset._full, poset._below)):
+        g = (gap >> off) & full
+        if g:   # restricted to V below, g is V's least element above it
+            row = up[poset._mask_to_elem[w][g]]
+            for i in below:
+                bits |= elem_mask[i][least[i][(row & elements[i]) >> shifts[i]]] << offsets[i]
     return ClopenSubobject(poset, bits)
 
 
@@ -147,10 +144,11 @@ def is_tight(s: ClopenSubobject) -> bool:
 
     Tight subobjects are regular for both negations; the converse fails.
     """
-    poset = s.poset
-    masks = _components(poset, s.bits)
+    poset, bits = s.poset, s.bits
+    offsets, full = poset._offsets, poset._full
     for i in poset.maximal:
+        m = (bits >> offsets[i]) & full[i]
         for j in poset._below[i]:
-            if poset.image_mask(i, j, masks[i]) != masks[j]:
+            if poset.image_mask(i, j, m) != (bits >> offsets[j]) & full[j]:
                 return False
     return True

@@ -88,12 +88,12 @@ def _dot(poset: ContextPoset, title: str, nodes: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def contexts_dot(poset: ContextPoset, *, title: str = "contexts") -> str:
+def contexts_dot(poset: ContextPoset) -> str:
     """Hasse diagram of the context poset (covering edges, subcontext below)."""
-    return _dot(poset, title, [f"  {_quote(c.id)};" for c in poset.contexts])
+    return _dot(poset, "contexts", [f"  {_quote(c.id)};" for c in poset.contexts])
 
 
-def subobject_dot(s: ClopenSubobject, *, title: str = "subobject") -> str:
+def subobject_dot(s: ClopenSubobject) -> str:
     """Context Hasse diagram with each node annotated by the component."""
     poset = s.poset
     st = poset.structure
@@ -102,4 +102,4 @@ def subobject_dot(s: ClopenSubobject, *, title: str = "subobject") -> str:
         atoms = ", ".join(p.label for p in s.points_at(i))
         label = f"{c.id}\n{st.label(s.element_at(i))} = {{{atoms}}}"
         nodes.append(f"  {_quote(c.id)} [label={_quote(label)}];")
-    return _dot(poset, title, nodes)
+    return _dot(poset, "subobject", nodes)

@@ -578,6 +578,15 @@ def _one_usage_error(code, out, err):
     return blob
 
 
+def test_a_subobject_file_must_hold_an_object(capsys, tmp_path):
+    sp = _jfile(tmp_path, "sp.json", [])
+    blob = _one_usage_error(*_run(capsys, "op", "not", "--builtin",
+                                  "boolean:3", "--subobject", sp))
+    assert blob == {"error": "UsageError",
+                    "message": "a subobject file must be an object mapping "
+                               "context id to element label"}
+
+
 @pytest.mark.parametrize("value", [[], None, {}, 0.5, True, 3, 1.0, ["p"]])
 def test_subobject_values_must_be_labels(capsys, tmp_path, value):
     """Subobject files map context ids to element labels: any other JSON

@@ -1,14 +1,17 @@
 """The closed local forms of the negations, beyond the brute oracle's reach.
 
 The production negations are implication into bottom and subtraction from
-top, joined over every inclusion.  The forms the ``biheyting`` docstring
-states use only the extremal contexts: minimal subcontexts for the Heyting
-side, maximal supercontexts for the co-Heyting side.  Here they are
+top, closing the gap over every inclusion.  The forms the ``biheyting``
+docstring states use only the extremal contexts: minimal subcontexts for the
+Heyting side, maximal supercontexts for the co-Heyting side.  Here they are
 recomputed pointwise, from spectra and ``restrict``, on structures too large
 to enumerate (``cabello18``, ``boolean:5``, random tree pastings), for
 daseinisation images and random monotone families.  ``is_tight`` reads only
 the inclusions below maximal contexts; here it is compared with the loop
-over every inclusion.
+over every inclusion.  Implication and subtraction loop over the contexts
+where the gap S ^ ~T has points and close it upwards or downwards; here
+they are compared with per-target loops that gather, at each context, the
+gap's pullbacks from below or its images from above.
 """
 import functools
 import random
@@ -16,13 +19,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biheyt import (LATTICE, NoLeastUpperWitness, alpha_inv,
+from biheyt import (LATTICE, NoLeastUpperWitness, alpha_inv, bottom,
                     builtin_structure, coheyting_not, coheyting_subtract,
                     daseinise, double_coheyting_not, double_heyting_not,
                     enumerate_contexts, from_greechie, heyting_implies,
                     heyting_not, is_tight, join, make_subobject,
                     maximal_above, meet, minimal_below, restrict,
-                    restriction_image_projection, spectrum)
+                    restriction_image_projection, spectrum, top)
 
 from test_oml import PENTAGON, tree_pasting
 
@@ -125,19 +128,25 @@ def _tight_at_every_inclusion(s):
                for i in range(len(poset.contexts)) for j in poset._below[i])
 
 
-def _assert_tightness_matches(poset, restr, seed):
-    """Compare on every daseinisation image that exists, random monotone
-    families, and the meets, joins, implications, subtractions and negations
-    of them; return the verdicts seen."""
-    rng = random.Random(seed)
+def _base_operands(poset, restr, rng):
+    """Every daseinisation image that exists, then nine random monotone
+    families."""
     images = []
     for e in range(poset.structure.n):
         try:
             images.append(daseinise(poset, e))
         except NoLeastUpperWitness:
             pass
-    base = images + [_random_family(poset, restr, rng, density)
+    return images + [_random_family(poset, restr, rng, density)
                      for density in (0.1, 0.3, 0.6) for _ in range(3)]
+
+
+def _assert_tightness_matches(poset, restr, seed):
+    """Compare on every daseinisation image that exists, random monotone
+    families, and the meets, joins, implications, subtractions and negations
+    of them; return the verdicts seen."""
+    rng = random.Random(seed)
+    base = _base_operands(poset, restr, rng)
     derived = []
     for _ in range(12):
         s, t = rng.choice(base), rng.choice(base)
@@ -180,3 +189,76 @@ def test_maximal_contexts_decide_tightness_on_loop_pastings(blocks):
 def test_maximal_contexts_decide_tightness_on_tree_pastings(blocks, seed):
     poset = enumerate_contexts(from_greechie(blocks))
     _assert_tightness_matches(poset, _restriction(poset), seed)
+
+
+def _gaps(s, t):
+    """The atom mask of S ^ ~T at every context, in context order."""
+    poset, gap = s.poset, s.bits & ~t.bits
+    return [(gap >> off) & full for off, full in zip(poset._offsets, poset._full)]
+
+
+def _implies_by_targets(s, t):
+    """Reference for ``heyting_implies``: at each V, the atoms outside the gap
+    at V and outside the pullback of the gap at every V' below V."""
+    poset, gaps = s.poset, _gaps(s, t)
+    bits = 0
+    for i in range(len(poset.contexts)):
+        bad = gaps[i]
+        for j in poset._below[i]:
+            if gaps[j]:
+                bad |= poset.pullback_mask(i, j, gaps[j])
+        bits |= (poset._full[i] & ~bad) << poset._offsets[i]
+    return bits
+
+
+def _subtract_by_targets(s, t):
+    """Reference for ``coheyting_subtract``: at each V, the gap at V and the
+    images of the gap at every W above V."""
+    poset, gaps = s.poset, _gaps(s, t)
+    bits = 0
+    for i in range(len(poset.contexts)):
+        comp = gaps[i]
+        for w in poset._above[i]:
+            if gaps[w]:
+                comp |= poset.image_mask(w, i, gaps[w])
+        bits |= comp << poset._offsets[i]
+    return bits
+
+
+def _assert_closures_match_targets(poset, restr, seed):
+    """Implication, subtraction and both negations equal the per-target
+    loops on daseinisation images, random monotone families, and results of
+    earlier operations, which join the operand pool as they are made."""
+    rng = random.Random(seed)
+    pool = _base_operands(poset, restr, rng)
+    lo, hi = bottom(poset), top(poset)
+    for _ in range(16):
+        s, t = rng.choice(pool), rng.choice(pool)
+        made = [heyting_implies(s, t), coheyting_subtract(s, t),
+                heyting_not(s), coheyting_not(s)]
+        assert [r.bits for r in made] == [
+            _implies_by_targets(s, t), _subtract_by_targets(s, t),
+            _implies_by_targets(s, lo), _subtract_by_targets(hi, s)]
+        pool += made
+
+
+@pytest.mark.parametrize("spec", TIGHT_SPECS)
+def test_closures_match_the_per_target_loops_on_builtins(spec):
+    poset, restr = _builtin(spec)
+    _assert_closures_match_targets(poset, restr, seed=5)
+
+
+@pytest.mark.parametrize("blocks", [
+    PENTAGON,
+    [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"], ["g", "h", "a"]]],
+    ids=["pentagon", "four-loop"])
+def test_closures_match_the_per_target_loops_on_loop_pastings(blocks):
+    poset = enumerate_contexts(from_greechie(blocks))
+    _assert_closures_match_targets(poset, _restriction(poset), seed=13)
+
+
+@given(blocks=tree_pasting(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_closures_match_the_per_target_loops_on_tree_pastings(blocks, seed):
+    poset = enumerate_contexts(from_greechie(blocks))
+    _assert_closures_match_targets(poset, _restriction(poset), seed)

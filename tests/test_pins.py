@@ -1,4 +1,4 @@
-"""Pinned tables and pasting errors.
+"""Pinned tables, pasting errors and refusals.
 
 Each structure's slots and each context poset's tables are reduced to one
 sha256, recorded from the label-level pasting and parse that the index-level
@@ -14,8 +14,9 @@ import pytest
 
 from biheyt import (BiheytError, DegenerateStructure,
                     InconsistentIdentification, NotAPartialOrder,
-                    OrthocomplementViolated, OrthoNotInvolutive, UnboundedPair,
-                    UsageError, enumerate_contexts, from_greechie, generate,
+                    OrthocomplementViolated, OrthoNotInvolutive, PosetMismatch,
+                    UnboundedPair, UsageError, enumerate_contexts,
+                    from_greechie, generate, meet, subobject_from_mapping, top,
                     validate)
 
 PENTAGON = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"],
@@ -267,3 +268,49 @@ def test_explicit_errors_are_pinned(raw, error, message, details):
         validate(raw)
     assert type(info.value) is error
     assert (info.value.message, info.value.details) == (message, details)
+
+
+def _element_past_the_end():
+    structure = generate("mo", 2)
+    structure.el(structure.n)
+
+
+def _meet_on_another_poset():
+    s = top(enumerate_contexts(generate("mo", 2)))
+    meet([s], poset=enumerate_contexts(generate("mo", 2)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: from_greechie(["ab"]), UsageError,
+     "each block must be a list of atom labels"),
+    (lambda: from_greechie([["a", ""]]), UsageError,
+     "atom labels must be nonempty strings"),
+    (lambda: from_greechie([["a", 1]]), UsageError,
+     "atom labels must be nonempty strings"),
+    (lambda: generate("mo", 0), UsageError, "mo requires n >= 1"),
+    (lambda: validate(_explicit(elements=[])), DegenerateStructure,
+     "structure has no elements"),
+    (_element_past_the_end, UsageError, "element index 6 out of range"),
+    (_meet_on_another_poset, PosetMismatch,
+     "subobjects belong to a different poset"),
+    (lambda: subobject_from_mapping(enumerate_contexts(generate("mo", 2)), []),
+     UsageError, "a subobject file must be an object mapping context id to "
+     "element label"),
+], ids=["block-not-a-list", "empty-atom-label", "atom-label-not-a-string",
+        "mo-0", "no-elements", "element-index", "meet-poset",
+        "subobject-not-an-object"])
+def test_refusals_are_pinned(call, error, message):
+    with pytest.raises(BiheytError) as info:
+        call()
+    assert type(info.value) is error
+    assert info.value.message == message
+
+
+def test_subobjects_and_structures_refuse_attribute_assignment():
+    structure = generate("mo", 2)
+    s = top(enumerate_contexts(structure))
+    with pytest.raises(AttributeError, match="^ClopenSubobject is immutable$"):
+        s.bits = 0
+    with pytest.raises(AttributeError, match="^OrthoStructure is immutable$"):
+        structure.n = 3
+    assert s == top(s.poset) and structure.n == 6
