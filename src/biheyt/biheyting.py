@@ -16,9 +16,9 @@ forms:
 
 Implication and subtraction are the two closures of the gap G = S ^ ~T on
 the points (V, a) ordered by restriction: S - T is the down-closure of G,
-and S => T the complement of its up-closure.  Each is one loop over the
-contexts where G has points; by monotonicity it agrees with the extremal
-forms above, which the tests pin.
+and S => T the complement of its up-closure, each one call of
+``ContextPoset._down_closure`` or ``_up_closure``.  By monotonicity they
+agree with the extremal forms above, which the tests pin.
 
 ``coheyting_not(S) ^ S`` need not be empty: the co-Heyting side is
 paraconsistent.  ``heyting_not`` is always below ``coheyting_not``.
@@ -78,16 +78,8 @@ def heyting_implies(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobject:
     """Stagewise implication: keep the points of V all of whose restrictions
     that land in S also land in T: the complement of the up-closure of S ^ ~T."""
     _same_poset(s, t)
-    poset = s.poset
-    offsets, elem_mask = poset._offsets, poset._elem_mask
-    gap = bad = s.bits & ~t.bits
-    for j, (off, full, above) in enumerate(zip(offsets, poset._full, poset._above)):
-        g = (gap >> off) & full
-        if g:   # the atoms above that restrict into g: its element's mask
-            e = poset._mask_to_elem[j][g]
-            for i in above:
-                bad |= elem_mask[i][e] << offsets[i]
-    return ClopenSubobject(poset, ((1 << poset.total_bits) - 1) & ~bad)
+    bad = s.poset._up_closure(s.bits & ~t.bits)
+    return ClopenSubobject(s.poset, ((1 << s.poset.total_bits) - 1) & ~bad)
 
 
 def heyting_not(s: ClopenSubobject) -> ClopenSubobject:
@@ -102,17 +94,7 @@ def double_heyting_not(s: ClopenSubobject) -> ClopenSubobject:
 def coheyting_subtract(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobject:
     """Smallest R with S <= T v R: the down-closure of S ^ ~T."""
     _same_poset(s, t)
-    poset = s.poset
-    up, offsets, least = poset.structure._up, poset._offsets, poset._least
-    elements, shifts, elem_mask = poset._elements, poset._shift, poset._elem_mask
-    gap = bits = s.bits & ~t.bits
-    for w, (off, full, below) in enumerate(zip(offsets, poset._full, poset._below)):
-        g = (gap >> off) & full
-        if g:   # restricted to V below, g is V's least element above it
-            row = up[poset._mask_to_elem[w][g]]
-            for i in below:
-                bits |= elem_mask[i][least[i][(row & elements[i]) >> shifts[i]]] << offsets[i]
-    return ClopenSubobject(poset, bits)
+    return ClopenSubobject(s.poset, s.poset._down_closure(s.bits & ~t.bits))
 
 
 def coheyting_not(s: ClopenSubobject) -> ClopenSubobject:
@@ -145,10 +127,10 @@ def is_tight(s: ClopenSubobject) -> bool:
     Tight subobjects are regular for both negations; the converse fails.
     """
     poset, bits = s.poset, s.bits
-    offsets, full = poset._offsets, poset._full
+    offsets, full, elem_mask = poset._offsets, poset._full, poset._elem_mask
     for i in poset.maximal:
-        m = (bits >> offsets[i]) & full[i]
+        e = poset._mask_to_elem[i][(bits >> offsets[i]) & full[i]]
         for j in poset._below[i]:
-            if poset.image_mask(i, j, m) != (bits >> offsets[j]) & full[j]:
+            if elem_mask[j][poset._least_above(j, e)] != (bits >> offsets[j]) & full[j]:
                 return False
     return True

@@ -21,6 +21,7 @@ Scanning V' with ``leq`` is left to the oracle, which checks against it.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import NoLeastUpperWitness, SizeGuard, UsageError
@@ -67,18 +68,19 @@ class ContextPoset:
     (``_up[e] & _elements[j]`` shifted down by ``_shift[j]``), to e.  The
     least element of j above any element p exists iff p's key is in the
     map, and is its value: the coarse-graining of p, and for an atom of V
-    its restriction to V'.  So ``image_mask`` is a lookup, and
-    ``pullback_mask`` is the mask in V of an element of V'.  V' <= V iff V'
-    has no element outside V.  No pair of contexts is tested: each element
-    gets a bitset of the contexts holding it, and the AND of those bitsets
-    over all the elements of j is exactly j and its strict supercontexts.
-    The work still grows with n squared, over machine words rather than
-    over pairs.  Per inclusion the masks in V of the atoms of V' must
-    partition V's atoms: no two overlap, and their OR is V's full mask.
-    ``_below[i]`` and ``_above[i]`` list the strict subcontexts and
-    supercontexts of i in ascending order.  Every table is built here and
-    never changed; the poset holds no cache or other mutable state, so it
-    is immutable and safe to share.
+    its restriction to V'.  ``_down_closure`` closes a packed set of points
+    by those lookups, ``_up_closure`` by the masks of its components'
+    elements, each over the contexts from its lowest point to its highest (a
+    call on one context's points visits that context alone).  V' <= V iff V'
+    has no element outside V.  No pair is tested: each element gets a bitset
+    of the contexts holding it, and the AND of those over the elements of j
+    is exactly j and its strict supercontexts.  The work still grows with n
+    squared, over words rather than pairs.  Per inclusion the masks in V of
+    the atoms of V' must partition V's atoms: no two overlap, and their OR
+    is V's full mask.  ``_below[i]`` and ``_above[i]`` list the strict
+    subcontexts and supercontexts of i in ascending order.  Every table is
+    built here and never changed; the poset holds no cache or other mutable
+    state, so it is immutable and safe to share.
     """
 
     def __init__(self, structure: OrthoStructure, contexts: tuple[Context, ...],
@@ -197,15 +199,35 @@ class ContextPoset:
         key = (self.structure._up[p] & self._elements[j]) >> self._shift[j]
         return self._least[j].get(key)
 
-    def image_mask(self, i: int, j: int, mask: int) -> int:
-        """Forward image of an atom mask of context i in subcontext j."""
-        p = self._mask_to_elem[i][mask]
-        key = (self.structure._up[p] & self._elements[j]) >> self._shift[j]
-        return self._elem_mask[j][self._least[j][key]]
+    def _down_closure(self, bits: int) -> int:
+        """``bits`` and the restrictions of its points to every subcontext."""
+        if not bits:
+            return bits
+        offsets, full, elem_mask, out = self._offsets, self._full, self._elem_mask, bits
+        up, least, elements, shifts = (self.structure._up, self._least,
+                                       self._elements, self._shift)
+        for w in range(bisect_right(offsets, (bits & -bits).bit_length() - 1) - 1,
+                       bisect_right(offsets, bits.bit_length() - 1)):
+            g = (bits >> offsets[w]) & full[w]
+            if g:
+                row = up[self._mask_to_elem[w][g]]
+                for i in self._below[w]:
+                    out |= elem_mask[i][least[i][(row & elements[i]) >> shifts[i]]] << offsets[i]
+        return out
 
-    def pullback_mask(self, i: int, j: int, mask_j: int) -> int:
-        """Atoms of context i whose restriction lands inside mask_j."""
-        return self._elem_mask[i][self._mask_to_elem[j][mask_j]]
+    def _up_closure(self, bits: int) -> int:
+        """``bits`` and the points of every supercontext restricting into it."""
+        if not bits:
+            return bits
+        offsets, full, elem_mask, out = self._offsets, self._full, self._elem_mask, bits
+        for j in range(bisect_right(offsets, (bits & -bits).bit_length() - 1) - 1,
+                       bisect_right(offsets, bits.bit_length() - 1)):
+            g = (bits >> offsets[j]) & full[j]
+            if g:
+                e = self._mask_to_elem[j][g]
+                for i in self._above[j]:
+                    out |= elem_mask[i][e] << offsets[i]
+        return out
 
 
 def _contexts(structure: OrthoStructure, limits: Limits,

@@ -20,7 +20,7 @@ from typing import Any, Callable
 
 from . import biheyting
 from .contexts import Context, ContextPoset, delta
-from .errors import SizeGuard
+from .errors import PosetMismatch, SizeGuard
 from .limits import DEFAULT_LIMITS, Limits
 from .oml import OrthoStructure
 from .presheaf import ClopenSubobject, _same_poset, _subobject_batches, enumerate_subobjects
@@ -165,7 +165,9 @@ def check_adjunctions(poset: ContextPoset, *,
     The operation hooks default to the production implementations; passing a
     deliberately wrong one must yield a counterexample (first in canonical
     order), which is how the oracle itself is tested.  ``triples_checked``
-    counts triples up to the counterexample.  The R with R ^ S <= T hold 0
+    counts triples up to the counterexample; a result that keeps its law at
+    every R but not its brute twin is no subobject, reported with ``"R":
+    None`` after the pair's last R.  The R with R ^ S <= T hold 0
     and are closed under joins, so they are the R below their join, the
     brute S => T; dually the R with S <= T v R are the R above the brute
     S - T.  So ``oracle`` compares both hooks, and both negations, in the
@@ -229,6 +231,11 @@ def check_adjunctions(poset: ContextPoset, *,
                              "inside_join": bool(inside_join >> k & 1),
                              "subtraction_below": bool(sub_below >> k & 1)}
                 triples = (si * n + ti) * n + k + 1
+            elif found is None:   # both laws hold, so a result is no subobject
+                law = "heyting" if i_bits not in {r.bits for r in subs} else "coheyting"
+                found = {"law": law, "S": s.to_mapping(), "T": t.to_mapping(),
+                         "R": None, "result_is_subobject": False}
+                triples = (si * n + ti + 1) * n
     return AdjunctionReport(n, triples, found, {
         "first_mismatch": first, "mismatches": mismatches,
         "negation_checks": 2 * n, "pair_checks": 2 * n * n,
@@ -253,8 +260,10 @@ def restriction_image_projection(poset: ContextPoset, s: ClopenSubobject,
     maps send the component's atoms) must equal the least element of V'
     dominating the component, found by scanning V'; disagreement means an
     implementation bug, so it raises AssertionError rather than a validation
-    error.
+    error.  A subobject of another poset raises ``PosetMismatch``.
     """
+    if s.poset is not poset:
+        raise PosetMismatch("subobject belongs to a different context poset")
     i, j = poset.index(big), poset.index(small)
     p = s.element_at(i)
     via_table = delta(poset, i, j, p)

@@ -157,10 +157,9 @@ def restrict(poset: ContextPoset, point: SpectrumPoint, sub) -> SpectrumPoint:
     _require_subcontext(poset, i, j)
     if point.atom not in poset.contexts[i].atoms:
         raise UsageError(f"{point.label!r} is not an atom of {point.context_id!r}")
-    st = poset.structure
     # the least element of j above an atom of i, which always exists
-    a = poset._least[j][(st._up[point.atom] & poset._elements[j]) >> poset._shift[j]]
-    return _point(poset.contexts[j].id, a, st.labels[a])
+    a = poset._least_above(j, point.atom)
+    return _point(poset.contexts[j].id, a, poset.structure.labels[a])
 
 
 def alpha(poset: ContextPoset, ctx, p: int | str) -> frozenset[int]:
@@ -256,8 +255,9 @@ def enumerate_subobjects(poset: ContextPoset, *,
     restriction image of m into the lower bound of each later subcontext of
     j and ANDs the pullback of m into the upper bound of each later
     supercontext, so once every context is assigned the lower bound is the
-    subobject.  Both updates are lookups in tables built per call from
-    ``image_mask``/``pullback_mask`` for every mask of j.  Only monotone
+    subobject.  Both updates are lookups in tables built per call for every
+    mask m of j from the poset's closures, cut to the contexts from j on.
+    Only monotone
     families are generated, and no branch dead-ends: restrictions compose,
     so for assigned W >= V >= V' the image of the component at W already
     lies in the pullback of the one at V'.  The walk is depth-first on an
@@ -321,19 +321,13 @@ def _subobject_batches(poset: ContextPoset, limits: Limits):
     full, total = poset._full, poset.total_bits
     offsets = (*poset._offsets, total)   # the end as a sentinel for n = 0
     ones = (1 << total) - 1
-    raise_lower: list[tuple[int, ...]] = []
-    cut_upper: list[tuple[int, ...]] = []
+    raise_lower, cut_upper = [], []   # per context j, a bound's update per mask
     for j in range(n):
-        subs = [v for v in (j, *poset._below[j]) if v >= j]
-        sups = [w for w in (j, *poset._above[j]) if w >= j]
-        masks = range(full[j] + 1)
-        raise_lower.append(tuple(
-            sum(poset.image_mask(j, v, m) << offsets[v] for v in subs)
-            for m in masks))
-        cut_upper.append(tuple(
-            ones ^ sum((full[w] & ~poset.pullback_mask(w, j, m)) << offsets[w]
-                       for w in sups)
-            for m in masks))
+        off, f, later = offsets[j], full[j], -1 << offsets[j]
+        raise_lower.append(tuple([poset._down_closure(m << off) & later
+                                  for m in range(f + 1)]))
+        cut_upper.append(tuple([ones ^ poset._up_closure((f ^ m) << off) & later
+                                for m in range(f + 1)]))
     submasks = {f: tuple(tuple(_submasks(free)) for free in range(f + 1))
                 for f in set(full)}
     last = max(n - 1, 0)
@@ -508,8 +502,8 @@ def _section_states(poset: ContextPoset, limits: Limits,
     (state, remaining choices).  The state is one int packed like a
     subobject: the points that the atoms picked so far restrict to.  Each
     choice of an atom at a maximal context holds two ints: ``pick``, the
-    points it restricts to at that context and every context below it, and
-    ``clash``, the other points of those contexts.  A choice is compatible
+    down-closure of its point, and ``clash``, the other points of the
+    contexts at or below the maximal one.  A choice is compatible
     iff its clash misses the state; the state then grows by its pick.
     Restrictions compose and every context of a run lies below one of its
     maximal contexts, so a full state is a section of the run, one point
@@ -522,18 +516,10 @@ def _section_states(poset: ContextPoset, limits: Limits,
     """
     budget = limits.search_budget
     offsets, full = poset._offsets, poset._full
-    up = poset.structure._up
-    tables = tuple(zip(poset._least, poset._elem_mask, poset._elements,
-                       poset._shift, offsets))
     choices = {}
     for m in poset.maximal:
-        under = (m, *poset._below[m])
-        span = sum(full[j] << offsets[j] for j in under)
-        rows = [tables[j] for j in under]
-        # an atom restricts to the least element of j above it, an atom of j
-        picks = [sum(mask[least[(up[a] & mine) >> shift]] << off
-                     for least, mask, mine, shift, off in rows)
-                 for a in poset.contexts[m].atoms]
+        span = sum(full[j] << offsets[j] for j in (m, *poset._below[m]))
+        picks = [poset._down_closure(1 << offsets[m] + p) for p in range(full[m].bit_length())]
         choices[m] = [(pick, span ^ pick) for pick in picks]
     nodes = 0
     for k, (_, maximal) in enumerate(runs):

@@ -8,10 +8,11 @@ recomputed pointwise, from spectra and ``restrict``, on structures too large
 to enumerate (``cabello18``, ``boolean:5``, random tree pastings), for
 daseinisation images and random monotone families.  ``is_tight`` reads only
 the inclusions below maximal contexts; here it is compared with the loop
-over every inclusion.  Implication and subtraction loop over the contexts
-where the gap S ^ ~T has points and close it upwards or downwards; here
-they are compared with per-target loops that gather, at each context, the
-gap's pullbacks from below or its images from above.
+over every inclusion.  Implication and subtraction close the gap S ^ ~T
+upwards or downwards with the poset's two closures; here they are compared with per-target loops that gather, at each context, the
+gap's pullbacks from below or its images from above.  Those loops read
+neither closure of ``ContextPoset``: with a closure patched to skip one
+context, they and the reference enumeration walk disagree with production.
 """
 import functools
 import random
@@ -19,15 +20,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biheyt import (LATTICE, NoLeastUpperWitness, alpha_inv, bottom,
-                    builtin_structure, coheyting_not, coheyting_subtract,
-                    daseinise, double_coheyting_not, double_heyting_not,
-                    enumerate_contexts, from_greechie, heyting_implies,
+from biheyt import (LATTICE, ContextPoset, NoLeastUpperWitness, alpha_inv,
+                    bottom, builtin_structure, coheyting_not,
+                    coheyting_subtract, daseinise, double_coheyting_not,
+                    double_heyting_not, enumerate_contexts,
+                    enumerate_subobjects, from_greechie, heyting_implies,
                     heyting_not, is_tight, join, make_subobject,
                     maximal_above, meet, minimal_below, restrict,
-                    restriction_image_projection, spectrum, top)
+                    restriction_image_projection, spectrum, top, validate)
 
-from test_oml import PENTAGON, tree_pasting
+from test_contexts import restriction_maps
+from test_oml import PENTAGON, _dump_explicit, tree_pasting
+from test_presheaf import _reference_walk
 
 
 @functools.cache
@@ -124,7 +128,7 @@ def _tight_at_every_inclusion(s):
     poset = s.poset
     masks = [(s.bits >> off) & full
              for off, full in zip(poset._offsets, poset._full)]
-    return all(poset.image_mask(i, j, masks[i]) == masks[j]
+    return all(restriction_maps(poset, i, j)[0](masks[i]) == masks[j]
                for i in range(len(poset.contexts)) for j in poset._below[i])
 
 
@@ -206,7 +210,7 @@ def _implies_by_targets(s, t):
         bad = gaps[i]
         for j in poset._below[i]:
             if gaps[j]:
-                bad |= poset.pullback_mask(i, j, gaps[j])
+                bad |= restriction_maps(poset, i, j)[1](gaps[j])
         bits |= (poset._full[i] & ~bad) << poset._offsets[i]
     return bits
 
@@ -220,7 +224,7 @@ def _subtract_by_targets(s, t):
         comp = gaps[i]
         for w in poset._above[i]:
             if gaps[w]:
-                comp |= poset.image_mask(w, i, gaps[w])
+                comp |= restriction_maps(poset, w, i)[0](gaps[w])
         bits |= comp << poset._offsets[i]
     return bits
 
@@ -262,3 +266,54 @@ def test_closures_match_the_per_target_loops_on_loop_pastings(blocks):
 def test_closures_match_the_per_target_loops_on_tree_pastings(blocks, seed):
     poset = enumerate_contexts(from_greechie(blocks))
     _assert_closures_match_targets(poset, _restriction(poset), seed)
+
+
+def _skipping(closure, skipped):
+    """``closure`` with the context ``skipped(poset)`` left out: there it
+    keeps only the points it was given."""
+    def closure_skipping(poset, bits):
+        k = skipped(poset)
+        cut = poset._full[k] << poset._offsets[k]
+        return closure(poset, bits) & ~cut | bits & cut
+    return closure_skipping
+
+
+def _boolean3_with_a_late_subcontext():
+    """boolean:3 with q+r named z, so that its context p|z sorts after its
+    supercontext p|q|r and the enumeration's down-closure table reaches it.
+    With the generated labels every subcontext sorts first."""
+    raw = _dump_explicit(builtin_structure("boolean:3"))
+    name = {"q+r": "z"}.get
+    return enumerate_contexts(validate({
+        "format": raw["format"],
+        "elements": [name(a, a) for a in raw["elements"]],
+        "leq": [[name(a, a), name(b, b)] for a, b in raw["leq"]],
+        "ortho": {name(a, a): name(b, b) for a, b in raw["ortho"].items()}}))
+
+
+# each closure, the context it skips, and the operation built on it with
+# that operation's per-target reference
+_SKIPS = [
+    ("_down_closure", lambda poset: max(j for j, up in enumerate(poset._above) if up),
+     coheyting_subtract, _subtract_by_targets),
+    ("_up_closure", lambda poset: max(poset.maximal),
+     heyting_implies, _implies_by_targets)]
+
+
+@pytest.mark.parametrize("name, skipped, op, reference", _SKIPS,
+                         ids=[name for name, *_ in _SKIPS])
+def test_references_catch_a_closure_that_skips_a_context(
+        name, skipped, op, reference, monkeypatch):
+    """The per-target loops and the reference walk read neither closure, so
+    a closure that leaves out one context makes them disagree with
+    production: on cabello18's operands, and on the enumeration of a
+    boolean:3.  ``check laws --oracle`` cannot stand in for them, since its
+    enumeration is built from the same closures."""
+    poset, restr = _builtin("cabello18")
+    pool = _base_operands(poset, restr, random.Random(5))
+    small = _boolean3_with_a_late_subcontext()
+    assert [s.bits for s in enumerate_subobjects(small)] == _reference_walk(small)
+    monkeypatch.setattr(ContextPoset, name,
+                        _skipping(getattr(ContextPoset, name), skipped))
+    assert any(op(s, t).bits != reference(s, t) for s in pool for t in pool)
+    assert [s.bits for s in enumerate_subobjects(small)] != _reference_walk(small)

@@ -4,14 +4,16 @@ Counts are cross-checked against the set-partition formula: an n-atom Boolean
 block has Bell(n) - 1 nontrivial subalgebras, and pasted structures share
 exactly one four-element context per shared atom.
 """
-import pytest
-from hypothesis import given, settings
+import random
 
-from biheyt import (DEFAULT_LIMITS, Context, ContextPoset, Limits,
-                    NoLeastUpperWitness, SizeGuard, UsageError,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from biheyt import (DEFAULT_LIMITS, ClopenSubobject, Context, ContextPoset,
+                    Limits, NoLeastUpperWitness, SizeGuard, UsageError,
                     builtin_structure, delta, delta_global, enumerate_contexts,
-                    from_greechie, generate, maximal_above, minimal_below,
-                    validate)
+                    from_greechie, generate, make_subobject, maximal_above,
+                    minimal_below, restrict, spectrum, validate)
 from biheyt.contexts import _contexts
 from biheyt.oracle import _least_dominating
 from biheyt.serialize import _covers_up
@@ -153,15 +155,37 @@ def _bits(mask):
     return [p for p in range(mask.bit_length()) if (mask >> p) & 1]
 
 
-def _assert_restriction_maps(poset, i, j, restr):
-    """``image_mask`` and ``pullback_mask`` of the inclusion j <= i on every
-    mask, against ``restr[p]``, the atom of j that atom p of i restricts to."""
-    for m in range(poset._full[i] + 1):
-        assert poset.image_mask(i, j, m) == sum(
-            1 << q for q in {restr[p] for p in _bits(m)})
-    for m in range(poset._full[j] + 1):
-        assert poset.pullback_mask(i, j, m) == sum(
-            1 << p for p, q in enumerate(restr) if (m >> q) & 1)
+def restriction_maps(poset, i, j):
+    """The reference restriction along the inclusion j <= i, from the masks
+    in i of the atoms of j alone: (image, pullback).  ``image(m)`` is the
+    mask of the atoms of j that the atoms of i in mask m restrict to, and
+    ``pullback(m)`` the mask of the atoms of i that restrict into mask m of
+    j; atom p of i restricts to the atom of j whose mask in i holds p.  The
+    tests hold the closures of ``ContextPoset`` to it, so it reads neither
+    ``_least`` nor a closure."""
+    back = [poset._elem_mask[i][b] for b in poset.contexts[j].atoms]
+    return (lambda m: sum(1 << q for q, x in enumerate(back) if x & m),
+            lambda m: sum(x for q, x in enumerate(back) if m >> q & 1))
+
+
+def _assert_restriction_maps(poset, restr):
+    """The closures of every mask of context i, read at j, and
+    ``restriction_maps``, against ``restr[i, j][p]``, the atom of j that
+    atom p of i restricts to, for every inclusion j <= i in ``restr``."""
+    offsets, full = poset._offsets, poset._full
+    down, up = {}, {}
+    for (i, j), table in restr.items():
+        image, pullback = restriction_maps(poset, i, j)
+        for m in range(full[i] + 1):
+            if (i, m) not in down:
+                down[i, m] = poset._down_closure(m << offsets[i])
+            want = sum(1 << q for q in {table[p] for p in _bits(m)})
+            assert down[i, m] >> offsets[j] & full[j] == image(m) == want
+        for m in range(full[j] + 1):
+            if (j, m) not in up:
+                up[j, m] = poset._up_closure(m << offsets[j])
+            want = sum(1 << p for p, q in enumerate(table) if (m >> q) & 1)
+            assert up[j, m] >> offsets[i] & full[i] == pullback(m) == want
 
 
 def _all_pairs_tables(poset):
@@ -190,8 +214,7 @@ def _all_pairs_tables(poset):
 def _assert_tables_match_all_pairs(poset):
     below, above, restr = _all_pairs_tables(poset)
     assert poset._below == below and poset._above == above
-    for (i, j), table in restr.items():
-        _assert_restriction_maps(poset, i, j, table)
+    _assert_restriction_maps(poset, restr)
 
 
 @pytest.mark.parametrize("spec", [
@@ -206,6 +229,49 @@ def test_inclusion_tables_match_the_all_pairs_reference(spec):
 @settings(max_examples=40, deadline=None)
 def test_inclusion_tables_match_the_all_pairs_reference_on_trees(blocks):
     _assert_tables_match_all_pairs(_poset(blocks))
+
+
+def _assert_closure_laws(poset, seed):
+    """Both closures are extensive, idempotent and monotone on seeded point
+    sets of every density; the down-closure and the complement of the
+    up-closure pass ``make_subobject``; and the down-closure of one point
+    (V, a) is that point and its ``restrict`` images at every V' <= V."""
+    rng = random.Random(seed)
+    width = poset.total_bits
+    every = (1 << width) - 1
+    for _ in range(12):
+        x = rng.getrandbits(width)
+        for _ in range(rng.randrange(4)):
+            x &= rng.getrandbits(width)   # halves its density
+        y = x | rng.getrandbits(width) & rng.getrandbits(width)
+        for close in (poset._down_closure, poset._up_closure):
+            cx = close(x)
+            assert x & ~cx == 0 and close(cx) == cx and cx & ~close(y) == 0
+        for bits in (poset._down_closure(x), every & ~poset._up_closure(x)):
+            family = ClopenSubobject(poset, bits).to_mapping()
+            assert make_subobject(poset, family).bits == bits
+    for i in range(len(poset.contexts)):
+        for q, point in enumerate(spectrum(poset, i)):
+            want = 0
+            for j in poset.down_indices(i):
+                atom = restrict(poset, point, j).atom
+                want |= 1 << poset._offsets[j] + poset.contexts[j].atoms.index(atom)
+            assert poset._down_closure(1 << poset._offsets[i] + q) == want
+
+
+@pytest.mark.parametrize("spec", [
+    "boolean:2", "boolean:3", "boolean:4", "boolean:5", "mo:1", "mo:2",
+    "mo:5", "cabello18", pytest.param(PENTAGON, id="pentagon"),
+    pytest.param(FOUR_LOOP, id="four-loop"),
+    pytest.param(TRIANGLE, id="triangle")])
+def test_closure_laws(spec):
+    _assert_closure_laws(_poset(spec), seed=3)
+
+
+@given(blocks=tree_pasting(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_closure_laws_on_tree_pastings(blocks, seed):
+    _assert_closure_laws(_poset(blocks), seed)
 
 
 def test_covers_in_boolean3(boolean3_poset):
@@ -256,8 +322,9 @@ def test_covers_match_the_pair_scan_on_trees(blocks):
 def _check_tables(poset):
     """The alpha tables against references that never read ``_down``: the
     block join of the chosen atoms, and an ``leq`` scan for the restrictions
-    that ``image_mask`` and ``pullback_mask`` follow."""
+    that the closures follow."""
     st = poset.structure
+    restr = {}
     for i, ci in enumerate(poset.contexts):
         bi = next(b for b, blk in enumerate(st.blocks)
                   if ci.elements <= blk.elements)
@@ -272,12 +339,12 @@ def _check_tables(poset):
         for j, cj in enumerate(poset.contexts):
             if not cj.elements <= ci.elements:
                 continue
-            restr = []
+            restr[i, j] = []
             for a in ci.atoms:
                 hits = [q for q, b in enumerate(cj.atoms) if st.leq(a, b)]
                 assert len(hits) == 1
-                restr += hits
-            _assert_restriction_maps(poset, i, j, restr)
+                restr[i, j] += hits
+    _assert_restriction_maps(poset, restr)
 
 
 @pytest.mark.parametrize("spec", ["boolean:4", "mo:3", "cabello18"])

@@ -59,8 +59,10 @@ def _row_negations(s, subs):
 
 def _row_adjunctions(poset, heyting_impl=heyting_implies,
                      coheyting_sub=coheyting_subtract):
-    """``check_adjunctions`` as a loop over every triple, R innermost."""
+    """``check_adjunctions`` as a loop over every triple, R innermost, then
+    each result of the pair looked up among the subobjects."""
     subs = enumerate_subobjects(poset)
+    members = {r.bits for r in subs}
     triples = 0
     for s in subs:
         for t in subs:
@@ -84,6 +86,11 @@ def _row_adjunctions(poset, heyting_impl=heyting_implies,
                         "S": s.to_mapping(), "T": t.to_mapping(),
                         "R": r.to_mapping(), "inside_join": inside_join,
                         "subtraction_below": sub_below})
+            for law, bits in (("heyting", i_bits), ("coheyting", d_bits)):
+                if bits not in members:
+                    return AdjunctionReport(len(subs), triples, {
+                        "law": law, "S": s.to_mapping(), "T": t.to_mapping(),
+                        "R": None, "result_is_subobject": False})
     return AdjunctionReport(len(subs), triples, None)
 
 
@@ -353,13 +360,27 @@ def test_both_laws_failing_at_one_triple_report_the_heyting_law(name):
         s.to_mapping()
 
 
-def test_mismatches_that_keep_both_laws_are_counted_but_pass():
+def _assert_no_subobject_at(report, law, at):
+    """The law check reports the pair ``at`` with no R: a result there is
+    no clopen subobject, and every R of the pair was checked."""
+    s, t = at
+    n = report.subobject_count
+    subs = enumerate_subobjects(s.poset)
+    assert report.counterexample == {
+        "law": law, "S": s.to_mapping(), "T": t.to_mapping(), "R": None,
+        "result_is_subobject": False}
+    assert report.triples_checked == (subs.index(s) * n + subs.index(t) + 1) * n
+    assert report.to_json()["passed"] is False
+
+
+def test_mismatches_that_keep_both_laws_report_a_non_subobject():
     """An operation can differ from its brute twin and still obey its law
-    for every R.  On boolean:3, with S everything and T empty, S => T is
-    empty, and one point of the top context added to it lies below no
-    subobject but the empty one; S - T is everything, and some point taken
-    from it leaves everything the only subobject above the rest.  The
-    comparison counts the one mismatch, and the laws pass."""
+    for every R, but only with a result that is no subobject.  On boolean:3,
+    with S everything and T empty, S => T is empty, and one point of the top
+    context added to it lies below no subobject but the empty one; S - T is
+    everything, and some point taken from it leaves everything the only
+    subobject above the rest.  The comparison counts the one mismatch, and
+    the law check names the pair."""
     poset = _poset("boolean:3")
     subs = enumerate_subobjects(poset)
     at = (top(poset), bottom(poset))
@@ -368,7 +389,7 @@ def test_mismatches_that_keep_both_laws_are_counted_but_pass():
                  key=lambda i: len(poset.contexts[i].atoms))
     report = _assert_like_the_row_scan(poset, heyting_impl=_flip_at(
         heyting_implies, at, poset._offsets[widest]))
-    assert report.passed
+    _assert_no_subobject_at(report, "heyting", at)
     _assert_one_mismatch(report, "implies", at)
 
     full = coheyting_subtract(*at).bits
@@ -378,8 +399,33 @@ def test_mismatches_that_keep_both_laws_are_counted_but_pass():
                         if r.bits | 1 << p == full))
     report = _assert_like_the_row_scan(poset, coheyting_sub=_flip_at(
         coheyting_subtract, at, point))
-    assert report.passed
+    _assert_no_subobject_at(report, "coheyting", at)
     _assert_one_mismatch(report, "subtract", at)
+
+
+@pytest.mark.parametrize("hook, law, mismatches", [
+    # the bare complement of the gap, not of its up-closure
+    ("heyting_impl", "heyting", 6_475),
+    # the bare gap, not its down-closure
+    ("coheyting_sub", "coheyting", 2_409)])
+def test_unclosed_gaps_fail_the_law_check(hook, law, mismatches):
+    """On boolean:3 an operation that skips the closure of the gap keeps its
+    law at every R, since R & G == 0 iff R lies below the complement of G,
+    and G <= R iff R lies above G.  The law check still fails, at the first
+    pair where a result is no subobject."""
+    poset = _poset("boolean:3")
+    full = (1 << poset.total_bits) - 1
+    bare = {"heyting_impl": lambda s, t: ClopenSubobject(
+                poset, full & ~(s.bits & ~t.bits)),
+            "coheyting_sub": lambda s, t: ClopenSubobject(
+                poset, s.bits & ~t.bits)}[hook]
+    report = _assert_like_the_row_scan(poset, **{hook: bare})
+    assert report.oracle["mismatches"] == mismatches
+    subs = enumerate_subobjects(poset)
+    members = {r.bits for r in subs}
+    at = next((s, t) for s in subs for t in subs
+              if bare(s, t).bits not in members)
+    _assert_no_subobject_at(report, law, at)
 
 
 @pytest.mark.parametrize("name, seed", [("mo:2", 1), ("mo:3", 2),
@@ -464,7 +510,7 @@ def test_check_laws_with_oracle_is_one_pass(capsys, monkeypatch):
 
 
 _PRODUCTION_TABLES = {"_least", "_shift", "_least_above", "_below", "_above",
-                      "pullback_mask", "image_mask"}
+                      "_down_closure", "_up_closure"}
 
 
 def test_oracle_reads_no_production_tables():

@@ -5,9 +5,9 @@
 their arguments once, read the per-context tables directly and build their
 points without the frozen ``__init__``.  The ``_*_ref`` functions below are
 the plain bodies they replaced: index, then ``_least_above``, then
-``SpectrumPoint(...)``; ``delta_global`` at every context; the
-``image_mask`` scan.  Results must be equal, and so must the class, message
-and details of every error.
+``SpectrumPoint(...)``; ``delta_global`` at every context; a scan of
+every inclusion through the test-side ``restriction_maps``.  Results must
+be equal, and so must the class, message and details of every error.
 """
 import copy
 import dataclasses
@@ -23,7 +23,7 @@ from biheyt import (BiheytError, ClopenSubobject, NotASubobject,
                     from_greechie, make_subobject, restrict, spectrum)
 from biheyt.presheaf import _monotone_witness
 
-from test_contexts import BUILTINS, FOUR_LOOP, TRIANGLE
+from test_contexts import BUILTINS, FOUR_LOOP, TRIANGLE, restriction_maps
 from test_oml import PENTAGON, tree_pasting
 
 PASTINGS = {"four-loop": FOUR_LOOP, "pentagon": PENTAGON, "triangle": TRIANGLE}
@@ -111,7 +111,7 @@ def _daseinise_ref(poset, p):
 def _witness_ref(poset, masks):
     for i, below in enumerate(poset._below):
         for j in below:
-            if poset.image_mask(i, j, masks[i]) & ~masks[j]:
+            if restriction_maps(poset, i, j)[0](masks[i]) & ~masks[j]:
                 return (j, i)
     return None
 

@@ -20,12 +20,12 @@ from hypothesis import given, settings, strategies as st
 from biheyt import presheaf
 from biheyt.oml import CABELLO18_BLOCKS
 from biheyt import (ContextPoset, Limits, NotASubobject, PosetMismatch,
-                    SizeGuard, UsageError, alpha, alpha_inv, delta,
+                    SizeGuard, UsageError, alpha, alpha_inv, daseinise, delta,
                     enumerate_contexts, enumerate_subobjects, from_greechie,
                     generate, global_sections, make_subobject, restrict,
                     restriction_image_projection, spectrum)
 
-from test_contexts import FOUR_LOOP
+from test_contexts import FOUR_LOOP, restriction_maps
 from test_oml import PENTAGON, chain_pasting, tree_pasting
 
 DAS_P = {"p+q|r": "p+q", "p+r|q": "p+r", "p|q+r": "p", "p|q|r": "p"}
@@ -69,12 +69,13 @@ def _reference_walk(poset, budget=math.inf):
         subs = [v for v in (j, *poset._below[j]) if v >= j]
         sups = [w for w in (j, *poset._above[j]) if w >= j]
         masks = range(full[j] + 1)
-        raise_lower.append([
-            sum(poset.image_mask(j, v, m) << offsets[v] for v in subs)
-            for m in masks])
+        images = [(restriction_maps(poset, j, v)[0], offsets[v]) for v in subs]
+        pullbacks = [(restriction_maps(poset, w, j)[1], offsets[w], full[w])
+                     for w in sups]
+        raise_lower.append([sum(image(m) << off for image, off in images)
+                            for m in masks])
         cut_upper.append([
-            ones ^ sum((full[w] & ~poset.pullback_mask(w, j, m)) << offsets[w]
-                       for w in sups)
+            ones ^ sum((f & ~pullback(m)) << off for pullback, off, f in pullbacks)
             for m in masks])
     submasks = {f: [[s for s in range(f + 1) if s & ~free == 0]
                     for free in range(f + 1)] for f in set(full)}
@@ -555,6 +556,20 @@ def test_restriction_image_agrees_with_coarse_graining(boolean3_poset,
             for j in poset.down_indices(i):
                 out = restriction_image_projection(poset, s, i, j)
                 assert st.leq(out, s.element_at(j))
+
+
+def test_restriction_image_needs_a_subobject_of_its_poset(boolean3_poset):
+    """With the contexts in reversed order, an index of one poset names
+    another context of the other: p's image from p|q|r in p+r|q is p+r, but
+    read through the wrong poset it would be 1."""
+    poset = boolean3_poset
+    flipped = ContextPoset(poset.structure, poset.contexts[::-1])
+    big, small = poset.index("p|q|r"), poset.index("p+r|q")
+    want = poset.structure.el("p+r")
+    assert restriction_image_projection(poset, daseinise(poset, "p"),
+                                        big, small) == want
+    with pytest.raises(PosetMismatch):
+        restriction_image_projection(poset, daseinise(flipped, "p"), big, small)
 
 
 def test_subobject_operators_and_mismatch(boolean3_poset, boolean3_subs):
