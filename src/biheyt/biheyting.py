@@ -17,8 +17,10 @@ forms:
 Implication and subtraction are the two closures of the gap G = S ^ ~T on
 the points (V, a) ordered by restriction: S - T is the down-closure of G,
 and S => T the complement of its up-closure, each one call of
-``ContextPoset._down_closure`` or ``_up_closure``.  By monotonicity they
-agree with the extremal forms above, which the tests pin.
+``ContextPoset._down_closure`` or ``_up_closure``.  A closure walks the
+span of the gap's points in contexts with a neighbour in its direction, a
+strict subcontext going down and a strict supercontext going up.  By
+monotonicity they agree with the extremal forms above, which the tests pin.
 
 ``coheyting_not(S) ^ S`` need not be empty: the co-Heyting side is
 paraconsistent.  ``heyting_not`` is always below ``coheyting_not``.
@@ -29,7 +31,7 @@ from typing import Iterable
 
 from .contexts import ContextPoset
 from .errors import PosetMismatch, UsageError
-from .presheaf import ClopenSubobject, _same_poset
+from .presheaf import ClopenSubobject, _same_poset, _subobject
 
 
 def _poset_of(subobjects: Iterable[ClopenSubobject],
@@ -48,12 +50,12 @@ def _poset_of(subobjects: Iterable[ClopenSubobject],
 
 def top(poset: ContextPoset) -> ClopenSubobject:
     """The whole spectral presheaf (empty meet)."""
-    return ClopenSubobject(poset, (1 << poset.total_bits) - 1)
+    return _subobject(poset, (1 << poset.total_bits) - 1)
 
 
 def bottom(poset: ContextPoset) -> ClopenSubobject:
     """The empty subobject (empty join)."""
-    return ClopenSubobject(poset, 0)
+    return _subobject(poset, 0)
 
 
 def meet(subobjects: Iterable[ClopenSubobject], *,
@@ -62,7 +64,7 @@ def meet(subobjects: Iterable[ClopenSubobject], *,
     bits = (1 << poset.total_bits) - 1
     for s in subs:
         bits &= s.bits
-    return ClopenSubobject(poset, bits)
+    return _subobject(poset, bits)
 
 
 def join(subobjects: Iterable[ClopenSubobject], *,
@@ -71,15 +73,16 @@ def join(subobjects: Iterable[ClopenSubobject], *,
     bits = 0
     for s in subs:
         bits |= s.bits
-    return ClopenSubobject(poset, bits)
+    return _subobject(poset, bits)
 
 
 def heyting_implies(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobject:
     """Stagewise implication: keep the points of V all of whose restrictions
     that land in S also land in T: the complement of the up-closure of S ^ ~T."""
-    _same_poset(s, t)
-    bad = s.poset._up_closure(s.bits & ~t.bits)
-    return ClopenSubobject(s.poset, ((1 << s.poset.total_bits) - 1) & ~bad)
+    poset = s.poset
+    if t.poset is not poset:
+        _same_poset(s, t)   # raises
+    return _subobject(poset, ~poset._up_closure(s.bits & ~t.bits) & (1 << poset.total_bits) - 1)
 
 
 def heyting_not(s: ClopenSubobject) -> ClopenSubobject:
@@ -93,8 +96,9 @@ def double_heyting_not(s: ClopenSubobject) -> ClopenSubobject:
 
 def coheyting_subtract(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobject:
     """Smallest R with S <= T v R: the down-closure of S ^ ~T."""
-    _same_poset(s, t)
-    return ClopenSubobject(s.poset, s.poset._down_closure(s.bits & ~t.bits))
+    if t.poset is not s.poset:
+        _same_poset(s, t)   # raises
+    return _subobject(s.poset, s.poset._down_closure(s.bits & ~t.bits))
 
 
 def coheyting_not(s: ClopenSubobject) -> ClopenSubobject:

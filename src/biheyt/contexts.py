@@ -70,8 +70,10 @@ class ContextPoset:
     map, and is its value: the coarse-graining of p, and for an atom of V
     its restriction to V'.  ``_down_closure`` closes a packed set of points
     by those lookups, ``_up_closure`` by the masks of its components'
-    elements, each over the contexts from its lowest point to its highest (a
-    call on one context's points visits that context alone).  V' <= V iff V'
+    elements, each over the span of its points in contexts with a neighbour
+    its way: ``_has_below`` packs the contexts with a strict subcontext,
+    ``_has_above`` those with a strict supercontext.  Other points add
+    nothing, so with no inclusion a closure returns at once.  V' <= V iff V'
     has no element outside V.  No pair is tested: each element gets a bitset
     of the contexts holding it, and the AND of those over the elements of j
     is exactly j and its strict supercontexts.  The work still grows with n
@@ -151,6 +153,8 @@ class ContextPoset:
                     above[j].append(i)
         self._below = tuple(map(tuple, below))
         self._above = tuple(map(tuple, above))
+        self._has_below = sum([f << o for f, o, b in zip(full, offsets, below) if b])
+        self._has_above = sum([f << o for f, o, a in zip(full, offsets, above) if a])
         self.minimal = tuple(i for i in range(n) if not below[i])
         self.maximal = tuple(i for i in range(n) if not above[i])
 
@@ -201,14 +205,15 @@ class ContextPoset:
 
     def _down_closure(self, bits: int) -> int:
         """``bits`` and the restrictions of its points to every subcontext."""
-        if not bits:
+        reach = bits & self._has_below
+        if not reach:
             return bits
         offsets, full, elem_mask, out = self._offsets, self._full, self._elem_mask, bits
         up, least, elements, shifts = (self.structure._up, self._least,
                                        self._elements, self._shift)
-        for w in range(bisect_right(offsets, (bits & -bits).bit_length() - 1) - 1,
-                       bisect_right(offsets, bits.bit_length() - 1)):
-            g = (bits >> offsets[w]) & full[w]
+        for w in range(bisect_right(offsets, (reach & -reach).bit_length() - 1) - 1,
+                       bisect_right(offsets, reach.bit_length() - 1)):
+            g = (reach >> offsets[w]) & full[w]
             if g:
                 row = up[self._mask_to_elem[w][g]]
                 for i in self._below[w]:
@@ -217,12 +222,13 @@ class ContextPoset:
 
     def _up_closure(self, bits: int) -> int:
         """``bits`` and the points of every supercontext restricting into it."""
-        if not bits:
+        reach = bits & self._has_above
+        if not reach:
             return bits
         offsets, full, elem_mask, out = self._offsets, self._full, self._elem_mask, bits
-        for j in range(bisect_right(offsets, (bits & -bits).bit_length() - 1) - 1,
-                       bisect_right(offsets, bits.bit_length() - 1)):
-            g = (bits >> offsets[j]) & full[j]
+        for j in range(bisect_right(offsets, (reach & -reach).bit_length() - 1) - 1,
+                       bisect_right(offsets, reach.bit_length() - 1)):
+            g = (reach >> offsets[j]) & full[j]
             if g:
                 e = self._mask_to_elem[j][g]
                 for i in self._above[j]:

@@ -199,13 +199,14 @@ def check_adjunctions(poset: ContextPoset, *,
     # so it is {R <= brute S => T}; dually {R : G <= R} is {R >= brute S - T}.
     by_gap: dict[int, tuple[int, int]] = {}
     triples, found = n ** 3, None
+    outside = [~t.bits for t in subs]
     for si, s in enumerate(subs):
         s_bits = s.bits
         for ti, t in enumerate(subs):
-            i_bits, d_bits = impl(s, t).bits, sub(s, t).bits
-            gap = s_bits & ~t.bits
+            gap = s_bits & outside[ti]
             brute_i, brute_d = by_gap.get(gap) or by_gap.setdefault(gap, (
                 cols.join(cols.avoiding(gap)), cols.meet(cols.containing(gap))))
+            i_bits, d_bits = impl(s, t).bits, sub(s, t).bits
             if i_bits == brute_i and d_bits == brute_d:
                 continue
             for op, got, want in (("implies", i_bits, brute_i),

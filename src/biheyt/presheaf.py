@@ -107,11 +107,11 @@ class ClopenSubobject:
 
     def __and__(self, other):
         _same_poset(self, other)
-        return ClopenSubobject(self.poset, self.bits & other.bits)
+        return _subobject(self.poset, self.bits & other.bits)
 
     def __or__(self, other):
         _same_poset(self, other)
-        return ClopenSubobject(self.poset, self.bits | other.bits)
+        return _subobject(self.poset, self.bits | other.bits)
 
     def __repr__(self):
         parts = ", ".join(f"{k}: {v}" for k, v in self.to_mapping().items())
@@ -121,6 +121,14 @@ class ClopenSubobject:
 # the slot descriptors' setters, which ``__setattr__`` above refuses
 _set_poset = ClopenSubobject.poset.__set__
 _set_bits = ClopenSubobject.bits.__set__
+
+
+def _subobject(poset: ContextPoset, bits: int) -> ClopenSubobject:
+    """``ClopenSubobject(poset, bits)`` without the ``__init__`` call."""
+    s = object.__new__(ClopenSubobject)
+    _set_poset(s, poset)
+    _set_bits(s, bits)
+    return s
 
 
 def _same_poset(a: ClopenSubobject, b: ClopenSubobject) -> None:
@@ -234,7 +242,7 @@ def make_subobject(poset: ContextPoset, family: Mapping) -> ClopenSubobject:
     bits = 0
     for i, m in enumerate(masks):
         bits |= m << poset._offsets[i]
-    return ClopenSubobject(poset, bits)
+    return _subobject(poset, bits)
 
 
 # The walk memoises its tails from the first context from which at most this

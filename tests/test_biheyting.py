@@ -7,12 +7,13 @@ the paraconsistency of the co-Heyting negation is pinned to an exact witness.
 import pytest
 from hypothesis import given, strategies as st
 
-from biheyt import (PosetMismatch, UsageError, bottom, check_adjunctions,
-                    coheyting_not, coheyting_subtract, daseinise,
-                    double_coheyting_not, double_heyting_not,
+from biheyt import (ClopenSubobject, PosetMismatch, UsageError, bottom,
+                    check_adjunctions, coheyting_not, coheyting_subtract,
+                    daseinise, double_coheyting_not, double_heyting_not,
                     enumerate_contexts, enumerate_subobjects, generate,
                     heyting_implies, heyting_not, is_coheyting_regular,
-                    is_heyting_regular, is_tight, join, meet, top)
+                    is_heyting_regular, is_tight, join, make_subobject, meet,
+                    top)
 
 DAS_P = {"p+q|r": "p+q", "p+r|q": "p+r", "p|q+r": "p", "p|q|r": "p"}
 DAS_Q = {"p+q|r": "p+q", "p+r|q": "q", "p|q+r": "q+r", "p|q|r": "q"}
@@ -188,14 +189,32 @@ def test_paraconsistency_witness(boolean3_poset):
     assert heyting_not(s) != coheyting_not(s)
 
 
-def test_operations_reject_foreign_subobjects(boolean3_poset, boolean3_subs):
+def test_operations_reject_foreign_subobjects(boolean3_subs):
     other = enumerate_subobjects(enumerate_contexts(generate("boolean", 3)))
-    with pytest.raises(PosetMismatch):
-        meet([boolean3_subs[0], other[0]])
-    with pytest.raises(PosetMismatch):
-        heyting_implies(boolean3_subs[0], other[0])
-    with pytest.raises(PosetMismatch):
-        coheyting_subtract(boolean3_subs[0], other[0])
+    for op in (lambda s, t: meet([s, t]), lambda s, t: join([s, t]),
+               heyting_implies, coheyting_subtract, lambda s, t: s & t,
+               lambda s, t: s | t):
+        for s, t in ((boolean3_subs[5], other[7]), (other[7], boolean3_subs[5])):
+            with pytest.raises(PosetMismatch,
+                               match="^subobjects belong to different context posets$"):
+                op(s, t)
+
+
+def test_every_producer_builds_a_plain_immutable_subobject(boolean3_poset):
+    """The producers skip ``__init__``; what they return is still exactly
+    ``ClopenSubobject(poset, bits)``, and still refuses assignment."""
+    p = boolean3_poset
+    s, t = _sub(p, DAS_P), _sub(p, DAS_Q)
+    made = [top(p), bottom(p), meet([s, t]), join([s, t]), heyting_implies(s, t),
+            coheyting_subtract(s, t), s & t, s | t, make_subobject(p, DAS_P),
+            daseinise(p, "p")]
+    for x in made:
+        assert type(x) is ClopenSubobject and x.poset is p
+        twin = ClopenSubobject(p, x.bits)
+        assert x == twin and hash(x) == hash(twin)
+        for name in ("poset", "bits", "other"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(x, name, 0)
 
 
 @given(st.data())

@@ -11,8 +11,9 @@ the inclusions below maximal contexts; here it is compared with the loop
 over every inclusion.  Implication and subtraction close the gap S ^ ~T
 upwards or downwards with the poset's two closures; here they are compared with per-target loops that gather, at each context, the
 gap's pullbacks from below or its images from above.  Those loops read
-neither closure of ``ContextPoset``: with a closure patched to skip one
-context, they and the reference enumeration walk disagree with production.
+neither closure of ``ContextPoset`` nor its masks: with a closure patched to
+skip one context, or a mask to drop one context's points, they and the
+reference enumeration walk disagree with production.
 """
 import functools
 import random
@@ -291,29 +292,41 @@ def _boolean3_with_a_late_subcontext():
         "ortho": {name(a, a): name(b, b) for a, b in raw["ortho"].items()}}))
 
 
-# each closure, the context it skips, and the operation built on it with
-# that operation's per-target reference
+# each closure or closure mask, the context it skips, and the operation
+# built on it with that operation's per-target reference; a mask skips the
+# last context with a strict subcontext, or the first with a supercontext
 _SKIPS = [
     ("_down_closure", lambda poset: max(j for j, up in enumerate(poset._above) if up),
      coheyting_subtract, _subtract_by_targets),
     ("_up_closure", lambda poset: max(poset.maximal),
+     heyting_implies, _implies_by_targets),
+    ("_has_below", lambda poset: max(i for i, down in enumerate(poset._below) if down),
+     coheyting_subtract, _subtract_by_targets),
+    ("_has_above", lambda poset: min(j for j, up in enumerate(poset._above) if up),
      heyting_implies, _implies_by_targets)]
+_MASKS = ("_has_below", "_has_above")
 
 
 @pytest.mark.parametrize("name, skipped, op, reference", _SKIPS,
                          ids=[name for name, *_ in _SKIPS])
 def test_references_catch_a_closure_that_skips_a_context(
         name, skipped, op, reference, monkeypatch):
-    """The per-target loops and the reference walk read neither closure, so
-    a closure that leaves out one context makes them disagree with
-    production: on cabello18's operands, and on the enumeration of a
-    boolean:3.  ``check laws --oracle`` cannot stand in for them, since its
-    enumeration is built from the same closures."""
+    """The per-target loops and the reference walk read neither closure nor
+    its mask, so a closure that leaves out one context, or a mask that
+    leaves out the points of one context with a neighbour its way, makes
+    them disagree with production: on cabello18's operands, and on the
+    enumeration of a boolean:3.  ``check laws --oracle`` cannot stand in
+    for them, since its enumeration is built from the same closures."""
     poset, restr = _builtin("cabello18")
     pool = _base_operands(poset, restr, random.Random(5))
     small = _boolean3_with_a_late_subcontext()
     assert [s.bits for s in enumerate_subobjects(small)] == _reference_walk(small)
-    monkeypatch.setattr(ContextPoset, name,
-                        _skipping(getattr(ContextPoset, name), skipped))
+    if name in _MASKS:
+        for p in (poset, small):
+            k = skipped(p)
+            monkeypatch.setattr(p, name, getattr(p, name) & ~(p._full[k] << p._offsets[k]))
+    else:
+        monkeypatch.setattr(ContextPoset, name,
+                            _skipping(getattr(ContextPoset, name), skipped))
     assert any(op(s, t).bits != reference(s, t) for s in pool for t in pool)
     assert [s.bits for s in enumerate_subobjects(small)] != _reference_walk(small)

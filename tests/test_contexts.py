@@ -231,11 +231,27 @@ def test_inclusion_tables_match_the_all_pairs_reference_on_trees(blocks):
     _assert_tables_match_all_pairs(_poset(blocks))
 
 
+def _neighbour_masks(poset):
+    """The points of the contexts with a strict subcontext, and those of the
+    contexts with a strict supercontext, from ``_below`` and ``_above``."""
+    below = above = 0
+    for c, off, down, up in zip(poset.contexts, poset._offsets, poset._below,
+                                poset._above):
+        points = (1 << len(c.atoms)) - 1 << off
+        if down:
+            below |= points
+        if up:
+            above |= points
+    return below, above
+
+
 def _assert_closure_laws(poset, seed):
-    """Both closures are extensive, idempotent and monotone on seeded point
-    sets of every density; the down-closure and the complement of the
-    up-closure pass ``make_subobject``; and the down-closure of one point
-    (V, a) is that point and its ``restrict`` images at every V' <= V."""
+    """The closures' masks hold the points of the contexts with a neighbour
+    below or above.  Both closures are extensive, idempotent and monotone on
+    seeded point sets of every density; the down-closure and the complement
+    of the up-closure pass ``make_subobject``; and the down-closure of one
+    point (V, a) is that point and its ``restrict`` images at every V' <= V."""
+    assert (poset._has_below, poset._has_above) == _neighbour_masks(poset)
     rng = random.Random(seed)
     width = poset.total_bits
     every = (1 << width) - 1
@@ -499,7 +515,7 @@ def test_tables_match_the_spread_reference_on_trees(blocks):
 
 _WALK_TABLES = ("contexts", "_mask_to_elem", "_elements", "_elem_mask",
                 "_least", "_shift", "_offsets", "_below", "_above", "minimal",
-                "maximal")
+                "maximal", "_has_below", "_has_above")
 
 
 def _assert_walk_tables_match_the_checked_build(structure):

@@ -510,7 +510,7 @@ def test_check_laws_with_oracle_is_one_pass(capsys, monkeypatch):
 
 
 _PRODUCTION_TABLES = {"_least", "_shift", "_least_above", "_below", "_above",
-                      "_down_closure", "_up_closure"}
+                      "_down_closure", "_up_closure", "_has_below", "_has_above"}
 
 
 def test_oracle_reads_no_production_tables():
