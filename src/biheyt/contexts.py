@@ -21,7 +21,6 @@ Scanning V' with ``leq`` is left to the oracle, which checks against it.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import NoLeastUpperWitness, SizeGuard, UsageError
@@ -73,7 +72,10 @@ class ContextPoset:
     elements, each over the span of its points in contexts with a neighbour
     its way: ``_has_below`` packs the contexts with a strict subcontext,
     ``_has_above`` those with a strict supercontext.  Other points add
-    nothing, so with no inclusion a closure returns at once.  V' <= V iff V'
+    nothing, so with no inclusion a closure returns at once.  Entry b of
+    ``_context_of`` is the context holding point b, so a closure reads the
+    first and last context of its span at its lowest and highest point, one
+    index each; ``_every`` packs every point.  V' <= V iff V'
     has no element outside V.  No pair is tested: each element gets a bitset
     of the contexts holding it, and the AND of those over the elements of j
     is exactly j and its strict supercontexts.  The work still grows with n
@@ -107,7 +109,7 @@ class ContextPoset:
                 if not len(c.elements) == len(below) == 1 << len(c.atoms) or top & ~mine:
                     raise AssertionError(f"context {c.id!r} is not Boolean (bug)")
                 _tables.append((inverse, mine))
-        offsets, elem_mask, least, shifts = [], [], [], []
+        offsets, elem_mask, least, shifts, context_of = [], [], [], [], []
         holders = [0] * structure.n
         total = 0
         for i, (c, (inverse, mine)) in enumerate(zip(contexts, _tables)):
@@ -122,10 +124,12 @@ class ContextPoset:
             elem_mask.append(dict(zip(inverse, range(len(inverse)))))
             shifts.append(shift)
             offsets.append(total)
+            context_of += [i] * len(c.atoms)
             total += len(c.atoms)
         self._mask_to_elem = mask_to_elem = tuple([inv for inv, _ in _tables])
         self._elements = tuple([mine for _, mine in _tables])
         self._offsets, self.total_bits = tuple(offsets), total
+        self._context_of, self._every = tuple(context_of), (1 << total) - 1
         self._shift, self._elem_mask = tuple(shifts), tuple(elem_mask)
         self._least = tuple(least)
 
@@ -211,8 +215,8 @@ class ContextPoset:
         offsets, full, elem_mask, out = self._offsets, self._full, self._elem_mask, bits
         up, least, elements, shifts = (self.structure._up, self._least,
                                        self._elements, self._shift)
-        for w in range(bisect_right(offsets, (reach & -reach).bit_length() - 1) - 1,
-                       bisect_right(offsets, reach.bit_length() - 1)):
+        for w in range(self._context_of[(reach & -reach).bit_length() - 1],
+                       self._context_of[reach.bit_length() - 1] + 1):
             g = (reach >> offsets[w]) & full[w]
             if g:
                 row = up[self._mask_to_elem[w][g]]
@@ -226,8 +230,8 @@ class ContextPoset:
         if not reach:
             return bits
         offsets, full, elem_mask, out = self._offsets, self._full, self._elem_mask, bits
-        for j in range(bisect_right(offsets, (reach & -reach).bit_length() - 1) - 1,
-                       bisect_right(offsets, reach.bit_length() - 1)):
+        for j in range(self._context_of[(reach & -reach).bit_length() - 1],
+                       self._context_of[reach.bit_length() - 1] + 1):
             g = (reach >> offsets[j]) & full[j]
             if g:
                 e = self._mask_to_elem[j][g]

@@ -218,12 +218,15 @@ def make_subobject(poset: ContextPoset, family: Mapping) -> ClopenSubobject:
 
     ``family`` maps context (id or Context) to an element (label or index) of
     that context.  Raises ``NotASubobject`` with a witness inclusion pair when
-    the family is not monotone; any shape problem raises ``UsageError``.
+    the family is not monotone; any shape problem, such as one context named
+    twice (by id and by index, say), raises ``UsageError``.
     """
     st = poset.structure
     masks = [None] * len(poset.contexts)
     for key, val in family.items():
         i = poset.index(key)
+        if masks[i] is not None:
+            raise UsageError(f"context {poset.contexts[i].id!r} assigned twice")
         e = st.el(val)
         masks[i] = poset._elem_mask[i].get(e)
         if masks[i] is None:

@@ -292,9 +292,12 @@ def _boolean3_with_a_late_subcontext():
         "ortho": {name(a, a): name(b, b) for a, b in raw["ortho"].items()}}))
 
 
-# each closure or closure mask, the context it skips, and the operation
-# built on it with that operation's per-target reference; a mask skips the
-# last context with a strict subcontext, or the first with a supercontext
+# each closure, closure mask or span table, the context it skips, and the
+# operation built on it with that operation's per-target reference; a mask
+# skips the last context with a strict subcontext, or the first with a
+# supercontext, and the table assigns the last point of the first context
+# with a strict supercontext to the next context, so that a span starting
+# there starts one context late
 _SKIPS = [
     ("_down_closure", lambda poset: max(j for j, up in enumerate(poset._above) if up),
      coheyting_subtract, _subtract_by_targets),
@@ -303,6 +306,8 @@ _SKIPS = [
     ("_has_below", lambda poset: max(i for i, down in enumerate(poset._below) if down),
      coheyting_subtract, _subtract_by_targets),
     ("_has_above", lambda poset: min(j for j, up in enumerate(poset._above) if up),
+     heyting_implies, _implies_by_targets),
+    ("_context_of", lambda poset: min(j for j, up in enumerate(poset._above) if up),
      heyting_implies, _implies_by_targets)]
 _MASKS = ("_has_below", "_has_above")
 
@@ -312,9 +317,10 @@ _MASKS = ("_has_below", "_has_above")
 def test_references_catch_a_closure_that_skips_a_context(
         name, skipped, op, reference, monkeypatch):
     """The per-target loops and the reference walk read neither closure nor
-    its mask, so a closure that leaves out one context, or a mask that
-    leaves out the points of one context with a neighbour its way, makes
-    them disagree with production: on cabello18's operands, and on the
+    its mask or span table, so a closure that leaves out one context, a mask
+    that leaves out the points of one context with a neighbour its way, or
+    a table that starts a span one context late, makes them disagree with
+    production: on cabello18's operands, and on the
     enumeration of a boolean:3.  ``check laws --oracle`` cannot stand in
     for them, since its enumeration is built from the same closures."""
     poset, restr = _builtin("cabello18")
@@ -325,6 +331,12 @@ def test_references_catch_a_closure_that_skips_a_context(
         for p in (poset, small):
             k = skipped(p)
             monkeypatch.setattr(p, name, getattr(p, name) & ~(p._full[k] << p._offsets[k]))
+    elif name == "_context_of":
+        for p in (poset, small):
+            k = skipped(p)
+            table = list(p._context_of)
+            table[p._offsets[k + 1] - 1] = k + 1
+            monkeypatch.setattr(p, name, tuple(table))
     else:
         monkeypatch.setattr(ContextPoset, name,
                             _skipping(getattr(ContextPoset, name), skipped))

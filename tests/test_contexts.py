@@ -245,13 +245,24 @@ def _neighbour_masks(poset):
     return below, above
 
 
+def _points_by_context(poset):
+    """Each point's context, from where each context's points start."""
+    owner = [None] * poset.total_bits
+    for i, (off, f) in enumerate(zip(poset._offsets, poset._full)):
+        owner[off:off + f.bit_length()] = [i] * f.bit_length()
+    return tuple(owner)
+
+
 def _assert_closure_laws(poset, seed):
     """The closures' masks hold the points of the contexts with a neighbour
-    below or above.  Both closures are extensive, idempotent and monotone on
+    below or above, their span table each point's context, and ``_every``
+    every point.  Both closures are extensive, idempotent and monotone on
     seeded point sets of every density; the down-closure and the complement
     of the up-closure pass ``make_subobject``; and the down-closure of one
     point (V, a) is that point and its ``restrict`` images at every V' <= V."""
     assert (poset._has_below, poset._has_above) == _neighbour_masks(poset)
+    assert poset._context_of == _points_by_context(poset)
+    assert poset._every == (1 << poset.total_bits) - 1
     rng = random.Random(seed)
     width = poset.total_bits
     every = (1 << width) - 1
@@ -515,7 +526,7 @@ def test_tables_match_the_spread_reference_on_trees(blocks):
 
 _WALK_TABLES = ("contexts", "_mask_to_elem", "_elements", "_elem_mask",
                 "_least", "_shift", "_offsets", "_below", "_above", "minimal",
-                "maximal", "_has_below", "_has_above")
+                "maximal", "_has_below", "_has_above", "_context_of", "_every")
 
 
 def _assert_walk_tables_match_the_checked_build(structure):

@@ -15,18 +15,20 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biheyt import (ClopenSubobject, ContextPoset, Limits, SizeGuard, bottom,
                     brute_coheyting_subtract, brute_heyting_implies,
                     brute_negations, check_adjunctions, coheyting_not,
                     coheyting_subtract, enumerate_contexts,
-                    enumerate_subobjects, generate, heyting_implies,
-                    heyting_not, top)
+                    enumerate_subobjects, from_greechie, generate,
+                    heyting_implies, heyting_not, top)
 from biheyt import biheyting, oracle
 from biheyt.cli import run
 from biheyt.oracle import (AdjunctionReport, _brute_implies, _brute_negations,
                            _brute_subtract, _Columns)
 
+from test_oml import tree_pasting
 from test_presheaf import context_subposet
 
 
@@ -510,7 +512,8 @@ def test_check_laws_with_oracle_is_one_pass(capsys, monkeypatch):
 
 
 _PRODUCTION_TABLES = {"_least", "_shift", "_least_above", "_below", "_above",
-                      "_down_closure", "_up_closure", "_has_below", "_has_above"}
+                      "_down_closure", "_up_closure", "_has_below", "_has_above",
+                      "_context_of"}
 
 
 def test_oracle_reads_no_production_tables():
@@ -526,3 +529,70 @@ def test_oracle_reads_no_production_tables():
     used |= {alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not used & _PRODUCTION_TABLES
+
+
+# the atom labels the laws_oracle benchmark samples from
+_LAWS_LABELS = [f"{a}{b}" for a in "uvwxyz" for b in "klmn"]
+
+
+def _context_keys(poset, rename):
+    """Each context as the set of its atoms, each atom as the set of the
+    structure's atoms below it, by label under ``rename``.  Tree pastings
+    are atomistic, so the keys survive a relabelling."""
+    structure = poset.structure
+    atoms = {a for block in structure.blocks for a in block.atoms}
+    return [frozenset(frozenset(rename[structure.label(a)] for a in atoms
+                                if structure.leq(a, e)) for e in c.atoms)
+            for c in poset.contexts]
+
+
+def _assert_laws_ignore_labels(blocks, keep=lambda key: True):
+    """``check_adjunctions`` on the contexts of ``blocks`` that ``keep``
+    picks gives the same report under each seeded relabelling of the atoms,
+    drawn as ``laws_oracle`` draws its labels.  A relabelling reorders the
+    contexts, and with them the closures' spans; returns whether any of
+    the relabellings put the picked contexts in another order."""
+    def checked(blocks, rename):
+        poset = enumerate_contexts(from_greechie(blocks))
+        picked = [(c, key) for c, key in zip(poset.contexts, _context_keys(poset, rename))
+                  if keep(key)]
+        report = check_adjunctions(ContextPoset(poset.structure, tuple(c for c, _ in picked)))
+        return (report.to_json(), report.oracle), [key for _, key in picked]
+
+    atoms = list(dict.fromkeys(a for block in blocks for a in block))
+    want, order = checked(blocks, {a: a for a in atoms})
+    assert want[0]["passed"] and want[1]["passed"]
+    reordered = False
+    for seed in range(4):
+        names = dict(zip(atoms, random.Random(seed).sample(_LAWS_LABELS, len(atoms))))
+        got, other = checked([[names[a] for a in block] for block in blocks],
+                             {new: old for old, new in names.items()})
+        assert got == want
+        reordered |= other != order
+    return reordered
+
+
+@pytest.mark.parametrize("blocks", [
+    [["a0", "a1", "a2"]], [["a0", "b0"], ["a1", "b1"], ["a2", "b2"]]],
+    ids=["boolean:3", "mo:3"])
+def test_check_laws_ignores_labels(blocks):
+    assert _assert_laws_ignore_labels(blocks)
+
+
+@given(blocks=tree_pasting(), data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_check_laws_ignores_labels_on_tree_pasting_subposets(blocks, data):
+    """The same on some contexts of a tree pasting: a drawn one, then its
+    subcontexts, then the rest in a drawn order, each kept while the brute
+    product, which bounds the subobject count, stays within 128."""
+    poset = enumerate_contexts(from_greechie(blocks))
+    keys = _context_keys(poset, {a: a for block in blocks for a in block})
+    first = data.draw(st.sampled_from(range(len(keys))))
+    kept, product = set(), 1
+    for i in (first, *poset.down_indices(first),
+              *data.draw(st.permutations(range(len(keys))))):
+        size = len(poset.contexts[i].elements)
+        if keys[i] not in kept and product * size <= 128:
+            kept.add(keys[i])
+            product *= size
+    _assert_laws_ignore_labels(blocks, kept.__contains__)

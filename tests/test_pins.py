@@ -15,9 +15,9 @@ import pytest
 from biheyt import (BiheytError, DegenerateStructure,
                     InconsistentIdentification, NotAPartialOrder,
                     OrthocomplementViolated, OrthoNotInvolutive, PosetMismatch,
-                    UnboundedPair, UsageError, enumerate_contexts,
-                    from_greechie, generate, meet, subobject_from_mapping, top,
-                    validate)
+                    UnboundedPair, UsageError, daseinise, enumerate_contexts,
+                    from_greechie, generate, make_subobject, meet,
+                    subobject_from_mapping, top, validate)
 
 PENTAGON = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"],
             ["g", "h", "i"], ["i", "j", "a"]]
@@ -280,6 +280,14 @@ def _meet_on_another_poset():
     meet([s], poset=enumerate_contexts(generate("mo", 2)))
 
 
+def _context_named_twice(index_last):
+    """boolean:3's image of p with its context 0, p+q|r, named again by
+    index, after or before its id."""
+    poset = enumerate_contexts(generate("boolean", 3))
+    f = daseinise(poset, "p").to_mapping()
+    make_subobject(poset, {**f, 0: "1"} if index_last else {0: "1", **f})
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: from_greechie(["ab"]), UsageError,
      "each block must be a list of atom labels"),
@@ -296,9 +304,14 @@ def _meet_on_another_poset():
     (lambda: subobject_from_mapping(enumerate_contexts(generate("mo", 2)), []),
      UsageError, "a subobject file must be an object mapping context id to "
      "element label"),
+    (lambda: _context_named_twice(True), UsageError,
+     "context 'p+q|r' assigned twice"),
+    (lambda: _context_named_twice(False), UsageError,
+     "context 'p+q|r' assigned twice"),
 ], ids=["block-not-a-list", "empty-atom-label", "atom-label-not-a-string",
         "mo-0", "no-elements", "element-index", "meet-poset",
-        "subobject-not-an-object"])
+        "subobject-not-an-object", "context-named-twice-index-last",
+        "context-named-twice-index-first"])
 def test_refusals_are_pinned(call, error, message):
     with pytest.raises(BiheytError) as info:
         call()

@@ -121,6 +121,8 @@ def _make_subobject_ref(poset, family):
     masks = [None] * len(poset.contexts)
     for key, val in family.items():
         i = poset.index(key)
+        if masks[i] is not None:
+            raise UsageError(f"context {poset.contexts[i].id!r} assigned twice")
         e = st.el(val)
         if e not in poset.contexts[i].elements:
             raise UsageError(f"element {st.label(e)!r} not in context "
