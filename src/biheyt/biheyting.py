@@ -22,9 +22,9 @@ span of the gap's points in contexts with a neighbour in its direction, a
 strict subcontext going down and a strict supercontext going up.  By
 monotonicity they agree with the extremal forms above, which the tests pin.
 Both build their result in place, with ``object.__new__`` and the two slot
-setters that ``presheaf._subobject`` calls: on posets as small as the ones
-``check laws`` covers, a call is mostly fixed cost, not closure work, and
-that helper's call frame was a measurable part of it.
+setters that ``ClopenSubobject.__init__`` calls: on posets as small as the
+ones ``check laws`` covers, a call is mostly fixed cost, not closure work,
+and the ``__init__`` call frame was a measurable part of it.
 
 ``coheyting_not(S) ^ S`` need not be empty: the co-Heyting side is
 paraconsistent.  ``heyting_not`` is always below ``coheyting_not``.
@@ -35,7 +35,7 @@ from typing import Iterable
 
 from .contexts import ContextPoset
 from .errors import PosetMismatch, UsageError
-from .presheaf import ClopenSubobject, _same_poset, _set_bits, _set_poset, _subobject
+from .presheaf import ClopenSubobject, _same_poset, _set_bits, _set_poset
 
 
 def _poset_of(subobjects: Iterable[ClopenSubobject],
@@ -54,12 +54,12 @@ def _poset_of(subobjects: Iterable[ClopenSubobject],
 
 def top(poset: ContextPoset) -> ClopenSubobject:
     """The whole spectral presheaf (empty meet)."""
-    return _subobject(poset, poset._every)
+    return ClopenSubobject(poset, poset._every)
 
 
 def bottom(poset: ContextPoset) -> ClopenSubobject:
     """The empty subobject (empty join)."""
-    return _subobject(poset, 0)
+    return ClopenSubobject(poset, 0)
 
 
 def meet(subobjects: Iterable[ClopenSubobject], *,
@@ -68,7 +68,7 @@ def meet(subobjects: Iterable[ClopenSubobject], *,
     bits = poset._every
     for s in subs:
         bits &= s.bits
-    return _subobject(poset, bits)
+    return ClopenSubobject(poset, bits)
 
 
 def join(subobjects: Iterable[ClopenSubobject], *,
@@ -77,7 +77,7 @@ def join(subobjects: Iterable[ClopenSubobject], *,
     bits = 0
     for s in subs:
         bits |= s.bits
-    return _subobject(poset, bits)
+    return ClopenSubobject(poset, bits)
 
 
 def heyting_implies(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobject:

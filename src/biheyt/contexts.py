@@ -243,7 +243,8 @@ class ContextPoset:
 def _contexts(structure: OrthoStructure, limits: Limits,
               tables: dict | None = None) -> tuple[Context, ...]:
     """All nontrivial Boolean subalgebras, sorted by id.  ``tables`` gets by
-    id the elements by atom mask (cells in join order) and their bitset."""
+    id the elements by atom mask and their bitset, from one pass over the
+    unions of the cells taken in join order, which only it pays for."""
     labels = structure.labels
     found: dict[int, Context] = {}
     partitions: dict[int, list[tuple[int, ...]]] = {}
@@ -251,24 +252,20 @@ def _contexts(structure: OrthoStructure, limits: Limits,
         k = len(block.atoms)
         if k not in partitions:
             partitions[k] = _partitions(k)
+        get = joins.__getitem__
         for part in partitions[k]:
+            if tables is not None:
+                part = sorted(part, key=get)
             unions = [0]   # every union of cells, as a mask of block atoms
             for cell in part:
                 unions += [u | cell for u in unions]
-            elems = [joins[u] for u in unions]
+            elems = list(map(get, unions))
             key = sum([1 << e for e in elems])   # joins is one-to-one
             if key not in found:
-                # the cells sit at the powers of two of the walk
-                cells = [elems[1 << c] for c in range(len(part))]
-                atoms = sorted(cells)
+                atoms = tuple(sorted(map(get, part)))
                 found[key] = Context(id="|".join([labels[a] for a in atoms]),
-                                     atoms=tuple(atoms), elements=frozenset(elems))
+                                     atoms=atoms, elements=frozenset(elems))
                 if tables is not None:
-                    if cells != atoms:
-                        unions = [0]
-                        for _, cell in sorted(zip(cells, part)):
-                            unions += [u | cell for u in unions]
-                        elems = [joins[u] for u in unions]
                     tables[found[key].id] = (tuple(elems), key)
                 if len(found) > limits.max_contexts:
                     raise SizeGuard(

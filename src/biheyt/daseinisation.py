@@ -8,7 +8,7 @@ subobjects, but it is not surjective and only subdistributes over meets:
 from __future__ import annotations
 
 from .contexts import ContextPoset, delta_global
-from .presheaf import ClopenSubobject, _subobject
+from .presheaf import ClopenSubobject
 
 
 def daseinise(poset: ContextPoset, p: int | str) -> ClopenSubobject:
@@ -24,5 +24,5 @@ def daseinise(poset: ContextPoset, p: int | str) -> ClopenSubobject:
         if e is None:
             e = delta_global(poset, i, p)
         bits |= masks[e] << off
-    return _subobject(poset, bits)
+    return ClopenSubobject(poset, bits)
 

@@ -17,8 +17,9 @@ iff ``j <= i``), which keeps every check here a handful of int ops.  The
 common upper bounds of a and b are ``_up[a] & _up[b]``, and their join exists
 iff that set is the principal up-set ``_up[c]`` of some c, which is then the
 join.  So ``_by_up`` maps each ``_up`` row to its element and decides a join
-with one AND and one lookup; ``_by_down`` does the same for meets.  The
-lattice test, the orthomodular law and ``lub``/``glb`` all read these maps.
+with one AND and one lookup, and a meet through the order-reversing ortho:
+a ^ b = ortho(ortho a v ortho b).  The lattice test, the orthomodular law
+and ``lub``/``glb`` all read this one map.
 
 A pasting arrives at ``_build`` as rows, ortho and block join tables that
 ``from_greechie`` writes by index from atom masks; only the ``oml-explicit``
@@ -85,7 +86,7 @@ class OrthoStructure:
 
     __slots__ = (
         "labels", "n", "zero", "one", "kind", "ortho", "blocks",
-        "_index", "_down", "_up", "_by_down", "_by_up", "_atoms",
+        "_index", "_down", "_up", "_by_up", "_atoms",
         "_block_joins", "_elem_blocks",
     )
 
@@ -128,8 +129,9 @@ class OrthoStructure:
         return self.ortho[self.el(a)]
 
     def glb(self, a: int | str, b: int | str) -> int | None:
-        """Global meet, or None when it does not exist (pasted kind only)."""
-        return self._by_down.get(self._down[self.el(a)] & self._down[self.el(b)])
+        """Global meet, or None when it does not exist: ortho(ortho a v ortho b)."""
+        j = self.lub(self.ortho[self.el(a)], self.ortho[self.el(b)])
+        return None if j is None else self.ortho[j]
 
     def lub(self, a: int | str, b: int | str) -> int | None:
         """Global join, or None when it does not exist (pasted kind only)."""
@@ -347,12 +349,10 @@ def _build(labels: tuple[str, ...], up: list[int], down: list[int], ortho, *,
                 f"{labels[i]!r} and its orthocomplement share lower bound "
                 f"{labels[shared]!r}", witness=[labels[i], labels[shared]])
 
-    # the order has no cycle, so distinct elements have distinct rows
-    by_down = {row: i for i, row in enumerate(down)}
+    # the order has no cycle, so distinct elements have distinct rows; ortho
+    # is an order-reversing involution, so a ^ b = ortho(ortho a v ortho b),
+    # and every pair has a meet as soon as every pair has a join
     by_up = {row: i for i, row in enumerate(up)}
-
-    # ortho is an order-reversing involution, so a ^ b = ortho(ortho a v
-    # ortho b): every pair has a meet as soon as every pair has a join
     if all(row & other in by_up
            for i, row in enumerate(up) for other in up[i + 1:]):
         kind = LATTICE
@@ -362,7 +362,7 @@ def _build(labels: tuple[str, ...], up: list[int], down: list[int], ortho, *,
                 low = m & -m
                 m ^= low
                 j = low.bit_length() - 1
-                meet = by_down[down[j] & down[ortho[i]]]
+                meet = ortho[by_up[up[ortho[j]] & up[i]]]
                 if by_up[up[i] & up[meet]] != j:
                     raise OrthomodularityViolated(
                         f"{labels[i]!r} <= {labels[j]!r} but "
@@ -374,7 +374,7 @@ def _build(labels: tuple[str, ...], up: list[int], down: list[int], ortho, *,
         # orthoposet alone does not determine blocks.
         unbounded = next([labels[i], labels[j]] for i in range(n)
                          for j in range(i, n)
-                         if down[i] & down[j] not in by_down
+                         if up[ortho[i]] & up[ortho[j]] not in by_up
                          or up[i] & up[j] not in by_up)
         raise UnboundedPair(
             f"{unbounded[0]!r} and {unbounded[1]!r} have no meet or join; "
@@ -450,7 +450,7 @@ def _build(labels: tuple[str, ...], up: list[int], down: list[int], ortho, *,
     return OrthoStructure(
         labels=labels, n=n, zero=0, one=1, kind=kind, ortho=ortho,
         blocks=tuple(blocks), _index={lab: i for i, lab in enumerate(labels)},
-        _down=down, _up=up, _by_down=by_down, _by_up=by_up, _atoms=atoms,
+        _down=down, _up=up, _by_up=by_up, _atoms=atoms,
         _block_joins=tuple(block_joins), _elem_blocks=tuple(elem_blocks))
 
 

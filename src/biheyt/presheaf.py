@@ -44,23 +44,13 @@ def _point(context_id: str, atom: int, label: str) -> SpectrumPoint:
     return pt
 
 
-def _points(context_id: str, atoms: Iterable[int], labels) -> tuple[SpectrumPoint, ...]:
-    """``_point`` at each atom, inlined: a call per point costs a sixth more."""
-    out = []
-    for a in atoms:
-        pt = object.__new__(SpectrumPoint)
-        d = pt.__dict__
-        d["context_id"], d["atom"], d["label"] = context_id, a, labels[a]
-        out.append(pt)
-    return tuple(out)
-
-
 class ClopenSubobject:
     """A monotone family of projections, one per context.
 
     Immutable; equality and hashing use the packed bitmask plus poset
     identity.  Subobjects from different poset objects never mix: the binary
-    operators raise ``PosetMismatch``.
+    operators raise ``PosetMismatch``, and ``TypeError`` for an operand that
+    is no subobject.
     """
 
     __slots__ = ("poset", "bits")
@@ -84,9 +74,9 @@ class ClopenSubobject:
         poset = self.poset
         i = poset.index(ctx)
         c = poset.contexts[i]
-        m = self.bits >> poset._offsets[i]
-        return _points(c.id, [a for p, a in enumerate(c.atoms) if m >> p & 1],
-                       poset.structure.labels)
+        m, labels = self.bits >> poset._offsets[i], poset.structure.labels
+        return tuple([_point(c.id, a, labels[a])
+                      for p, a in enumerate(c.atoms) if m >> p & 1])
 
     def to_mapping(self) -> dict[str, str]:
         poset, bits = self.poset, self.bits
@@ -102,16 +92,22 @@ class ClopenSubobject:
         return hash((id(self.poset), self.bits))
 
     def __le__(self, other):
+        if not isinstance(other, ClopenSubobject):
+            return NotImplemented
         _same_poset(self, other)
         return self.bits & ~other.bits == 0
 
     def __and__(self, other):
+        if not isinstance(other, ClopenSubobject):
+            return NotImplemented
         _same_poset(self, other)
-        return _subobject(self.poset, self.bits & other.bits)
+        return ClopenSubobject(self.poset, self.bits & other.bits)
 
     def __or__(self, other):
+        if not isinstance(other, ClopenSubobject):
+            return NotImplemented
         _same_poset(self, other)
-        return _subobject(self.poset, self.bits | other.bits)
+        return ClopenSubobject(self.poset, self.bits | other.bits)
 
     def __repr__(self):
         parts = ", ".join(f"{k}: {v}" for k, v in self.to_mapping().items())
@@ -121,14 +117,6 @@ class ClopenSubobject:
 # the slot descriptors' setters, which ``__setattr__`` above refuses
 _set_poset = ClopenSubobject.poset.__set__
 _set_bits = ClopenSubobject.bits.__set__
-
-
-def _subobject(poset: ContextPoset, bits: int) -> ClopenSubobject:
-    """``ClopenSubobject(poset, bits)`` without the ``__init__`` call."""
-    s = object.__new__(ClopenSubobject)
-    _set_poset(s, poset)
-    _set_bits(s, bits)
-    return s
 
 
 def _same_poset(a: ClopenSubobject, b: ClopenSubobject) -> None:
@@ -154,8 +142,8 @@ class GlobalSection:
 
 def spectrum(poset: ContextPoset, ctx) -> tuple[SpectrumPoint, ...]:
     """The spectrum at a context: its atoms, in canonical order."""
-    c = poset.contexts[poset.index(ctx)]
-    return _points(c.id, c.atoms, poset.structure.labels)
+    c, labels = poset.contexts[poset.index(ctx)], poset.structure.labels
+    return tuple([_point(c.id, a, labels[a]) for a in c.atoms])
 
 
 def restrict(poset: ContextPoset, point: SpectrumPoint, sub) -> SpectrumPoint:
@@ -245,7 +233,7 @@ def make_subobject(poset: ContextPoset, family: Mapping) -> ClopenSubobject:
     bits = 0
     for i, m in enumerate(masks):
         bits |= m << poset._offsets[i]
-    return _subobject(poset, bits)
+    return ClopenSubobject(poset, bits)
 
 
 # The walk memoises its tails from the first context from which at most this

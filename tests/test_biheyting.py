@@ -200,6 +200,27 @@ def test_operations_reject_foreign_subobjects(boolean3_subs):
                 op(s, t)
 
 
+@pytest.mark.parametrize("op, message", [
+    (lambda s: s <= 5,
+     "'<=' not supported between instances of 'ClopenSubobject' and 'int'"),
+    (lambda s: s & 5, "unsupported operand type(s) for &: 'ClopenSubobject' and 'int'"),
+    (lambda s: s | None,
+     "unsupported operand type(s) for |: 'ClopenSubobject' and 'NoneType'"),
+], ids=["le-int", "and-int", "or-none"])
+def test_operators_refuse_an_operand_that_is_no_subobject(boolean3_subs, op,
+                                                           message):
+    """``<=``, ``&`` and ``|`` leave an operand that is no subobject to
+    Python, which raises ``TypeError``; one of another poset still gets
+    ``PosetMismatch``."""
+    with pytest.raises(TypeError) as info:
+        op(boolean3_subs[5])
+    assert type(info.value) is TypeError and str(info.value) == message
+    other = enumerate_subobjects(enumerate_contexts(generate("boolean", 3)))
+    with pytest.raises(PosetMismatch,
+                       match="^subobjects belong to different context posets$"):
+        boolean3_subs[5] <= other[7]
+
+
 def test_every_producer_builds_a_plain_immutable_subobject(boolean3_poset):
     """The producers skip ``__init__``; what they return is still exactly
     ``ClopenSubobject(poset, bits)``, and still refuses assignment."""

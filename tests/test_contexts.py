@@ -18,7 +18,8 @@ from biheyt.contexts import _contexts
 from biheyt.oracle import _least_dominating
 from biheyt.serialize import _covers_up
 
-from test_oml import PENTAGON, _dump_explicit, chain_pasting, tree_pasting
+from test_oml import (FOUR_LOOP, PENTAGON, TRIANGLE, _dump_explicit,
+                      chain_pasting, tree_pasting)
 
 BOOLEAN3_IDS = ["p+q|r", "p+r|q", "p|q+r", "p|q|r"]
 MO2_IDS = ["a|a'", "b|b'"]
@@ -27,14 +28,6 @@ MO2_IDS = ["a|a'", "b|b'"]
 # below exactly the two block contexts that contain the atom.
 SHARED_ATOM_CTX = "0001|0010+1100+1m00"
 SHARED_ATOM_BLOCKS = ["0001|0010|1100|1m00", "0001|0100|1010|10m0"]
-
-# Four three-atom blocks in a loop: a pasting with missing bounds.
-FOUR_LOOP = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"], ["g", "h", "a"]]
-
-# Three three-atom blocks in a loop: each atom shared by two blocks is
-# orthogonal to both shared atoms of the third block, so it has no least
-# dominator there, as "0100" has none in a block of cabello18.
-TRIANGLE = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "a"]]
 
 BUILTINS = ["boolean:2", "boolean:3", "boolean:4", "boolean:5", "boolean:6",
             "boolean:7", "boolean:8", "mo:1", "mo:2", "mo:5", "mo:12", "mo:26",

@@ -416,6 +416,14 @@ def test_tree_pastings_validate_and_round_trip(blocks):
 PENTAGON = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"],
             ["g", "h", "i"], ["i", "j", "a"]]
 
+# Four three-atom blocks in a loop: a pasting with missing bounds.
+FOUR_LOOP = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"], ["g", "h", "a"]]
+
+# Three three-atom blocks in a loop: each atom shared by two blocks is
+# orthogonal to both shared atoms of the third block, so it has no least
+# dominator there, as "0100" has none in a block of cabello18.
+TRIANGLE = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "a"]]
+
 
 def chain_pasting(blocks):
     """A chain pasting of three-atom blocks, each sharing one atom with the
@@ -439,15 +447,20 @@ def _extremum(mask, rows):
 
 
 def _bounds_match_the_scan(structure):
+    """``lub`` and ``glb`` equal the scans on every pair; returns how many
+    pairs have no join and how many no meet."""
     down, up = structure._down, structure._up
-    every_join = True
+    missing = [0, 0]
     for a in range(structure.n):
         for b in range(structure.n):
             join = _extremum(up[a] & up[b], up)
+            meet = _extremum(down[a] & down[b], down)
             assert structure.lub(a, b) == join, (a, b)
-            assert structure.glb(a, b) == _extremum(down[a] & down[b], down)
-            every_join = every_join and join is not None
-    assert (structure.kind == "lattice") == every_join
+            assert structure.glb(a, b) == meet, (a, b)
+            missing[0] += join is None
+            missing[1] += meet is None
+    assert (structure.kind == "lattice") == (missing == [0, 0])
+    return missing
 
 
 @pytest.mark.parametrize("name, n", [
@@ -461,12 +474,21 @@ def test_bounds_match_the_scan_on_builtins(name, n):
 def test_bounds_match_the_scan_on_pastings():
     pentagon = from_greechie(PENTAGON)
     assert pentagon.kind == "lattice"
-    _bounds_match_the_scan(pentagon)
+    assert _bounds_match_the_scan(pentagon) == [0, 0]
     _assert_commutes_is_the_lattice_formula(pentagon)
     cabello = generate("cabello18")
     assert cabello.kind == "pasted"
     assert cabello.lub("0001", "0010") is None
     assert cabello.glb("0001", "0010") == cabello.zero
+
+
+@pytest.mark.parametrize("blocks, missing", [(FOUR_LOOP, [4, 4]),
+                                             (TRIANGLE, [12, 12])],
+                         ids=["four-loop", "triangle"])
+def test_bounds_match_the_scan_where_some_are_missing(blocks, missing):
+    """A meet is read as ortho(ortho a v ortho b), so a pair lacks a meet
+    exactly where its orthocomplements lack a join."""
+    assert _bounds_match_the_scan(from_greechie(blocks)) == missing
 
 
 @given(tree_pasting())

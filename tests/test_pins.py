@@ -86,49 +86,49 @@ def _digest(st):
 
 
 PINNED = {
-    "boolean:2": "8c5fa66a084946736eaa2e48817bf773fcb0f024d18420ec22d9bcc1dac0f822",
-    "boolean:3": "b762201e7eed436ea6b6736dc909234e0128a9cd600487c6aca1d62aaf2db778",
-    "boolean:4": "2b6c86bff0d832d5e0b4174982be0eee1432d7809253128144f70f7aaf2d601a",
-    "boolean:5": "f949df811e25f6f7bfa2f0275d083c2440ea619c73503c5eeeae8da8aaf5a6a6",
-    "boolean:6": "8aed87ff3fed1120679cadbc29f57680285dae0b5c61d6d6f644a60722abd641",
-    "boolean:7": "b495825163896fd98994bad8f6d9d611124447c2e6f8c900f163f8b9e0dad423",
-    "boolean:8": "42de2e2cd0a86847b6b20ed727e08363f66792618761b6dc32c11d1e04a466ed",
-    "mo:1": "e9dd4d5ddb6cbba671e3275ab6e97f4c9a6764f3a2b0a7f3cc59b181908a09d0",
-    "mo:2": "5b63352f2e13b4eff4086b0b3aa5a8a58d8d6d0922358cfb91dcf5bfac948b92",
-    "mo:3": "04f68507644875887d9f3a12b83c7b2de53c34db7fb305fc08969426c2ed1e04",
-    "mo:4": "366a060a0a3084c17402a391fbb351bf1e27e8f188fa8a15ff01b5a12e006c71",
-    "mo:5": "c42edbbafd618303c81c78061b03d5763dbaa5d9ac363e926351d6927cbadd44",
-    "mo:6": "bb1159c9984995813a543342e09d1703c64500f10968149c2a850a988f29f1a8",
-    "mo:7": "2ba99784e6a97b6f1ccec1a1e6e513e76eabfb7259667d48a2eb704e6bc12cab",
-    "mo:8": "2f5fc8f27828c8f6358bfb40b943b62cb1ca6b1e0adaf70ac79804c8430cf0f8",
-    "mo:9": "05ad46b0c63f719b166ddf5de3035e0e1850ba5b4e48db7aa900b169365f2c97",
-    "mo:10": "6ea4df8e82ccd779f77f95be4efd431de6e7143d67b4b35e109d588b9a67e8e7",
-    "mo:11": "03ddcc21328ae8c0be57b3d678dd5ec3ef07bc1fa4743da0de2f47eee4b41c4a",
-    "mo:12": "5aeafb39dea8ee325a7626e99a47b8059815e3282a8604def3bb9552c0d09594",
-    "mo:13": "4f5c8e9be189e90389825206ccef3d6104d90499e9df67d5c9ba7ccba468d351",
-    "mo:14": "ccf88fd9ca8f161f79d5cf22c4408a8f6e444b330b482b4e980970e198caaa40",
-    "mo:15": "86c6a514fc3306338ee36806440e3443e6f6a1f3617cb6823ec80ef8d7b1ec3f",
-    "mo:16": "6fc6fec81972e843e768b45f93ab0e5c9d541946ffdccee2d7a3c684fd646b5e",
-    "mo:17": "4df1eb25304b32261f16bf88be308eaaed1e624fb59dc69b7bfa93eb467c27b9",
-    "mo:18": "382f0b845c38d5b7acf41cd2a2e6467e26e43fd398e3331595a5560b249c0c3f",
-    "mo:19": "a52a4f0e0e4d342fafca21d08ba88c46658ca6c6a5203e4c5f1e261f8a12dc9c",
-    "mo:20": "9fba69a591d26ca9f4af89397d3caeebd210027c33627428bda9dd82b645b6d3",
-    "mo:21": "2d96480c40b3b0e823be484c48dfe4c86b85253b13e38b68248f5941e2daab6b",
-    "mo:22": "3caad1783c83dba092667cf933f683133ffb9d5aa2489be774971b415134d1e7",
-    "mo:23": "b73ef3806da60fb899cfc20cf6e68adf76908dd426a2a00cff4645acbf528786",
-    "mo:24": "ba92d8322347188720249bf07bfa03cc80f8e5f00d594194731628054fdf8ace",
-    "mo:25": "1033f63a596a622e9551b51ee7436081e01b4ebd36b86c67930de89b405347e3",
-    "mo:26": "7c8d57180c77bc32b766dea97f2089e991793d6ef33135462eb54db736e96fef",
-    "cabello18": "8323b4650c9821d6d511510442c4ab64b7480ce09ba695ab7d2d725bf5790e61",
-    "pentagon": "3f0723e51f3639643babde3cd8c642989a0ca5f0aa75788000f764faadd747ce",
-    "four-loop": "2f91896bb5652fbcf36d922cb2c2cea2d7ec57fb32a65f0a37b05b1dbd8b65b1",
-    "triangle": "b8f7701d852ec9df0f17bbd39ace958e4643c3de86d8b1ee014b7495d3930d99",
-    "chain1": "7fdcd55306c5b638b31f7379b8dbcfec50d816afc2f6e708dfa1bc1be4417d87",
-    "chain2": "d4431d16daa196ab36f89c6251d1b5d2415c754236f096fe22f13bee638d07e1",
-    "chain3": "3de8236de99abb63ff6500084b1f884a0754e507ae7df00a3fdfd5885f5622c1",
-    "chain10": "415150e44824db04fe10d6a651b44ec9d40c074975895588fdcef584e4cb4126",
-    "chain100": "255f001d3e8bc71c39cecdd1d01a08be5d82df97b63bb892e9c735b50d4f2d58",
-    "trees": "30e5895a3eec6a4e033192e3a432a01f993abfaf2de38e27711ddd5b3a939f4c",
+    "boolean:2": "4db29db271ece1c999cfe952e65ff05ee3895290fb58ea80112d477257be81ac",
+    "boolean:3": "af7f2cc74218d4d9fe1d68e3ae25beb0d6cc6a2e0859575f02114b38339a0907",
+    "boolean:4": "0e7d70c8ba6a51249944f4d7cfdcb8accc1f990d5c542ba5ecf30d716be8e3c4",
+    "boolean:5": "94931216400314024e9996afcfdc19d272e2cb44bde9ce143e2939d448f1dd37",
+    "boolean:6": "0189c852e994b534e0068e8fd36b33e517c4a9600d1cc4cdd97844900855cd54",
+    "boolean:7": "14712eadc87a023fe52c000423865db9ee3666d8f139d11eb22ca3dd8d838171",
+    "boolean:8": "5a0a54b64d7e1d0658a3a6626a2027fd06ae2560e8ecaf05fb47780b8c3ae143",
+    "mo:1": "9636a613bcf713406d16ed63abb1ce215c569389906feb1d91ab3310b5939315",
+    "mo:2": "4b25b016834122520a81f33a1fed0c57cee8adbcce023ddfa0cae7d03f3e1ba5",
+    "mo:3": "78856a00ddea5d675670d545e1f8329040f94faeb05687505fd0fcfdab467a5a",
+    "mo:4": "14a994a56e296ab5ea283d7cf9341dec1cc39db86f5b0ea537b3308fd9515704",
+    "mo:5": "ef1bcb45618e6711ec46d39d460df08adc8b970902e9baeddcb2916a8373cba3",
+    "mo:6": "2e41f1155070c1a0201a11729ef262195bf7a4fe6b97e16f323558637413ea96",
+    "mo:7": "e8c2a3f6b1b0924304ce512134bd7915b2c969175058f5839b085f1153ccd274",
+    "mo:8": "64a878ea03d47ae3d96eef241525d11befa5941286b890b6807f1fccb3f0273e",
+    "mo:9": "87dd3a3c7473dcefbf664f280b034386885dbc96fd89d266d5da11b5eca8cc6e",
+    "mo:10": "4f9c7f922f82d89c73afec5ecd6bf629eb93522f46cf9de227a908fa1d7a5b36",
+    "mo:11": "df2ffdfc9a43b0c2375fd7ee5291dc0ae689f250f8c039f8f5239f879bd363ff",
+    "mo:12": "5ba5bb1ed333a7722b5b01d06e88b27251cb9fbcf40b6c748d268f58d54c6853",
+    "mo:13": "a105602b318846ebab90981a951ab19b183420c76195545f2039d86cbeca81f9",
+    "mo:14": "c1f7c584950db7c0fb0185db354c2750562ca83316224247920abf9e1487612a",
+    "mo:15": "bb9ea2991f9fd00e58fa4e030d5f068f8c1c7b9707399f930531c011ba337cd1",
+    "mo:16": "c5050676410f368d21de35dac73a1736d5c99de492a4273f8f57049d8d135340",
+    "mo:17": "b8e639a8e85d1479b7ead58ac7558a9b040dc5a302a040a0ead05ca7638a2a43",
+    "mo:18": "36ee208bce69ecc6ab56761921005907f89bac7d37d1824eb2041c395c3dc08d",
+    "mo:19": "347827210bcef92a3a585411fa867dacac1e547e81f8285b3b83ad0f3aeb19f7",
+    "mo:20": "5deae4c462968390d317d3c3a4937d89959d8ac130277dffb48cd6074add0e47",
+    "mo:21": "ad28ddf677979652c1dedf9955fa29888cfe95efd126c9630859aa376333e74f",
+    "mo:22": "dc84b3dbd876fcda756781e35f95979a67ea5fe421616b8330b726b47deab288",
+    "mo:23": "ca81dfd5c90c4213e6edc4a9d00960d4319461317789c5b5cfe121f1d75b1f22",
+    "mo:24": "927611caaa6fca2f6761b61ae4df7b2480e17d9b92643ea68d33d3aa218cb5d9",
+    "mo:25": "d252d4d1cc33c6221f0afc9bdd1700a54b13d0e8c2c5625ccaeda6c88985cd86",
+    "mo:26": "7e56efc7f56e54eb07de2d1f7c9cb33a042d3b73e6f9bd902dd4f2abf75944f1",
+    "cabello18": "f54a0099fc44456c8dd6909fb6e5d3a1c212738988b76dc80d062a8397ac0339",
+    "pentagon": "b9c8636acd405179ba5364618f8b99356c5d134a25f7c050b9045d63fb01b980",
+    "four-loop": "bd9913bc01ce8d65b8122111ac0a95ad4c13d56d30286834d2f4d171ec811305",
+    "triangle": "4e7eaf1739af19493b730d2c2662be94fb67f92f2807d446eab5a3fd38ea1bd9",
+    "chain1": "02337b4e7c25ba56e61f92d158649a42229c3cda0017bbc560904036ccd174f8",
+    "chain2": "c0d32ebba29d6fe00532e5cc0a49a300222bf0a3dd533b0739e14ad44aafe610",
+    "chain3": "076add7861188a46258fa6f7aa7740cc9512db3106bfd1ae28e80a568d875d95",
+    "chain10": "a6ac0541164061095124c1ad97b3f160459d53402454a3498fa3772b34d6bc4a",
+    "chain100": "5f8ff7fb0f91d27f69266590c110bf9e53cd14951f0c62098407c3d6fc4ee144",
+    "trees": "866d6d54c2077073d500057e4c34bcf565fffcd3cb15009418ae47b887b65dca",
 }
 
 

@@ -471,13 +471,18 @@ def test_enumeration_stopped_by_its_guard_leaves_no_cycle():
         assert _dropped_poset_dies(walk, structure)
 
 
+def _subobject_count(poset, limits=Limits()):
+    """The subobject count as ``biheyt enumerate`` takes it: the lengths of
+    the walk's batches, with no subobject built."""
+    return sum(len(batch) for _, batch in presheaf._subobject_batches(poset, limits))
+
+
 def test_count_stopped_by_its_guard_leaves_no_cycle():
     """``biheyt enumerate`` without ``--list`` sums the batch lengths."""
     for structure, budget in GUARDED_WALKS:
         def count(poset):
             with pytest.raises(SizeGuard):
-                sum(len(batch) for _, batch in presheaf._subobject_batches(
-                    poset, Limits(max_subobjects=budget)))
+                _subobject_count(poset, Limits(max_subobjects=budget))
         assert _dropped_poset_dies(count, structure)
 
 
@@ -778,6 +783,43 @@ def test_sections_of_horizontal_sums_multiply():
 
     check()
     assert seen == {"one run", "several runs"}
+
+
+@pytest.mark.parametrize("blocks, count", [
+    ([["p", "q", "r"], ["x", "y", "z"]], 95 * 95),
+    ([["p", "q", "r"], ["a", "a'"], ["b", "b'"]], 95 * 16),
+], ids=["boolean3+boolean3", "boolean3+mo2"])
+def test_subobject_counts_of_horizontal_sums_multiply(blocks, count):
+    """O(P_A ⊔ P_B) = O(P_A) × O(P_B): boolean:3 has 95 subobjects and mo:2
+    has 16, and enumeration lists each pair of them once."""
+    poset = enumerate_contexts(from_greechie(blocks))
+    assert len(enumerate_subobjects(poset)) == _subobject_count(poset) == count
+
+
+def test_subobject_counts_of_drawn_horizontal_sums_multiply():
+    """The same on drawn sums whose summands' counts multiply to at most
+    200,000.  Each summand is counted only up to what that bound leaves
+    with every later summand at its least: 4 subobjects, as every summand
+    has nothing, everything and either point of a minimal context alone.
+    A summand past it leaves its draw unchecked; about a tenth check."""
+    checked = []
+
+    @given(horizontal_sum())
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def check(drawn):
+        blocks, summands = drawn
+        want = 1
+        for k, b in enumerate(summands):
+            left = Limits(max_subobjects=200_000 // want // 4 ** (len(summands) - 1 - k))
+            try:
+                want *= _subobject_count(enumerate_contexts(from_greechie(b)), left)
+            except SizeGuard:
+                return
+        assert _subobject_count(enumerate_contexts(from_greechie(blocks))) == want
+        checked.append(want)
+
+    check()
+    assert len(checked) >= 5
 
 
 @pytest.mark.parametrize("labels, nodes", [(["p", "q", "r"], 876),
