@@ -113,8 +113,9 @@ class ContextPoset:
         holders = [0] * structure.n
         total = 0
         for i, (c, (inverse, mine)) in enumerate(zip(contexts, _tables)):
+            bit = 1 << i
             for e in inverse:
-                holders[e] |= 1 << i
+                holders[e] |= bit
             # every key holds 1, and the one key holding 0 holds all of the
             # context, so the keys drop bits 0 and 1 and the empty bits up
             # to the context's lowest other element

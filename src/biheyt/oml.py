@@ -159,22 +159,6 @@ class OrthoStructure:
 # -- order helpers ------------------------------------------------------------
 
 
-def _close_order(up: list[int]) -> None:
-    """Reflexive-transitive closure of successor masks, in place."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(up)):
-            acc = m = up[i]
-            while m:
-                low = m & -m
-                m ^= low
-                acc |= up[low.bit_length() - 1]
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
-
-
 def _maximal_cliques(vertices: list[int], neighbors: dict[int, set[int]]) -> list[tuple[int, ...]]:
     """Bron-Kerbosch with pivoting; results sorted for determinism."""
     out: list[tuple[int, ...]] = []
@@ -193,8 +177,6 @@ def _maximal_cliques(vertices: list[int], neighbors: dict[int, set[int]]) -> lis
     return sorted(out)
 
 
-# Past this many atoms Bell(k) has hundreds of digits and the triangle costs
-# O(k^2) sums of them, so a block that 2^(k-1) - 1 already refuses reports k.
 _BELL_EXACT_ATOMS = 256
 
 
@@ -209,25 +191,50 @@ def _bell(k: int) -> int:
     return row[-1]
 
 
+def _guard_block(k: int, limits: Limits) -> None:
+    """Refuse a k-atom block past ``max_contexts``: it has Bell(k) - 1 >= 2^(k-1) - 1
+    contexts, which bound its 2^k elements too.  Past ``_BELL_EXACT_ATOMS`` atoms Bell(k)
+    has hundreds of digits; 2^(k-1) - 1 > limit iff k - 1 >= (limit + 1).bit_length()."""
+    limit = limits.max_contexts
+    if k > _BELL_EXACT_ATOMS and k - 1 >= (limit + 1).bit_length():
+        count, detail = f"at least 2^{k - 1} - 1", {"atoms": k}
+    elif (needed := _bell(k) - 1) > limit:
+        count, detail = needed, {"needed": needed}
+    else:
+        return
+    raise SizeGuard(f"block with {k} atoms has {count} contexts, over limit "
+                    f"{limit}", limit="max_contexts", value=limit, **detail)
+
+
 # -- validation pipeline -------------------------------------------------------
 
 
 def _order(up: list[int], labels, fail, report=None) -> tuple[list[int], int, int]:
     """Close the ``_up`` rows in place; return the ``_down`` rows and bounds.
 
-    A cycle raises ``fail`` with the first element i, in the order that
-    ``report()`` lists them (the row order if None), both below and above
-    some j != i, and the first such j in that order.  Then come the bounds.
+    Each pass ORs into row i the rows of its bits j and sets bit i of each
+    ``down[j]``, so the first pass to change no row (on a pasting's closed
+    rows, the first) leaves ``down`` their transpose.  A cycle raises
+    ``fail`` with the first element i, in the order that ``report()`` lists
+    them (the row order if None), both below and above some j != i, and the
+    first such j in that order.  Then come the bounds.
     """
-    _close_order(up)
     n = len(up)
     full = (1 << n) - 1
-    down = [0] * n
-    for i, m in enumerate(up):
-        while m:
-            low = m & -m
-            m ^= low
-            down[low.bit_length() - 1] |= 1 << i
+    while True:
+        down, last = [0] * n, up[:]
+        for i in range(n):
+            acc = m = up[i]
+            bit = 1 << i
+            while m:
+                low = m & -m
+                m ^= low
+                j = low.bit_length() - 1
+                acc |= up[j]
+                down[j] |= bit
+            up[i] = acc
+        if up == last:
+            break
     if any(u & d != 1 << i for i, (u, d) in enumerate(zip(up, down))):
         order = range(n) if report is None else report()
         i = next(i for i in order if up[i] & down[i] != 1 << i)
@@ -334,7 +341,8 @@ def _build(labels: tuple[str, ...], up: list[int], down: list[int], ortho, *,
     blocks can close up to Boolean subposets of their own), so without it
     only lattices are accepted, and each maximal orthogonal set of atoms
     gets its join table by ``_by_up`` lookups.  Both formats then run the
-    same checks, but only a pasting can fail those on its blocks.
+    same checks, but only a pasting can fail those on its blocks.  Pairs at
+    the bounds pass by the orthoposet axioms alone, so none is tested.
     """
     n = len(labels)
     up, down, ortho = tuple(up), tuple(down), tuple(ortho)
@@ -351,13 +359,15 @@ def _build(labels: tuple[str, ...], up: list[int], down: list[int], ortho, *,
 
     # the order has no cycle, so distinct elements have distinct rows; ortho
     # is an order-reversing involution, so a ^ b = ortho(ortho a v ortho b),
-    # and every pair has a meet as soon as every pair has a join
+    # and every pair has a meet as soon as every pair has a join.  As 0 v x
+    # = x and 1 v x = 1, the test starts at row 2, as does the orthomodular
+    # law (true at i = 0, 1), skipping j = 1: 1 = i v ortho(i) by the loop above.
     by_up = {row: i for i, row in enumerate(up)}
     if all(row & other in by_up
-           for i, row in enumerate(up) for other in up[i + 1:]):
+           for i, row in enumerate(up[2:], 2) for other in up[i + 1:]):
         kind = LATTICE
-        for i in range(n):
-            m = up[i] & ~(1 << i)
+        for i in range(2, n):
+            m = up[i] & ~(2 | 1 << i)
             while m:
                 low = m & -m
                 m ^= low
@@ -512,20 +522,7 @@ def from_greechie(blocks, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
             raise UsageError(f"block {list(atoms)!r} repeats an atom")
         if len(atoms) < 2:
             raise UsageError(f"block {list(atoms)!r} needs at least two atoms")
-        # the block alone has one context per partition of its atoms into two
-        # or more cells, and Bell(k) >= 2^(k-1) also bounds its 2^k elements
-        k = len(atoms)
-        if k > _BELL_EXACT_ATOMS and (1 << k - 1) - 1 > limits.max_contexts:
-            raise SizeGuard(f"block with {k} atoms has at least 2^{k - 1} - 1 "
-                            f"contexts, over limit {limits.max_contexts}",
-                            limit="max_contexts", value=limits.max_contexts,
-                            atoms=k)
-        needed = _bell(k) - 1
-        if needed > limits.max_contexts:
-            raise SizeGuard(f"block with {k} atoms has {needed} contexts, "
-                            f"over limit {limits.max_contexts}",
-                            limit="max_contexts", value=limits.max_contexts,
-                            needed=needed)
+        _guard_block(len(atoms), limits)
         key = frozenset(atoms)
         if key not in seen_sets:
             seen_sets.add(key)
@@ -562,11 +559,12 @@ def from_greechie(blocks, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
             if t != s:
                 parent[find(s)] = find(t)
 
-    zero_cls, one_cls = find(0), find(walks[0][-1])
+    root = {s: find(s) for s in parent}
+    zero_cls, one_cls = root[0], root[walks[0][-1]]
     if zero_cls == one_cls:
         raise InconsistentIdentification("identification forces 0 = 1")
     for atoms in norm:
-        atom_cls = [find(bit[a]) for a in atoms]
+        atom_cls = [root[bit[a]] for a in atoms]
         if len(set(atom_cls)) != len(atoms):
             raise InconsistentIdentification(
                 f"identification merges two atoms of block {list(atoms)!r}")
@@ -579,8 +577,8 @@ def from_greechie(blocks, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
     # label if the class holds a singleton, otherwise the smallest
     # "+"-joined support; then index 0, 1 and the rest sorted by label.
     members: dict[int, list[int]] = {}
-    for s in parent:
-        members.setdefault(find(s), []).append(s)
+    for s, cls in root.items():
+        members.setdefault(cls, []).append(s)
     def spell(s: int) -> str:
         out = []
         while s:
@@ -597,13 +595,12 @@ def from_greechie(blocks, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:
                   key=label_of.__getitem__)
     index = {c: i for i, c in enumerate([zero_cls, one_cls] + rest)}
     labels = ("0", "1") + tuple(label_of[c] for c in rest)
-    elem = {s: index[find(s)] for s in parent}
 
     # Per block, the element of each subset, and ortho and the order rows
     # straight from those: the complement of mask m is top - m, and each
     # row holds the subset's supersets in the block, the rows of m and
     # m | bit merging along every cover step from the top down.
-    tables = [[elem[s] for s in walk] for walk in walks]
+    tables = [[index[root[s]] for s in walk] for walk in walks]
     ortho = [0] * len(labels)
     up = [0] * len(labels)
     for joins in tables:
@@ -647,6 +644,7 @@ def generate(name: str, n: int | None = None, *,
             raise UsageError("boolean requires n >= 1")
         if n == 1:   # from_greechie would call a one-atom block a usage error
             raise DegenerateStructure("no element outside {0, 1}")
+        _guard_block(n, limits)   # before n labels are built
         letters = [_BOOLEAN_LETTERS[i] if i < len(_BOOLEAN_LETTERS) else f"p{i}"
                    for i in range(n)]
         return from_greechie([letters], limits=limits)

@@ -1,6 +1,7 @@
 """Structure validation, builtins, and Greechie pasting."""
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 import biheyt
 from biheyt import (DegenerateStructure, InconsistentIdentification, Limits,
-                    OrthomodularityViolated, SizeGuard, UnboundedPair,
-                    UsageError, enumerate_contexts, from_greechie, generate,
-                    validate)
+                    NotAPartialOrder, OrthomodularityViolated, SizeGuard,
+                    UnboundedPair, UsageError, enumerate_contexts,
+                    from_greechie, generate, validate)
+from biheyt.oml import _order
 
 # Benzene ring O6: two chains 0 < a < b < 1 and 0 < b' < a' < 1 with a/a',
 # b/b' complementary.  It is an ortholattice but not orthomodular.
@@ -65,6 +67,121 @@ def test_o6_fails_orthomodularity():
 
     assert (lo, hi) in order
     assert vee(lo, wedge(hi, comp[lo])) != hi
+
+
+@st.composite
+def order_generators(draw):
+    """``_up`` rows of order generators over a bottom "0", a top "1" and up
+    to 12 labels, in shuffled element order.  Edges go up a random ranking
+    (bottom first, top last), not transitively closed and ORed in shuffled
+    order; every label lies above the bottom and below the top.  Half the
+    draws keep the edges that go down too, which may close cycles."""
+    k = draw(st.integers(1, 12))
+    names = ["0"] + [f"x{i}" for i in range(k)] + ["1"]
+    edges = draw(st.lists(st.tuples(st.integers(0, k + 1),
+                                    st.integers(0, k + 1)), max_size=3 * k))
+    if not draw(st.booleans()):
+        edges = [(a, b) for a, b in edges if a < b]
+    edges += [(0, x) for x in range(1, k + 1)]
+    edges += [(x, k + 1) for x in range(1, k + 1)]
+    labels = draw(st.permutations(names))
+    pos = {lab: i for i, lab in enumerate(labels)}
+    up = [1 << i for i in range(k + 2)]
+    for a, b in draw(st.permutations(edges)):
+        up[pos[names[a]]] |= 1 << pos[names[b]]
+    return labels, up
+
+
+@given(order_generators())
+@settings(max_examples=150, deadline=None)
+def test_one_closing_pass_closes_the_rows_and_writes_their_transpose(drawn):
+    """``_order`` against a Warshall closure: the closed ``_up`` rows, their
+    transpose as ``_down``, and on a cycle the first element in row order
+    on one, with the first other element on it."""
+    labels, up = drawn
+    n = len(up)
+    leq = [[i == j or bool(up[i] >> j & 1) for j in range(n)] for i in range(n)]
+    for m in range(n):
+        for i in range(n):
+            if leq[i][m]:
+                leq[i] = [x or y for x, y in zip(leq[i], leq[m])]
+    closed = [sum(1 << j for j in range(n) if leq[i][j]) for i in range(n)]
+    cycle = next(([labels[i], labels[j]] for i in range(n) for j in range(n)
+                  if i != j and leq[i][j] and leq[j][i]), None)
+    if cycle:
+        with pytest.raises(NotAPartialOrder) as info:
+            _order(up, labels, NotAPartialOrder)
+        assert info.value.details["witness"] == cycle
+    else:
+        down, zero, one = _order(up, labels, NotAPartialOrder)
+        assert down == [sum(1 << i for i in range(n) if leq[i][j])
+                        for j in range(n)]
+        assert (labels[zero], labels[one]) == ("0", "1")
+    assert up == closed
+
+
+def _reference_verdict(raw):
+    """All-pairs reference for ``_build``'s decision on an explicit input
+    whose ortho is an orthocomplement: ("unbounded", None) if some pair of
+    elements, the bounds included, lacks a join or a meet; otherwise
+    ("lattice", the first pair a <= b, in canonical order and the bounds
+    included, with b != a v (b ^ ortho(a)), or None)."""
+    labels, ortho = raw["elements"], raw["ortho"]
+    leq = {(a, b) for a in labels for b in labels if a == b}
+    leq |= {tuple(pair) for pair in raw["leq"]}
+    for m in labels:
+        for a in labels:
+            if (a, m) in leq:
+                leq |= {(a, b) for b in labels if (m, b) in leq}
+    bottom = next(a for a in labels if all((a, b) in leq for b in labels))
+    top = next(a for a in labels if all((b, a) in leq for b in labels))
+    order = [bottom, top] + sorted(set(labels) - {bottom, top})
+
+    def least(cands, below):
+        return next((c for c in cands if all(below(c, d) for d in cands)), None)
+
+    def lub(a, b):
+        return least([c for c in order if (a, c) in leq and (b, c) in leq],
+                     lambda c, d: (c, d) in leq)
+
+    def glb(a, b):
+        return least([c for c in order if (c, a) in leq and (c, b) in leq],
+                     lambda c, d: (d, c) in leq)
+
+    if any(lub(a, b) is None or glb(a, b) is None
+           for a in order for b in order):
+        return "unbounded", None
+    return "lattice", next(([a, b] for a in order for b in order
+                            if a != b and (a, b) in leq
+                            and lub(a, glb(b, ortho[a])) != b), None)
+
+
+def _assert_build_matches_the_reference(raw):
+    kind, witness = _reference_verdict(raw)
+    if witness is not None:
+        with pytest.raises(OrthomodularityViolated) as info:
+            validate(raw)
+        assert info.value.details["witness"] == witness
+    elif kind == "lattice":
+        assert validate(raw).kind == "lattice"
+    else:
+        with pytest.raises(UnboundedPair):
+            validate(raw)
+
+
+def _horizontal_sum(first, second, prefix):
+    """The explicit input of the horizontal sum of two explicit inputs with
+    bounds "0" and "1": the bounds are shared, and the other labels of
+    ``second`` get ``prefix``."""
+    def name(lab):
+        return lab if lab in ("0", "1") else prefix + lab
+
+    return {"format": "oml-explicit",
+            "elements": first["elements"] + [name(x) for x in second["elements"]
+                                             if x not in ("0", "1")],
+            "leq": first["leq"] + [[name(a), name(b)] for a, b in second["leq"]],
+            "ortho": {**first["ortho"], **{name(a): name(b) for a, b
+                                           in second["ortho"].items()}}}
 
 
 def test_mo2_axioms_brute_force(mo2):
@@ -181,6 +298,41 @@ def test_a_block_too_large_to_count_is_refused_by_its_atom_count():
             generate("boolean", k)
         assert info.value.details == {"limit": "max_contexts",
                                       "value": 10_000, "atoms": k}
+
+
+def test_a_300_atom_block_is_refused_alike_as_a_builtin_and_as_blocks():
+    for build in (lambda: generate("boolean", 300),
+                  lambda: from_greechie([[f"x{i}" for i in range(300)]])):
+        with pytest.raises(SizeGuard) as info:
+            build()
+        assert info.value.message == ("block with 300 atoms has at least "
+                                      "2^299 - 1 contexts, over limit 10000")
+        assert info.value.details == {"limit": "max_contexts",
+                                      "value": 10_000, "atoms": 300}
+
+
+@pytest.mark.parametrize("k", [10**9, 10**30])
+def test_a_huge_boolean_is_refused_before_its_labels_are_built(k):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuard) as info:
+            generate("boolean", k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.details == {"limit": "max_contexts", "value": 10_000,
+                                  "atoms": k}
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("limit", [2**299 - 2, 2**299 - 1])
+def test_the_atom_count_guard_is_exact_at_its_edge(limit):
+    """2^299 - 1 contexts pass a limit of 2^299 - 1, so only the exact
+    count, Bell(300) - 1, refuses the block there; one below, the atom
+    count does."""
+    with pytest.raises(SizeGuard) as info:
+        generate("boolean", 300, limits=Limits(max_contexts=limit))
+    assert ("atoms" in info.value.details) == (limit == 2**299 - 2)
 
 
 @pytest.mark.parametrize("name, n", [("boolean", k) for k in range(2, 9)]
@@ -409,6 +561,7 @@ def test_tree_pastings_validate_and_round_trip(blocks):
     assert got == {frozenset(b) for b in blocks}
     _assert_block_tables_are_boolean(st1)
     _assert_explicit_dump_matches(st1)
+    _assert_build_matches_the_reference(_dump_explicit(st1))
     _assert_commutes_is_the_lattice_formula(st1)
 
 
@@ -434,6 +587,20 @@ def chain_pasting(blocks):
 def test_the_chain_pasting_matches_the_blocks_found_from_its_order():
     # each block lists its atoms x, y, x' out of sorted order
     _assert_explicit_dump_matches(from_greechie(chain_pasting(60)))
+
+
+@pytest.mark.parametrize("raw", [
+    O6,
+    _horizontal_sum(O6, _dump_explicit(generate("boolean", 2)), "A"),
+    _horizontal_sum(O6, _dump_explicit(generate("mo", 2)), "A"),
+    _horizontal_sum(_dump_explicit(generate("mo", 2)), O6, "z"),
+    _dump_explicit(from_greechie(PENTAGON)),
+    _dump_explicit(from_greechie(FOUR_LOOP)),
+], ids=["O6", "O6+boolean2", "O6+mo2", "mo2+O6", "pentagon", "four-loop"])
+def test_skipping_the_bounds_changes_no_verdict(raw):
+    """``_build`` tests no pair at the bounds; the reference tests every
+    pair and reaches the same kind and orthomodular witness."""
+    _assert_build_matches_the_reference(raw)
 
 
 def _extremum(mask, rows):
