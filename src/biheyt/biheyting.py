@@ -141,11 +141,12 @@ def is_tight(s: ClopenSubobject) -> bool:
 
     Tight subobjects are regular for both negations; the converse fails.
     """
-    poset, bits = s.poset, s.bits
-    offsets, full, elem_mask = poset._offsets, poset._full, poset._elem_mask
+    poset, bits, up = s.poset, s.bits, s.poset.structure._up
+    offsets, full, least, elements, shift = (poset._offsets, poset._full, poset._least,
+                                             poset._elements, poset._shift)
     for i in poset.maximal:
-        e = poset._mask_to_elem[i][(bits >> offsets[i]) & full[i]]
+        row = up[poset._mask_to_elem[i][(bits >> offsets[i]) & full[i]]]
         for j in poset._below[i]:
-            if elem_mask[j][poset._least_above(j, e)] != (bits >> offsets[j]) & full[j]:
+            if least[j][(row & elements[j]) >> shift[j]] != (bits >> offsets[j]) & full[j]:
                 return False
     return True

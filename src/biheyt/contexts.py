@@ -12,12 +12,13 @@ context V is its atom set, and each P in V is the clopen set alpha_V(P) of
 the atoms of V below P.  Per context ``ContextPoset`` holds element <-> atom
 mask, from the walk unchecked or from the ``_down`` rows checked (see there
 why), and from the ``_up`` rows a map from the set of its elements above an
-element to that element: one lookup finds the least element of V' above any
-P, the coarse-graining ``delta_global(V', P)``; ``delta(V, V', P)`` is the
-same for P in V and V' <= V, and the restriction of an atom of V to V' is
-its coarse-graining.  The inclusions come from per-element bitsets of the
-contexts holding each element, never from a test of every pair of contexts.
-Scanning V' with ``leq`` is left to the oracle, which checks against it.
+element to that element's atom mask: one lookup finds the least element of
+V' above any P, the coarse-graining ``delta_global(V', P)``, as the mask the
+algebra ORs and compares; ``delta(V, V', P)`` is the same for P in V and
+V' <= V, and the restriction of an atom of V to V' is its coarse-graining.
+The inclusions come from per-element bitsets of the contexts holding each
+element, never from a test of every pair of contexts.  Scanning V' with
+``leq`` is left to the oracle, which checks against it.
 """
 from __future__ import annotations
 
@@ -64,10 +65,11 @@ class ContextPoset:
     and have 2^k distinct keys.  Both paths share every other table:
     ``_elem_mask[i]`` inverts ``_mask_to_elem[i]``, and ``_least[j]`` maps
     the key of each element e of j, the elements of j above it
-    (``_up[e] & _elements[j]`` shifted down by ``_shift[j]``), to e.  The
-    least element of j above any element p exists iff p's key is in the
-    map, and is its value: the coarse-graining of p, and for an atom of V
-    its restriction to V'.  ``_down_closure`` closes a packed set of points
+    (``_up[e] & _elements[j]`` shifted down by ``_shift[j]``), to the atom
+    mask of e.  The least element of j above any element p exists iff p's
+    key is in the map, and the value is its mask: the coarse-graining of p,
+    and for an atom of V its restriction to V'; ``_least_above`` names it
+    by ``_mask_to_elem``.  ``_down_closure`` closes a packed set of points
     by those lookups, ``_up_closure`` by the masks of its components'
     elements, each over the span of its points in contexts with a neighbour
     its way: ``_has_below`` packs the contexts with a strict subcontext,
@@ -113,15 +115,16 @@ class ContextPoset:
         holders = [0] * structure.n
         total = 0
         for i, (c, (inverse, mine)) in enumerate(zip(contexts, _tables)):
-            bit = 1 << i
-            for e in inverse:
-                holders[e] |= bit
             # every key holds 1, and the one key holding 0 holds all of the
             # context, so the keys drop bits 0 and 1 and the empty bits up
             # to the context's lowest other element
             rest = mine & ~3
             shift = (rest & -rest).bit_length() - 1
-            least.append({(up[e] & mine) >> shift: e for e in inverse})
+            least.append(keys := {})
+            bit = 1 << i
+            for m, e in enumerate(inverse):
+                holders[e] |= bit
+                keys[(up[e] & mine) >> shift] = m
             elem_mask.append(dict(zip(inverse, range(len(inverse)))))
             shifts.append(shift)
             offsets.append(total)
@@ -205,24 +208,23 @@ class ContextPoset:
 
     def _least_above(self, j: int, p: int) -> int | None:
         """The least element of context j above element p, if any."""
-        key = (self.structure._up[p] & self._elements[j]) >> self._shift[j]
-        return self._least[j].get(key)
+        m = self._least[j].get((self.structure._up[p] & self._elements[j]) >> self._shift[j])
+        return None if m is None else self._mask_to_elem[j][m]
 
     def _down_closure(self, bits: int) -> int:
         """``bits`` and the restrictions of its points to every subcontext."""
         reach = bits & self._has_below
         if not reach:
             return bits
-        offsets, full, elem_mask, out = self._offsets, self._full, self._elem_mask, bits
-        up, least, elements, shifts = (self.structure._up, self._least,
-                                       self._elements, self._shift)
+        offsets, full, least, out = self._offsets, self._full, self._least, bits
+        up, elements, shifts = self.structure._up, self._elements, self._shift
         for w in range(self._context_of[(reach & -reach).bit_length() - 1],
                        self._context_of[reach.bit_length() - 1] + 1):
             g = (reach >> offsets[w]) & full[w]
             if g:
                 row = up[self._mask_to_elem[w][g]]
                 for i in self._below[w]:
-                    out |= elem_mask[i][least[i][(row & elements[i]) >> shifts[i]]] << offsets[i]
+                    out |= least[i][(row & elements[i]) >> shifts[i]] << offsets[i]
         return out
 
     def _up_closure(self, bits: int) -> int:

@@ -17,12 +17,11 @@ def daseinise(poset: ContextPoset, p: int | str) -> ClopenSubobject:
     p = poset.structure.el(p)
     row = poset.structure._up[p]
     bits = 0
-    for i, least, mine, shift, masks, off in zip(
-            range(len(poset.contexts)), poset._least, poset._elements,
-            poset._shift, poset._elem_mask, poset._offsets):
-        e = least.get((row & mine) >> shift)
-        if e is None:
-            e = delta_global(poset, i, p)
-        bits |= masks[e] << off
+    for i, (least, mine, shift, off) in enumerate(zip(
+            poset._least, poset._elements, poset._shift, poset._offsets)):
+        m = least.get((row & mine) >> shift)
+        if m is None:
+            delta_global(poset, i, p)   # raises
+        bits |= m << off
     return ClopenSubobject(poset, bits)
 

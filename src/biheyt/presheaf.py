@@ -190,13 +190,11 @@ def alpha_inv(poset: ContextPoset, ctx, atoms: Iterable[int | str]) -> int:
 
 def _monotone_witness(poset: ContextPoset, masks: list[int]) -> tuple[int, int] | None:
     """First inclusion pair (sub, super) violating monotonicity, if any."""
-    up, elements, shift, least, elem_mask = (
-        poset.structure._up, poset._elements, poset._shift, poset._least,
-        poset._elem_mask)
+    up, elements, shift, least = poset.structure._up, poset._elements, poset._shift, poset._least
     for i, below in enumerate(poset._below):
         row = up[poset._mask_to_elem[i][masks[i]]]
         for j in below:
-            if elem_mask[j][least[j][(row & elements[j]) >> shift[j]]] & ~masks[j]:
+            if least[j][(row & elements[j]) >> shift[j]] & ~masks[j]:
                 return (j, i)
     return None
 

@@ -13,7 +13,9 @@ upwards or downwards with the poset's two closures; here they are compared with 
 gap's pullbacks from below or its images from above.  Those loops read
 neither closure of ``ContextPoset`` nor its masks: with a closure patched to
 skip one context, or a mask to drop one context's points, they and the
-reference enumeration walk disagree with production.
+reference enumeration walk disagree with production.  With one entry of
+``_least`` set to a wrong atom mask, the subtraction loop, the ``is_tight``
+reference and a daseinisation by the oracle's dominator scan disagree too.
 """
 import functools
 import random
@@ -29,6 +31,7 @@ from biheyt import (LATTICE, ContextPoset, NoLeastUpperWitness, alpha_inv,
                     heyting_not, is_tight, join, make_subobject,
                     maximal_above, meet, minimal_below, restrict,
                     restriction_image_projection, spectrum, top, validate)
+from biheyt.oracle import _least_dominating
 
 from test_contexts import restriction_maps
 from test_oml import PENTAGON, _dump_explicit, tree_pasting
@@ -342,3 +345,49 @@ def test_references_catch_a_closure_that_skips_a_context(
                             _skipping(getattr(ContextPoset, name), skipped))
     assert any(op(s, t).bits != reference(s, t) for s in pool for t in pool)
     assert [s.bits for s in enumerate_subobjects(small)] != _reference_walk(small)
+
+
+def _daseinise_by_scan(poset, p):
+    """Reference for ``daseinise``: the least dominator of p in each context
+    by the oracle's scan, as a mask through ``_elem_mask``; None if a context
+    has none."""
+    bits = 0
+    for i, c in enumerate(poset.contexts):
+        e = _least_dominating(poset.structure, c, p)
+        if e is None:
+            return None
+        bits |= poset._elem_mask[i][e] << poset._offsets[i]
+    return bits
+
+
+def _daseinise_bits(poset, p):
+    try:
+        return daseinise(poset, p).bits
+    except NoLeastUpperWitness:
+        return None
+
+
+def test_references_catch_a_wrong_least_mask(monkeypatch):
+    """Subtraction, ``is_tight`` and ``daseinise`` read a coarse-graining as
+    its atom mask in ``_least``; the per-target loop, the check of every
+    inclusion and the dominator scan read ``_elem_mask`` and never
+    ``_least``.  So one wrong mask, the full one for the first atom of the
+    first context with a strict supercontext, makes each of them disagree
+    with production: on cabello18 and on a boolean:3 whose subcontext sorts
+    after its supercontext.  The operands are built before the mask goes
+    wrong."""
+    for poset in (_builtin("cabello18")[0], _boolean3_with_a_late_subcontext()):
+        points = range(poset.structure.n)
+        assert [_daseinise_bits(poset, p) for p in points] == [
+            _daseinise_by_scan(poset, p) for p in points]
+        pool = _base_operands(poset, _restriction(poset), random.Random(5))
+        j = min(k for k, up in enumerate(poset._above) if up)
+        key = next(key for key, m in poset._least[j].items() if m == 1)
+        least = list(poset._least)
+        least[j] = {**least[j], key: poset._full[j]}
+        monkeypatch.setattr(poset, "_least", tuple(least))
+        assert any(coheyting_subtract(s, t).bits != _subtract_by_targets(s, t)
+                   for s in pool for t in pool)
+        assert any(is_tight(s) != _tight_at_every_inclusion(s) for s in pool)
+        assert any(_daseinise_bits(poset, p) != _daseinise_by_scan(poset, p)
+                   for p in points)

@@ -449,7 +449,7 @@ class _SpreadReference(ContextPoset):
                 raise AssertionError(f"context {c.id!r} is not Boolean (bug)")
             rest = mine & ~3
             shift = (rest & -rest).bit_length() - 1
-            least.append({(up[e] & mine) >> shift: e for e in inverse})
+            least.append({(up[e] & mine) >> shift: m for m, e in enumerate(inverse)})
             elem_mask.append({e: m for m, e in enumerate(inverse)})
             mask_to_elem.append(inverse)
             elements.append(mine)

@@ -81,7 +81,11 @@ def _digest(st):
     poset = enumerate_contexts(st)
     text = [_structure_text(st), _canon([c.id for c in poset.contexts]),
             _canon(poset.contexts)]
-    text += [f"{name}={_canon(getattr(poset, name))}" for name in _POSET_TABLES]
+    # the pins hash each _least entry as the element its atom mask names
+    least = [{key: elems[m] for key, m in table.items()}
+             for table, elems in zip(poset._least, poset._mask_to_elem)]
+    text += [f"{name}={_canon(least if name == '_least' else getattr(poset, name))}"
+             for name in _POSET_TABLES]
     return hashlib.sha256("\n".join(text).encode()).hexdigest()
 
 
