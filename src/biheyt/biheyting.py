@@ -141,12 +141,4 @@ def is_tight(s: ClopenSubobject) -> bool:
 
     Tight subobjects are regular for both negations; the converse fails.
     """
-    poset, bits, up = s.poset, s.bits, s.poset.structure._up
-    offsets, full, least, elements, shift = (poset._offsets, poset._full, poset._least,
-                                             poset._elements, poset._shift)
-    for i in poset.maximal:
-        row = up[poset._mask_to_elem[i][(bits >> offsets[i]) & full[i]]]
-        for j in poset._below[i]:
-            if least[j][(row & elements[j]) >> shift[j]] != (bits >> offsets[j]) & full[j]:
-                return False
-    return True
+    return s.poset._is_tight(s.bits)

@@ -10,15 +10,14 @@ atoms and the int bitset of elements by which partitions are deduplicated.
 Context ids are the sorted atom labels joined with "|".  The spectrum of a
 context V is its atom set, and each P in V is the clopen set alpha_V(P) of
 the atoms of V below P.  Per context ``ContextPoset`` holds element <-> atom
-mask, from the walk unchecked or from the ``_down`` rows checked (see there
-why), and from the ``_up`` rows a map from the set of its elements above an
+mask and a map, which it alone reads, from the set of its elements above an
 element to that element's atom mask: one lookup finds the least element of
-V' above any P, the coarse-graining ``delta_global(V', P)``, as the mask the
-algebra ORs and compares; ``delta(V, V', P)`` is the same for P in V and
-V' <= V, and the restriction of an atom of V to V' is its coarse-graining.
-The inclusions come from per-element bitsets of the contexts holding each
-element, never from a test of every pair of contexts.  Scanning V' with
-``leq`` is left to the oracle, which checks against it.
+V' above any P, the coarse-graining ``delta_global(V', P)``.  For P in V and
+V' <= V ``delta(V, V', P)`` is the same, and the restriction of an atom of V
+to V' is its coarse-graining.  The inclusions come from per-element bitsets
+of the contexts holding each element, never from a test of every pair of
+contexts.  Scanning V' with ``leq`` is left to the oracle, which checks
+against it.
 """
 from __future__ import annotations
 
@@ -68,17 +67,19 @@ class ContextPoset:
     (``_up[e] & _elements[j]`` shifted down by ``_shift[j]``), to the atom
     mask of e.  The least element of j above any element p exists iff p's
     key is in the map, and the value is its mask: the coarse-graining of p,
-    and for an atom of V its restriction to V'; ``_least_above`` names it
-    by ``_mask_to_elem``.  ``_down_closure`` closes a packed set of points
-    by those lookups, ``_up_closure`` by the masks of its components'
-    elements, each over the span of its points in contexts with a neighbour
-    its way: ``_has_below`` packs the contexts with a strict subcontext,
+    and for an atom of V its restriction to V'.  Four methods alone read
+    ``_least``: ``_least_above`` names the element by ``_mask_to_elem``,
+    ``_is_tight`` and ``_monotone_witness`` compare a family's components
+    with it, and ``_down_closure`` closes a packed set of points by it;
+    ``_up_closure`` closes by the masks of its components' elements.  Each
+    closure walks the span of its points in contexts with a neighbour its
+    way: ``_has_below`` packs the contexts with a strict subcontext,
     ``_has_above`` those with a strict supercontext.  Other points add
     nothing, so with no inclusion a closure returns at once.  Entry b of
     ``_context_of`` is the context holding point b, so a closure reads the
     first and last context of its span at its lowest and highest point, one
-    index each; ``_every`` packs every point.  V' <= V iff V'
-    has no element outside V.  No pair is tested: each element gets a bitset
+    index each; ``_every`` packs every point.  V' <= V iff V' has no
+    element outside V.  No pair is tested: each element gets a bitset
     of the contexts holding it, and the AND of those over the elements of j
     is exactly j and its strict supercontexts.  The work still grows with n
     squared, over words rather than pairs.  Per inclusion the masks in V of
@@ -210,6 +211,27 @@ class ContextPoset:
         """The least element of context j above element p, if any."""
         m = self._least[j].get((self.structure._up[p] & self._elements[j]) >> self._shift[j])
         return None if m is None else self._mask_to_elem[j][m]
+
+    def _is_tight(self, bits: int) -> bool:
+        """``biheyting.is_tight`` of the packed subobject ``bits``."""
+        up, offsets, full, least, elements, shift = (
+            self.structure._up, self._offsets, self._full, self._least, self._elements, self._shift)
+        for i in self.maximal:
+            row = up[self._mask_to_elem[i][(bits >> offsets[i]) & full[i]]]
+            for j in self._below[i]:
+                if least[j][(row & elements[j]) >> shift[j]] != (bits >> offsets[j]) & full[j]:
+                    return False
+        return True
+
+    def _monotone_witness(self, masks: list[int]) -> tuple[int, int] | None:
+        """First inclusion pair (sub, super) violating monotonicity, if any."""
+        up, elements, shift, least = self.structure._up, self._elements, self._shift, self._least
+        for i, below in enumerate(self._below):
+            row = up[self._mask_to_elem[i][masks[i]]]
+            for j in below:
+                if least[j][(row & elements[j]) >> shift[j]] & ~masks[j]:
+                    return (j, i)
+        return None
 
     def _down_closure(self, bits: int) -> int:
         """``bits`` and the restrictions of its points to every subcontext."""

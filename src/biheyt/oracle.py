@@ -30,16 +30,16 @@ def brute_heyting_implies(s: ClopenSubobject, t: ClopenSubobject, *,
                           limits: Limits = DEFAULT_LIMITS) -> ClopenSubobject:
     """Join of every R with R ^ S <= T."""
     _same_poset(s, t)
-    return _brute_implies(s, t, _Columns(enumerate_subobjects(s.poset,
-                                                              limits=limits)))
+    cols = _Columns(enumerate_subobjects(s.poset, limits=limits))
+    return ClopenSubobject(s.poset, cols.implies(s.bits & ~t.bits))
 
 
 def brute_coheyting_subtract(s: ClopenSubobject, t: ClopenSubobject, *,
                              limits: Limits = DEFAULT_LIMITS) -> ClopenSubobject:
     """Meet of every R with S <= T v R."""
     _same_poset(s, t)
-    return _brute_subtract(s, t, _Columns(enumerate_subobjects(s.poset,
-                                                               limits=limits)))
+    cols = _Columns(enumerate_subobjects(s.poset, limits=limits))
+    return ClopenSubobject(s.poset, cols.subtract(s.bits & ~t.bits))
 
 
 def brute_negations(s: ClopenSubobject, *,
@@ -78,6 +78,16 @@ class _Columns:
                 self.has[b] |= int(rows[stride - 1 - b::stride], 2) << start
         self.lacks = [self.every ^ col for col in self.has]
 
+    def implies(self, gap: int) -> int:
+        """The brute S => T: the join, the points some R holds, of every R
+        avoiding the gap S ^ ~T."""
+        return self._any(self.has, self.avoiding(gap))
+
+    def subtract(self, gap: int) -> int:
+        """The brute S - T: the meet, the points every R holds, of every R
+        containing the gap S ^ ~T."""
+        return self._any(self.lacks, self.containing(gap)) ^ ((1 << len(self.has)) - 1)
+
     def avoiding(self, x: int) -> int:
         """The selection of every R with R & x == 0."""
         return self._all(self.lacks, x)
@@ -85,14 +95,6 @@ class _Columns:
     def containing(self, x: int) -> int:
         """The selection of every R that contains x."""
         return 0 if x >> len(self.has) else self._all(self.has, x)
-
-    def join(self, sel: int) -> int:
-        """The points some selected R holds."""
-        return self._any(self.has, sel)
-
-    def meet(self, sel: int) -> int:
-        """The points every selected R holds."""
-        return self._any(self.lacks, sel) ^ ((1 << len(self.has)) - 1)
 
     def _all(self, cols: list[int], x: int) -> int:
         """The selection in every column named by a point of x."""
@@ -113,23 +115,12 @@ class _Columns:
         return bits
 
 
-def _brute_implies(s: ClopenSubobject, t: ClopenSubobject,
-                   cols: _Columns) -> ClopenSubobject:
-    return ClopenSubobject(s.poset, cols.join(cols.avoiding(s.bits & ~t.bits)))
-
-
-def _brute_subtract(s: ClopenSubobject, t: ClopenSubobject,
-                    cols: _Columns) -> ClopenSubobject:
-    return ClopenSubobject(s.poset,
-                           cols.meet(cols.containing(s.bits & ~t.bits)))
-
-
 def _brute_negations(s: ClopenSubobject, cols: _Columns,
                      ) -> tuple[ClopenSubobject, ClopenSubobject]:
     poset = s.poset
     full = (1 << poset.total_bits) - 1
-    neg = cols.join(cols.avoiding(s.bits))
-    coneg = cols.meet(cols.containing(full ^ s.bits))
+    neg = cols.implies(s.bits)
+    coneg = cols.subtract(full ^ s.bits)
     if neg & s.bits or (coneg | s.bits) != full:
         raise AssertionError("extremal scan produced a non-witness (bug)")
     return ClopenSubobject(poset, neg), ClopenSubobject(poset, coneg)
@@ -204,8 +195,8 @@ def check_adjunctions(poset: ContextPoset, *,
         s_bits = s.bits
         for ti, t in enumerate(subs):
             gap = s_bits & outside[ti]
-            brute_i, brute_d = by_gap.get(gap) or by_gap.setdefault(gap, (
-                cols.join(cols.avoiding(gap)), cols.meet(cols.containing(gap))))
+            brute_i, brute_d = by_gap.get(gap) or by_gap.setdefault(
+                gap, (cols.implies(gap), cols.subtract(gap)))
             i_bits, d_bits = impl(s, t).bits, sub(s, t).bits
             if i_bits == brute_i and d_bits == brute_d:
                 continue

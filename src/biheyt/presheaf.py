@@ -188,17 +188,6 @@ def alpha_inv(poset: ContextPoset, ctx, atoms: Iterable[int | str]) -> int:
 # -- subobjects -----------------------------------------------------------------
 
 
-def _monotone_witness(poset: ContextPoset, masks: list[int]) -> tuple[int, int] | None:
-    """First inclusion pair (sub, super) violating monotonicity, if any."""
-    up, elements, shift, least = poset.structure._up, poset._elements, poset._shift, poset._least
-    for i, below in enumerate(poset._below):
-        row = up[poset._mask_to_elem[i][masks[i]]]
-        for j in below:
-            if least[j][(row & elements[j]) >> shift[j]] & ~masks[j]:
-                return (j, i)
-    return None
-
-
 def make_subobject(poset: ContextPoset, family: Mapping) -> ClopenSubobject:
     """Assemble and check a projection family.
 
@@ -221,7 +210,7 @@ def make_subobject(poset: ContextPoset, family: Mapping) -> ClopenSubobject:
     for i, m in enumerate(masks):
         if m is None:
             raise UsageError(f"context {poset.contexts[i].id!r} not assigned")
-    witness = _monotone_witness(poset, masks)
+    witness = poset._monotone_witness(masks)
     if witness is not None:
         j, i = witness
         raise NotASubobject(

@@ -13,7 +13,9 @@ upwards or downwards with the poset's two closures; here they are compared with 
 gap's pullbacks from below or its images from above.  Those loops read
 neither closure of ``ContextPoset`` nor its masks: with a closure patched to
 skip one context, or a mask to drop one context's points, they and the
-reference enumeration walk disagree with production.  With one entry of
+reference enumeration walk disagree with production; a down-closure that
+skips a context also breaks daseinisation, the closure of its components at
+the maximal contexts, against the oracle's dominator scan.  With one entry of
 ``_least`` set to a wrong atom mask, the subtraction loop, the ``is_tight``
 reference and a daseinisation by the oracle's dominator scan disagree too.
 """
@@ -324,8 +326,10 @@ def test_references_catch_a_closure_that_skips_a_context(
     that leaves out the points of one context with a neighbour its way, or
     a table that starts a span one context late, makes them disagree with
     production: on cabello18's operands, and on the
-    enumeration of a boolean:3.  ``check laws --oracle`` cannot stand in
-    for them, since its enumeration is built from the same closures."""
+    enumeration of a boolean:3.  A down-closure that skips a context also
+    makes ``daseinise`` disagree with the dominator scan on both posets.
+    ``check laws --oracle`` cannot stand in for them, since its enumeration
+    is built from the same closures."""
     poset, restr = _builtin("cabello18")
     pool = _base_operands(poset, restr, random.Random(5))
     small = _boolean3_with_a_late_subcontext()
@@ -345,6 +349,10 @@ def test_references_catch_a_closure_that_skips_a_context(
                             _skipping(getattr(ContextPoset, name), skipped))
     assert any(op(s, t).bits != reference(s, t) for s in pool for t in pool)
     assert [s.bits for s in enumerate_subobjects(small)] != _reference_walk(small)
+    if name == "_down_closure":   # daseinise closes its maximal components
+        for p in (poset, small):
+            assert any(_daseinise_bits(p, e) != _daseinise_by_scan(p, e)
+                       for e in range(p.structure.n))
 
 
 def _daseinise_by_scan(poset, p):

@@ -25,8 +25,7 @@ from biheyt import (ClopenSubobject, ContextPoset, Limits, SizeGuard, bottom,
                     heyting_implies, heyting_not, top)
 from biheyt import biheyting, oracle
 from biheyt.cli import run
-from biheyt.oracle import (AdjunctionReport, _brute_implies, _brute_negations,
-                           _brute_subtract, _Columns)
+from biheyt.oracle import AdjunctionReport, _brute_negations, _Columns
 
 from test_oml import tree_pasting
 from test_presheaf import context_subposet
@@ -162,8 +161,8 @@ def _column_scans_match_the_row_scans(poset):
     for s in subs:
         assert _brute_negations(s, cols) == _row_negations(s, subs)
         for t in subs:
-            assert _brute_implies(s, t, cols) == _row_implies(s, t, subs)
-            assert _brute_subtract(s, t, cols) == _row_subtract(s, t, subs)
+            assert cols.implies(s.bits & ~t.bits) == _row_implies(s, t, subs).bits
+            assert cols.subtract(s.bits & ~t.bits) == _row_subtract(s, t, subs).bits
 
 
 @pytest.mark.parametrize("name", ["boolean:3", "mo:3"])
@@ -217,8 +216,8 @@ def test_production_matches_oracle_on_all_pairs(boolean3_subs, mo2_subs):
         cols = _Columns(subs)
         for s in subs:
             for t in subs:
-                assert heyting_implies(s, t) == _brute_implies(s, t, cols)
-                assert coheyting_subtract(s, t) == _brute_subtract(s, t, cols)
+                assert heyting_implies(s, t).bits == cols.implies(s.bits & ~t.bits)
+                assert coheyting_subtract(s, t).bits == cols.subtract(s.bits & ~t.bits)
 
 
 def test_brute_scans_over_one_enumeration_match_the_public_ops(boolean3_subs,
@@ -234,9 +233,9 @@ def test_brute_scans_over_one_enumeration_match_the_public_ops(boolean3_subs,
         for s in subs:
             assert _brute_negations(s, cols) == brute_negations(s)
         for s, t in pairs:
-            assert _brute_implies(s, t, cols) == brute_heyting_implies(s, t)
-            assert (_brute_subtract(s, t, cols)
-                    == brute_coheyting_subtract(s, t))
+            assert cols.implies(s.bits & ~t.bits) == brute_heyting_implies(s, t).bits
+            assert (cols.subtract(s.bits & ~t.bits)
+                    == brute_coheyting_subtract(s, t).bits)
 
 
 def test_production_negations_match_oracle(boolean3_subs, mo2_subs):
@@ -293,10 +292,10 @@ def test_bits_outside_the_poset_are_scanned_like_the_rows(mo2_poset, mo2_subs):
                                            coheyting_sub=lambda s, u: odd)
         assert report.counterexample["law"] == "coheyting"
         for s in mo2_subs:
-            assert (_brute_subtract(odd, s, cols)
-                    == _row_subtract(odd, s, mo2_subs))
-            assert (_brute_implies(odd, s, cols)
-                    == _row_implies(odd, s, mo2_subs))
+            assert (cols.subtract(odd.bits & ~s.bits)
+                    == _row_subtract(odd, s, mo2_subs).bits)
+            assert (cols.implies(odd.bits & ~s.bits)
+                    == _row_implies(odd, s, mo2_subs).bits)
 
 
 def _assert_one_mismatch(report, op, at):
@@ -514,7 +513,18 @@ def test_check_laws_with_oracle_is_one_pass(capsys, monkeypatch):
 # _least maps to atom masks, as _elem_mask does, so the oracle reads neither
 _PRODUCTION_TABLES = {"_least", "_elem_mask", "_shift", "_least_above", "_below",
                       "_above", "_down_closure", "_up_closure", "_has_below",
-                      "_has_above", "_context_of"}
+                      "_has_above", "_context_of", "_is_tight", "_monotone_witness"}
+
+
+def _names(path):
+    """Every name, attribute and imported name in a module's source."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    used |= {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return used
 
 
 def test_oracle_reads_no_production_tables():
@@ -522,14 +532,22 @@ def test_oracle_reads_no_production_tables():
     attribute in its source is one of the production tables or the helpers
     that read them.  Whole identifiers are matched, so ``meet_below`` is
     fine."""
-    path = Path(oracle.__file__)
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used |= {node.attr for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute)}
-    used |= {alias.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert not used & _PRODUCTION_TABLES
+    assert not _names(Path(oracle.__file__)) & _PRODUCTION_TABLES
+
+
+def test_only_the_context_poset_reads_its_coarse_graining_table():
+    """The coarse-graining map ``_least``, its key shift and the element
+    bitsets its keys are cut from are read in ``contexts.py`` alone, and
+    the ``_up`` rows that key it only there and in ``oml.py``, which builds
+    them; so a change of the table's format touches one module."""
+    modules = sorted(Path(oracle.__file__).parent.glob("*.py"))
+    assert {path.name for path in modules} >= {"contexts.py", "oml.py", "presheaf.py"}
+    for path in modules:
+        used = _names(path)
+        if path.name != "contexts.py":
+            assert not used & {"_least", "_shift", "_elements"}, path.name
+            if path.name != "oml.py":
+                assert "_up" not in used, path.name
 
 
 # the atom labels the laws_oracle benchmark samples from

@@ -21,7 +21,6 @@ from biheyt import (BiheytError, ClopenSubobject, NotASubobject,
                     SpectrumPoint, UsageError, alpha_inv, builtin_structure,
                     daseinise, delta, delta_global, enumerate_contexts,
                     from_greechie, make_subobject, restrict, spectrum)
-from biheyt.presheaf import _monotone_witness
 
 from test_contexts import BUILTINS, FOUR_LOOP, TRIANGLE, restriction_maps
 from test_oml import PENTAGON, tree_pasting
@@ -279,7 +278,7 @@ def _families(draw):
 
 
 def _same_witness(poset, masks):
-    assert _monotone_witness(poset, masks) == _witness_ref(poset, masks)
+    assert poset._monotone_witness(masks) == _witness_ref(poset, masks)
     labels = poset.structure.labels
     family = {c.id: labels[poset._mask_to_elem[i][masks[i]]]
               for i, c in enumerate(poset.contexts)}
