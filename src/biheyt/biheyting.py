@@ -2,7 +2,7 @@
 
 Meet and join are stagewise set operations on the spectra, so on the packed
 representation they are single int ops.  The two negations have closed local
-forms:
+forms (the tested reference; a double negation composes two negations):
 
 * Heyting: ``heyting_not`` is implication into the bottom.  Its component at
   V is the complement in V of the join of the pullbacks of S from the minimal

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import groupby, product
 from math import prod
@@ -243,13 +244,12 @@ def enumerate_subobjects(poset: ContextPoset, *,
     supercontext, so once every context is assigned the lower bound is the
     subobject.  Both updates are lookups in tables built per call for every
     mask m of j from the poset's closures, cut to the contexts from j on.
-    Only monotone
-    families are generated, and no branch dead-ends: restrictions compose,
-    so for assigned W >= V >= V' the image of the component at W already
-    lies in the pullback of the one at V'.  The walk is depth-first on an
-    explicit stack, so no number of contexts meets the recursion limit: a
-    context with one choice is assigned in place, and one with more pushes
-    a frame of its bounds and remaining masks.
+    Only monotone families are generated, and no branch dead-ends:
+    restrictions compose, so for assigned W >= V >= V' the image of the
+    component at W already lies in the pullback of the one at V'.  The walk
+    is depth-first on an explicit stack, so no number of contexts meets the
+    recursion limit: a context with one choice is assigned in place, and one
+    with more pushes a frame of its bounds and remaining masks.
 
     The tail of the walk from the cut context k, the first one from which
     at most ``_CUT_POINTS`` spectrum points remain (the last context if
@@ -272,31 +272,43 @@ def enumerate_subobjects(poset: ContextPoset, *,
     setting the slots with no ``__init__`` call; ``biheyt enumerate``
     without ``--list`` sums the batch lengths and builds none.
 
-    The cyclic collector is paused while the tuple is built, and only then,
-    and the caller's setting restored after it, also on an error.  The walk
-    creates no reference cycles, so a collection during it could only
-    traverse the growing result and free nothing; paused, the result costs
-    its allocations alone, and dropping it frees it by reference counting.
-    The pause is process-wide, so it is not safe across threads: a walk
-    running beside another thread's ``gc.disable()`` or ``gc.enable()`` may
-    undo that call when it ends.
+    The collector is paused while the tuple is built, and the caller's
+    setting restored after it, also on an error.  The walk makes no cycles,
+    so no collection over the result could free anything: if the collector
+    is on, nothing is frozen and the result may outgrow the young generation
+    (2**``total_bits`` > ``gc.get_threshold()[0]``), the young generations
+    are collected first, and ``gc.freeze()`` with ``gc.unfreeze()`` then
+    moves every tracked object to the oldest one unexamined.  The pause is
+    process-wide: not thread-safe.
     """
     out: list[ClopenSubobject] = []
     append, new, cls = out.append, object.__new__, ClopenSubobject
     set_poset, set_bits = _set_poset, _set_bits
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_paused(poset):
         for lower, batch in _subobject_batches(poset, limits):
             for b in batch:
                 s = new(cls)
                 set_poset(s, poset)
                 set_bits(s, lower | b)
                 append(s)
+        return tuple(out)
+
+
+@contextmanager
+def _collector_paused(poset: ContextPoset):
+    """The collector pause that ``enumerate_subobjects`` describes."""
+    collecting, big = gc.isenabled(), 1 << poset.total_bits > gc.get_threshold()[0]
+    if promote := collecting and big and not gc.get_freeze_count():
+        gc.collect(1)
+    gc.disable()
+    try:
+        yield
     finally:
+        if promote:
+            gc.freeze()
+            gc.unfreeze()
         if collecting:
             gc.enable()
-    return tuple(out)
 
 
 def _subobject_batches(poset: ContextPoset, limits: Limits):
@@ -397,11 +409,11 @@ def global_sections(poset: ContextPoset, *,
     ``SizeGuard`` before any ``GlobalSection`` is built.  ``biheyt
     sections`` without ``--list`` only counts the states of each run, so it
     keeps and decodes none.  An empty result is a Kochen-Specker style
-    obstruction.
+    obstruction.  It pauses the collector as ``enumerate_subobjects`` does.
     """
-    runs = _section_rows(poset, limits)
-    return tuple(GlobalSection(poset, sum(parts, ()))
-                 for parts in product(*[rows for _, rows in runs]))
+    with _collector_paused(poset):
+        return tuple(GlobalSection(poset, sum(parts, ())) for parts in
+                     product(*[rows for _, rows in _section_rows(poset, limits)]))
 
 
 def _section_runs(poset: ContextPoset) -> list[tuple[range, tuple[int, ...]]]:

@@ -552,6 +552,125 @@ def test_enumeration_restores_the_collector_setting(boolean3_poset,
         (gc.enable if before else gc.disable)()
 
 
+# Each bulk producer, the walk it builds from, the structure it runs on
+# (4,096 subobjects of mo:6, 4,096 sections of mo:12) and limits it trips.
+BULK_BUILDS = {
+    "enumerate": (enumerate_subobjects, "_subobject_batches", ("mo", 6),
+                  Limits(max_subobjects=40)),
+    "sections": (global_sections, "_section_rows", ("mo", 12),
+                 Limits(search_budget=17)),
+}
+
+
+class _Node:
+    """A weakly referenceable object, to build a cycle from."""
+
+
+def _in_generation(obj, generation: int) -> bool:
+    return any(o is obj for o in gc.get_objects(generation=generation))
+
+
+def _watch(started: list, gate=None):
+    """A ``gc.callbacks`` entry that appends the generation of every
+    collection that starts, while ``gate`` is non-empty if one is given."""
+    def watch(phase, info):
+        if phase == "start" and (gate is None or gate):
+            started.append(info["generation"])
+    return watch
+
+
+@pytest.mark.parametrize("build", BULK_BUILDS)
+def test_bulk_build_skips_the_young_collections(build, monkeypatch):
+    """With the collector on, no collection starts once the build has
+    begun, the result ends in the oldest generation, and a cycle the caller
+    dropped just before the call is still reclaimed."""
+    produce, walk_name, spec, _ = BULK_BUILDS[build]
+    poset = enumerate_contexts(generate(*spec))
+    walk = getattr(presheaf, walk_name)
+    building, started = [], []
+    watch = _watch(started, building)
+
+    def watched_walk(*args):
+        building.append(True)
+        return walk(*args)
+
+    monkeypatch.setattr(presheaf, walk_name, watched_walk)
+    before = gc.isenabled()
+    gc.enable()
+    gc.collect()   # zero the young counts: a young pass leaves objects younger
+    gc.callbacks.append(watch)
+    try:
+        cycle = _Node()
+        cycle.self = cycle
+        dropped = weakref.ref(cycle)
+        del cycle
+        result = produce(poset)
+        assert len(result) == 4096 and building
+        assert _in_generation(result[0], 2) and _in_generation(result[-1], 2)
+        assert dropped() is None
+        assert started == []
+    finally:
+        gc.callbacks.remove(watch)
+        (gc.enable if before else gc.disable)()
+
+
+def test_bulk_build_too_small_to_outgrow_the_young_generation_stays_young(
+        boolean3_poset):
+    """boolean:3 has 2**9 sets of points, no more than the young threshold,
+    so neither producer collects or promotes: its result stays young."""
+    poset = boolean3_poset
+    assert 1 << poset.total_bits <= gc.get_threshold()[0]
+    started = []
+    watch = _watch(started)
+    before = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(watch)
+    try:
+        for produce in (enumerate_subobjects, global_sections):
+            gc.collect()
+            started.clear()
+            result = produce(poset)
+            assert started == []
+            assert not _in_generation(result[0], 2)
+    finally:
+        gc.callbacks.remove(watch)
+        (gc.enable if before else gc.disable)()
+
+
+@pytest.mark.parametrize("caller", ["on", "off", "frozen"])
+@pytest.mark.parametrize("build", BULK_BUILDS)
+def test_bulk_build_leaves_the_caller_collector_state(build, caller):
+    """The collector setting and the frozen count are as the caller left
+    them, after a result and after a tripped guard; what the caller froze
+    stays frozen, and with the collector off nothing is collected."""
+    produce, _, spec, tight = BULK_BUILDS[build]
+    poset = enumerate_contexts(generate(*spec))
+    before = gc.isenabled()
+    marker = _Node()
+    started = []
+    watch = _watch(started)
+    (gc.disable if caller == "off" else gc.enable)()
+    if caller == "frozen":
+        gc.freeze()
+    frozen = gc.get_freeze_count()
+    gc.callbacks.append(watch)
+    try:
+        assert len(produce(poset)) == 4096
+        assert (gc.isenabled(), gc.get_freeze_count()) == (caller != "off", frozen)
+        with pytest.raises(SizeGuard):
+            produce(poset, limits=tight)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (caller != "off", frozen)
+        if caller == "frozen":
+            assert not any(_in_generation(marker, g) for g in range(3))
+        if caller == "off":
+            assert started == []
+    finally:
+        gc.callbacks.remove(watch)
+        if caller == "frozen":
+            gc.unfreeze()
+        (gc.enable if before else gc.disable)()
+
+
 def test_restriction_image_agrees_with_coarse_graining(boolean3_poset,
                                                        boolean3_subs):
     poset = boolean3_poset
