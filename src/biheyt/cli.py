@@ -3,12 +3,13 @@
 Reads a structure from ``--input FILE`` or ``--builtin NAME``, dispatches one
 subcommand, and writes canonical JSON (or DOT) to stdout or ``--output``.
 Exit codes: 0 success, 1 validation error, 2 size guard tripped, 3 usage
-error (bad flags, unreadable file, malformed JSON).  Failures are reported as
-one-line JSON objects on stderr.
+error (bad flags, unreadable file, malformed JSON, a failed write to stdout
+or ``--output``).  Failures are reported as one-line JSON objects on stderr.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -276,9 +277,9 @@ def _fragments(poset, elements) -> list[list[str]]:
     canonical JSON of a row's mapping is ``{``, its contexts' fragments
     joined by commas in index order, and ``}``."""
     labels = poset.structure.labels
-    dump = functools.cache(json.dumps)   # an element recurs across contexts
+    dump = functools.cache(canonical_json)  # elements recur across contexts
     return [[head + dump(labels[e]) for e in elems] for head, elems
-            in zip([json.dumps(c.id) + ":" for c in poset.contexts], elements)]
+            in zip([canonical_json(c.id) + ":" for c in poset.contexts], elements)]
 
 
 def _listing(key: str, count: int, chunks: Iterable[str]) -> Iterator[str]:
@@ -348,20 +349,24 @@ _COMMANDS = {
 
 
 def _emit(out: "str | Iterable[str]", output: "str | None") -> None:
-    """Write a command's text, or a listing's chunks as they come, to stdout
-    or to ``output``, ending with one newline."""
-    if isinstance(out, str):
-        out = (out.removesuffix("\n"),)
-    chunks = itertools.chain(out, ("\n",))
-    if output is None:
-        sys.stdout.writelines(chunks)
-        return
+    """Write a command's text, or a listing's chunks as they come, and one
+    newline to stdout or ``output``; a failed write raises ``UsageError``."""
+    out = (out.removesuffix("\n"),) if isinstance(out, str) else out
     try:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        if output is None and sys.stdout is None:
+            raise OSError("stdout is closed")
+        with (contextlib.nullcontext(sys.stdout) if output is None
+              else open(output, "w", encoding="utf-8")) as fh:
+            fh.writelines(itertools.chain(out, ("\n",)))
+            fh.flush()
     except OSError as exc:
-        raise UsageError(f"cannot write {output}: {exc.strerror or exc}",
-                         path=output) from None
+        if output is None and sys.stdout is sys.__stdout__ is not None:
+            # the interpreter flushes its stdout again at exit: into nothing
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        path = "<stdout>" if output is None else output
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}",
+                         path=path) from None
 
 
 def run(argv=None) -> int:

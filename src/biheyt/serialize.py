@@ -1,8 +1,8 @@
 """Input parsing, canonical JSON output, and DOT export.
 
-All JSON is emitted with sorted keys and compact separators so repeated runs
-are byte-identical.  Subobject files are plain objects mapping context id to
-element label; re-ingesting an emitted file reproduces the subobject exactly.
+All JSON goes through one ``json.JSONEncoder``, ``canonical_json``: sorted
+keys, compact separators, so repeated runs are byte-identical.  Subobject
+files map context id to element label; re-ingesting one reproduces it exactly.
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ from .oml import OrthoStructure, generate
 from .presheaf import ClopenSubobject, make_subobject
 
 
-def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# the package's one JSON encoder
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def builtin_structure(spec: str, *, limits: Limits = DEFAULT_LIMITS) -> OrthoStructure:

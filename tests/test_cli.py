@@ -5,11 +5,14 @@ canonical JSON (or DOT) with a trailing newline, errors must be one-line JSON
 objects on stderr with the documented exit codes.
 """
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -23,10 +26,9 @@ from biheyt import (DEFAULT_LIMITS, BiheytError, ContextPoset, Limits,
                     global_sections, presheaf)
 from biheyt.cli import run
 
-from test_oml import PENTAGON, chain_pasting, tree_pasting
-from test_presheaf import THREE_CHAIN
+from support import (DAS_P, O6, PENTAGON, THREE_CHAIN, _dump_explicit,
+                     chain_pasting, tree_pasting)
 
-DAS_P = {"p+q|r": "p+q", "p+r|q": "p+r", "p|q+r": "p", "p|q|r": "p"}
 DAS_Q = {"p+q|r": "p+q", "p+r|q": "q", "p|q+r": "q+r", "p|q|r": "q"}
 NOT_DAS_P = {"p+q|r": "r", "p+r|q": "q", "p|q+r": "q+r", "p|q|r": "0"}
 CONOT_DAS_P = {"p+q|r": "1", "p+r|q": "1", "p|q+r": "q+r", "p|q|r": "q+r"}
@@ -39,23 +41,6 @@ LAWS_MO2_ORACLE = ('{"adjunctions":{"counterexample":null,"passed":true,'
                    '"subobjects":16,"triples":4096},'
                    '"oracle":{"first_mismatch":null,"mismatches":0,'
                    '"negation_checks":32,"pair_checks":512,"passed":true}}')
-
-# hexagon: 0 < a < b < 1 and 0 < b' < a' < 1, which breaks orthomodularity
-# (a <= b but a v (a' ^ b) = a)
-O6 = {
-    "format": "oml-explicit",
-    "elements": ["0", "a", "b", "b'", "a'", "1"],
-    "leq": [["0", "a"], ["a", "b"], ["b", "1"],
-            ["0", "b'"], ["b'", "a'"], ["a'", "1"]],
-    "ortho": {"0": "1", "1": "0", "a": "a'", "a'": "a", "b": "b'", "b'": "b"},
-}
-
-
-def _explicit_dump(structure):
-    labs = structure.labels
-    return {"format": "oml-explicit", "elements": list(labs),
-            "leq": [[a, b] for a in labs for b in labs if structure.leq(a, b)],
-            "ortho": {a: structure.label(structure.ortho_of(a)) for a in labs}}
 
 
 def _run(capsys, *argv):
@@ -110,7 +95,7 @@ def test_contexts_and_spectrum(capsys):
 
 def test_negation_pipeline(capsys, tmp_path):
     structure_file = _jfile(tmp_path, "boolean3.json",
-                            _explicit_dump(generate("boolean", 3)))
+                            _dump_explicit(generate("boolean", 3)))
     das_file = str(tmp_path / "das_p.json")
     code, out, _ = _run(capsys, "das", "--input", structure_file,
                         "--element", "p", "--output", das_file)
@@ -512,6 +497,69 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     assert payload["message"].startswith(f"cannot write {path}: ")
 
 
+class _FailingStdout(io.StringIO):
+    """A stdout whose every write raises ``error``."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--builtin", "boolean:3"),
+    ("enumerate", "--list", "--builtin", "mo:2")], ids=["text", "listing"])
+@pytest.mark.parametrize("stdout", [
+    _FailingStdout(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))),
+    _FailingStdout(BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))),
+    None], ids=["full-disk", "closed-pipe", "closed"])
+def test_unwritable_stdout_is_a_usage_error(argv, stdout):
+    """A failed write to stdout takes the path of a failed ``--output``:
+    exit 3 and one JSON line on stderr that names stdout."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    assert code == 3 and err.getvalue().count("\n") == 1
+    payload = json.loads(err.getvalue())
+    assert payload["error"] == "UsageError"
+    assert payload["details"] == {"path": "<stdout>"}
+    assert payload["message"].startswith("cannot write <stdout>: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("stdout", ["full-disk", "closed-pipe", "closed"])
+def test_unwritable_stdout_exits_3_in_a_fresh_process(stdout):
+    """In a process of its own, with stdout block-buffered as it is by
+    default, a full disk, a pipe with no reader and a closed stdout each
+    exit 3 with one stderr line: no traceback, and nothing more when the
+    interpreter flushes stdout at exit."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        str(pathlib.Path(cli.__file__).parents[1]), env.get("PYTHONPATH"))))
+    argv = [sys.executable, "-m", "biheyt.cli", "validate", "--builtin",
+            "boolean:3"]
+    if stdout == "full-disk":
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE,
+                                  env=env)
+    elif stdout == "closed-pipe":
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            proc = subprocess.run(argv, stdout=writer, stderr=subprocess.PIPE,
+                                  env=env)
+        finally:
+            os.close(writer)
+    else:
+        proc = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *argv],
+                              stderr=subprocess.PIPE, env=env)
+    err = proc.stderr.decode()
+    assert proc.returncode == 3 and err.count("\n") == 1, err
+    assert json.loads(err)["details"] == {"path": "<stdout>"}
+
+
 @pytest.mark.parametrize("command", [
     ("enumerate", "--list", "--builtin", "boolean:3"),
     ("sections", "--list", "--builtin", "mo:2")])
@@ -600,7 +648,7 @@ def test_subobject_values_must_be_labels(capsys, tmp_path, value):
 @pytest.mark.parametrize("slot", ["leq", "ortho"])
 @pytest.mark.parametrize("value", [["a"], {"a": "b"}, None, 2])
 def test_explicit_input_takes_labels_only(capsys, tmp_path, slot, value):
-    raw = _explicit_dump(generate("mo", 2))
+    raw = _dump_explicit(generate("mo", 2))
     if slot == "leq":
         raw["leq"][3] = [raw["leq"][3][0], value]
     else:
@@ -631,7 +679,7 @@ def test_random_json_values_never_escape_run(slot, value, where):
         raw[sorted(raw)[where % 2]] = value
         argv = ["op", "not", "--builtin", "mo:2", "--subobject"]
     else:
-        raw = _explicit_dump(mo2)
+        raw = _dump_explicit(mo2)
         if slot == "leq":
             pair = raw["leq"][where % len(raw["leq"])]
             pair[where % 2] = value

@@ -35,9 +35,8 @@ from biheyt import (LATTICE, ContextPoset, NoLeastUpperWitness, alpha_inv,
                     restriction_image_projection, spectrum, top, validate)
 from biheyt.oracle import _least_dominating
 
-from test_contexts import restriction_maps
-from test_oml import PENTAGON, _dump_explicit, tree_pasting
-from test_presheaf import _reference_walk
+from support import (PENTAGON, _dump_explicit, _reference_walk,
+                     restriction_maps, tree_pasting)
 
 
 @functools.cache

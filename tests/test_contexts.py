@@ -18,8 +18,8 @@ from biheyt.contexts import _contexts
 from biheyt.oracle import _least_dominating
 from biheyt.serialize import _covers_up
 
-from test_oml import (FOUR_LOOP, PENTAGON, TRIANGLE, _dump_explicit,
-                      chain_pasting, tree_pasting)
+from support import (BUILTINS, FOUR_LOOP, PENTAGON, TRIANGLE, _dump_explicit,
+                     chain_pasting, restriction_maps, tree_pasting)
 
 BOOLEAN3_IDS = ["p+q|r", "p+r|q", "p|q+r", "p|q|r"]
 MO2_IDS = ["a|a'", "b|b'"]
@@ -28,10 +28,6 @@ MO2_IDS = ["a|a'", "b|b'"]
 # below exactly the two block contexts that contain the atom.
 SHARED_ATOM_CTX = "0001|0010+1100+1m00"
 SHARED_ATOM_BLOCKS = ["0001|0010|1100|1m00", "0001|0100|1010|10m0"]
-
-BUILTINS = ["boolean:2", "boolean:3", "boolean:4", "boolean:5", "boolean:6",
-            "boolean:7", "boolean:8", "mo:1", "mo:2", "mo:5", "mo:12", "mo:26",
-            "cabello18"]
 
 
 def _bell(n):
@@ -146,19 +142,6 @@ def test_inclusion_matches_element_subsets(boolean4_poset, cabello18_poset):
 
 def _bits(mask):
     return [p for p in range(mask.bit_length()) if (mask >> p) & 1]
-
-
-def restriction_maps(poset, i, j):
-    """The reference restriction along the inclusion j <= i, from the masks
-    in i of the atoms of j alone: (image, pullback).  ``image(m)`` is the
-    mask of the atoms of j that the atoms of i in mask m restrict to, and
-    ``pullback(m)`` the mask of the atoms of i that restrict into mask m of
-    j; atom p of i restricts to the atom of j whose mask in i holds p.  The
-    tests hold the closures of ``ContextPoset`` to it, so it reads neither
-    ``_least`` nor a closure."""
-    back = [poset._elem_mask[i][b] for b in poset.contexts[j].atoms]
-    return (lambda m: sum(1 << q for q, x in enumerate(back) if x & m),
-            lambda m: sum(x for q, x in enumerate(back) if m >> q & 1))
 
 
 def _assert_restriction_maps(poset, restr):

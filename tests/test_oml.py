@@ -14,24 +14,8 @@ from biheyt import (DegenerateStructure, InconsistentIdentification, Limits,
                     from_greechie, generate, validate)
 from biheyt.oml import _order
 
-# Benzene ring O6: two chains 0 < a < b < 1 and 0 < b' < a' < 1 with a/a',
-# b/b' complementary.  It is an ortholattice but not orthomodular.
-O6 = {
-    "format": "oml-explicit",
-    "elements": ["0", "a", "b", "b'", "a'", "1"],
-    "leq": [["0", "a"], ["a", "b"], ["b", "1"], ["0", "b'"], ["b'", "a'"],
-            ["a'", "1"]],
-    "ortho": {"0": "1", "1": "0", "a": "a'", "a'": "a", "b": "b'", "b'": "b"},
-}
-
-
-def _dump_explicit(structure):
-    """Re-export a structure in the explicit input format (full relation)."""
-    labs = structure.labels
-    pairs = [[a, b] for a in labs for b in labs if structure.leq(a, b)]
-    ortho = {a: structure.label(structure.ortho_of(a)) for a in labs}
-    return {"format": "oml-explicit", "elements": list(labs), "leq": pairs,
-            "ortho": ortho}
+from support import (FOUR_LOOP, O6, PENTAGON, TRIANGLE, _dump_explicit,
+                     chain_pasting, tree_pasting)
 
 
 def test_boolean2_is_smallest_lattice(boolean2):
@@ -532,26 +516,8 @@ def test_canonical_element_order(boolean3):
     assert list(boolean3.labels[2:]) == sorted(boolean3.labels[2:])
 
 
-# Tree pastings (blocks of >= 3 atoms chained by single shared atoms, no
-# loops) are orthomodular lattices; re-validating the explicit dump must
-# agree on kind and blocks.  Two-atom blocks cannot be chained: the shared
-# atom's complement would identify the leftover atom with a join of the
-# other block, collapsing the block into it.
-@st.composite
-def tree_pasting(draw):
-    n_blocks = draw(st.integers(min_value=1, max_value=3))
-    if n_blocks == 1:
-        return [[f"a{i}" for i in range(draw(st.integers(2, 4)))]]
-    sizes = [draw(st.integers(min_value=3, max_value=4))
-             for _ in range(n_blocks)]
-    fresh = iter(f"a{i}" for i in range(20))
-    blocks = [[next(fresh) for _ in range(sizes[0])]]
-    for size in sizes[1:]:
-        shared = draw(st.sampled_from(blocks[-1]))
-        blocks.append([shared] + [next(fresh) for _ in range(size - 1)])
-    return blocks
-
-
+# Re-validating the explicit dump of a tree pasting must agree on kind
+# and blocks.
 @given(tree_pasting())
 @settings(max_examples=40, deadline=None)
 def test_tree_pastings_validate_and_round_trip(blocks):
@@ -563,25 +529,6 @@ def test_tree_pastings_validate_and_round_trip(blocks):
     _assert_explicit_dump_matches(st1)
     _assert_build_matches_the_reference(_dump_explicit(st1))
     _assert_commutes_is_the_lattice_formula(st1)
-
-
-# Five three-atom blocks in a loop: 15 contexts, 11 global sections.
-PENTAGON = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"],
-            ["g", "h", "i"], ["i", "j", "a"]]
-
-# Four three-atom blocks in a loop: a pasting with missing bounds.
-FOUR_LOOP = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"], ["g", "h", "a"]]
-
-# Three three-atom blocks in a loop: each atom shared by two blocks is
-# orthogonal to both shared atoms of the third block, so it has no least
-# dominator there, as "0100" has none in a block of cabello18.
-TRIANGLE = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "a"]]
-
-
-def chain_pasting(blocks):
-    """A chain pasting of three-atom blocks, each sharing one atom with the
-    next; the labels sort along the chain."""
-    return [[f"x{k:04d}", f"y{k:04d}", f"x{k + 1:04d}"] for k in range(blocks)]
 
 
 def test_the_chain_pasting_matches_the_blocks_found_from_its_order():

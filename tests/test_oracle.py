@@ -27,8 +27,7 @@ from biheyt import biheyting, oracle
 from biheyt.cli import run
 from biheyt.oracle import AdjunctionReport, _brute_negations, _Columns
 
-from test_oml import tree_pasting
-from test_presheaf import context_subposet
+from support import context_subposet, tree_pasting
 
 
 def _row_implies(s, t, subs):
@@ -548,6 +547,19 @@ def test_only_the_context_poset_reads_its_coarse_graining_table():
             assert not used & {"_least", "_shift", "_elements"}, path.name
             if path.name != "oml.py":
                 assert "_up" not in used, path.name
+
+
+def test_only_serialize_encodes_json():
+    """``serialize.py`` holds the one JSON encoder, ``canonical_json``: no
+    other module names ``dumps`` or ``JSONEncoder``, so the CLI's listings
+    only join pieces that encoder wrote."""
+    modules = sorted(Path(oracle.__file__).parent.glob("*.py"))
+    for path in modules:
+        used = _names(path)
+        if path.name == "serialize.py":
+            assert "JSONEncoder" in used
+        else:
+            assert not used & {"dumps", "JSONEncoder"}, path.name
 
 
 # the atom labels the laws_oracle benchmark samples from

@@ -22,8 +22,8 @@ from biheyt import (BiheytError, ClopenSubobject, NotASubobject,
                     daseinise, delta, delta_global, enumerate_contexts,
                     from_greechie, make_subobject, restrict, spectrum)
 
-from test_contexts import BUILTINS, FOUR_LOOP, TRIANGLE, restriction_maps
-from test_oml import PENTAGON, tree_pasting
+from support import (BUILTINS, FOUR_LOOP, PENTAGON, TRIANGLE,
+                     restriction_maps, tree_pasting)
 
 PASTINGS = {"four-loop": FOUR_LOOP, "pentagon": PENTAGON, "triangle": TRIANGLE}
 

@@ -25,10 +25,9 @@ from biheyt import (ContextPoset, Limits, NotASubobject, PosetMismatch,
                     generate, global_sections, make_subobject, restrict,
                     restriction_image_projection, spectrum)
 
-from test_contexts import FOUR_LOOP, restriction_maps
-from test_oml import PENTAGON, chain_pasting, tree_pasting
-
-DAS_P = {"p+q|r": "p+q", "p+r|q": "p+r", "p|q+r": "p", "p|q|r": "p"}
+from support import (DAS_P, FOUR_LOOP, PENTAGON, THREE_CHAIN,
+                     _reference_walk, chain_pasting, context_subposet,
+                     tree_pasting)
 
 # the noncontextual valuation of the 8-element algebra that is true on p
 SECTION_P = {"p+q|r": "p+q", "p+r|q": "p+r", "p|q+r": "p", "p|q|r": "p"}
@@ -54,57 +53,6 @@ def _brute(poset):
 def _masks(s):
     """The component mask at every context, in context order."""
     return tuple(s.mask_at(i) for i in range(len(s.poset.contexts)))
-
-
-def _reference_walk(poset, budget=math.inf):
-    """The packed bits of every subobject in canonical order, by the plain
-    carried-bound walk that adds the last context's choices a batch at a
-    time: the enumeration before it memoised its tails.  Past ``budget`` it
-    raises ``SizeGuard`` at the end of the first batch past the limit."""
-    n = len(poset.contexts)
-    full, offsets = poset._full, poset._offsets
-    ones = (1 << poset.total_bits) - 1
-    raise_lower, cut_upper = [], []
-    for j in range(n):
-        subs = [v for v in (j, *poset._below[j]) if v >= j]
-        sups = [w for w in (j, *poset._above[j]) if w >= j]
-        masks = range(full[j] + 1)
-        images = [(restriction_maps(poset, j, v)[0], offsets[v]) for v in subs]
-        pullbacks = [(restriction_maps(poset, w, j)[1], offsets[w], full[w])
-                     for w in sups]
-        raise_lower.append([sum(image(m) << off for image, off in images)
-                            for m in masks])
-        cut_upper.append([
-            ones ^ sum((f & ~pullback(m)) << off for pullback, off, f in pullbacks)
-            for m in masks])
-    submasks = {f: [[s for s in range(f + 1) if s & ~free == 0]
-                    for free in range(f + 1)] for f in set(full)}
-    out = []
-
-    def rec(i, lower, upper):
-        off, f = offsets[i], full[i]
-        lo, up = lower >> off & f, upper >> off & f
-        assert not lo & ~up
-        free = submasks[f][up & ~lo]
-        if i == n - 1:
-            reached = len(out) + len(free)
-            if reached > budget:
-                raise SizeGuard("over budget", limit="max_subobjects",
-                                value=budget, reached=reached)
-            out.extend(lower | s << off for s in free)
-            return
-        for s in free:
-            m = lo | s
-            rec(i + 1, lower | raise_lower[i][m], upper & cut_upper[i][m])
-
-    if n:
-        rec(0, 0, ones)
-    elif budget < 1:
-        raise SizeGuard("over budget", limit="max_subobjects", value=budget,
-                        reached=1)
-    else:
-        out.append(0)
-    return out
 
 
 def _packed(poset, bits) -> bytes:
@@ -139,11 +87,6 @@ def _reached(poset, bits):
     last-context batch of the reference walk past it."""
     ends = _runs(bits, poset._offsets[-1])[1:]
     return lambda budget: ends[bisect_right(ends, budget)]
-
-
-# Three three-atom blocks in a chain: 63,286 subobjects, and the tails are
-# memoised from the fifth context on.
-THREE_CHAIN = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"]]
 
 
 @pytest.fixture(scope="module")
@@ -323,27 +266,6 @@ def test_enumeration_without_contexts(boolean3):
                              limits=Limits(max_subobjects=0))
     assert info.value.details == {"limit": "max_subobjects", "value": 0,
                                   "reached": 1}
-
-
-@st.composite
-def context_subposet(draw, max_product=1 << 15):
-    """Some contexts of a random tree pasting, as a poset of their own.
-
-    Taking a subset keeps the brute product, and with it the number of
-    subobjects, within ``max_product``.  The contexts come in a
-    random index order: on every builtin, id order puts each subcontext
-    before its supercontexts, and then the enumeration's lower bound (from
-    supercontexts assigned earlier) never acts.
-    """
-    structure = from_greechie(draw(tree_pasting()))
-    contexts = enumerate_contexts(structure).contexts
-    picked = draw(st.lists(st.sampled_from(contexts), min_size=1, max_size=6,
-                           unique_by=lambda c: c.id))
-    kept = []
-    for c in picked:
-        if math.prod(len(k.elements) for k in kept) * len(c.elements) <= max_product:
-            kept.append(c)
-    return ContextPoset(structure, tuple(draw(st.permutations(kept))))
 
 
 @given(context_subposet())
