@@ -4,7 +4,8 @@ Reads a structure from ``--input FILE`` or ``--builtin NAME``, dispatches one
 subcommand, and writes canonical JSON (or DOT) to stdout or ``--output``.
 Exit codes: 0 success, 1 validation error, 2 size guard tripped, 3 usage
 error (bad flags, unreadable file, malformed JSON, a failed write to stdout
-or ``--output``).  Failures are reported as one-line JSON objects on stderr.
+or ``--output``).  Failures are one-line JSON objects on stderr; the exit
+code holds even where that line cannot be written.
 """
 from __future__ import annotations
 
@@ -348,23 +349,24 @@ _COMMANDS = {
 }
 
 
-def _emit(out: "str | Iterable[str]", output: "str | None") -> None:
+def _emit(out: "str | Iterable[str]", output: "str | None", std: str = "stdout") -> None:
     """Write a command's text, or a listing's chunks as they come, and one
-    newline to stdout or ``output``; a failed write raises ``UsageError``."""
+    newline to ``output`` or else ``sys.<std>``; a failed write raises ``UsageError``."""
     out = (out.removesuffix("\n"),) if isinstance(out, str) else out
+    stream = getattr(sys, std)
     try:
-        if output is None and sys.stdout is None:
-            raise OSError("stdout is closed")
-        with (contextlib.nullcontext(sys.stdout) if output is None
+        if output is None and stream is None:
+            raise OSError(f"{std} is closed")
+        with (contextlib.nullcontext(stream) if output is None
               else open(output, "w", encoding="utf-8")) as fh:
             fh.writelines(itertools.chain(out, ("\n",)))
             fh.flush()
     except OSError as exc:
-        if output is None and sys.stdout is sys.__stdout__ is not None:
-            # the interpreter flushes its stdout again at exit: into nothing
+        if output is None and stream is getattr(sys, f"__{std}__") is not None:
+            # the interpreter flushes it again at exit: into nothing
             with open(os.devnull, "w") as null:
-                os.dup2(null.fileno(), sys.stdout.fileno())
-        path = "<stdout>" if output is None else output
+                os.dup2(null.fileno(), stream.fileno())
+        path = f"<{std}>" if output is None else output
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}",
                          path=path) from None
 
@@ -379,7 +381,9 @@ def run(argv=None) -> int:
         _emit(_COMMANDS[args.command](args, limits), args.output)
         return 0
     except BiheytError as exc:
-        sys.stderr.write(canonical_json(exc.to_json()) + "\n")
+        # the exit code names the class even where the line cannot be written
+        with contextlib.suppress(UsageError):
+            _emit(canonical_json(exc.to_json()), None, "stderr")
         # any other subclass, ValidationError's included, is a validation error
         return (2 if isinstance(exc, SizeGuard)
                 else 3 if isinstance(exc, UsageError) else 1)

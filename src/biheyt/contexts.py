@@ -9,15 +9,15 @@ atoms and the int bitset of elements by which partitions are deduplicated.
 
 Context ids are the sorted atom labels joined with "|".  The spectrum of a
 context V is its atom set, and each P in V is the clopen set alpha_V(P) of
-the atoms of V below P.  Per context ``ContextPoset`` holds element <-> atom
-mask and a map, which it alone reads, from the set of its elements above an
-element to that element's atom mask: one lookup finds the least element of
-V' above any P, the coarse-graining ``delta_global(V', P)``.  For P in V and
-V' <= V ``delta(V, V', P)`` is the same, and the restriction of an atom of V
-to V' is its coarse-graining.  The inclusions come from per-element bitsets
-of the contexts holding each element, never from a test of every pair of
-contexts.  Scanning V' with ``leq`` is left to the oracle, which checks
-against it.
+the atoms of V below P.  Per context ``ContextPoset`` holds, from that walk
+alone, element <-> atom mask and a map, which it alone reads, from the set
+of its elements above an element to that element's atom mask: one lookup
+finds the least element of V' above any P, the coarse-graining
+``delta_global(V', P)``.  For P in V and V' <= V ``delta(V, V', P)`` is
+the same, and the restriction of an atom of V to V' is its coarse-graining.
+The inclusions come from per-element bitsets of the contexts holding each
+element, never from a test of every pair of contexts.  Scanning V' with
+``leq`` is left to the oracle, which checks against it.
 """
 from __future__ import annotations
 
@@ -53,38 +53,33 @@ class ContextPoset:
 
     Contexts are indexed in canonical order (sorted by id).  Context i has
     ``_mask_to_elem[i][m]``, its element over the atoms in mask m, and
-    ``_elements[i]``, the bitset of its elements.  ``enumerate_contexts``
-    passes both from the partition walk as ``_tables``, unchecked: a block's
-    join table is one-to-one and its joins grow exactly with the atom set
-    (``oml._build``), so the unions of a partition's cells give a Boolean
-    subalgebra by construction.  ``ContextPoset(structure, contexts)`` keys
-    each element of i by its ``_down`` row ANDed with the atoms of i; as the
-    atoms ascend, the sorted keys run through the masks m in order, giving
-    ``_mask_to_elem[i]``, and i is Boolean iff its elements hold its atoms
-    and have 2^k distinct keys.  Both paths share every other table:
-    ``_elem_mask[i]`` inverts ``_mask_to_elem[i]``, and ``_least[j]`` maps
-    the key of each element e of j, the elements of j above it
-    (``_up[e] & _elements[j]`` shifted down by ``_shift[j]``), to the atom
-    mask of e.  The least element of j above any element p exists iff p's
-    key is in the map, and the value is its mask: the coarse-graining of p,
-    and for an atom of V its restriction to V'.  Four methods alone read
-    ``_least``: ``_least_above`` names the element by ``_mask_to_elem``,
-    ``_is_tight`` and ``_monotone_witness`` compare a family's components
-    with it, and ``_down_closure`` closes a packed set of points by it;
-    ``_up_closure`` closes by the masks of its components' elements.  Each
-    closure walks the span of its points in contexts with a neighbour its
-    way: ``_has_below`` packs the contexts with a strict subcontext,
-    ``_has_above`` those with a strict supercontext.  Other points add
-    nothing, so with no inclusion a closure returns at once.  Entry b of
-    ``_context_of`` is the context holding point b, so a closure reads the
-    first and last context of its span at its lowest and highest point, one
+    ``_elements[i]``, the bitset of its elements, both from the partition
+    walk: ``enumerate_contexts`` passes them as ``_tables``, and
+    ``ContextPoset(structure, contexts)`` runs the walk under
+    ``DEFAULT_LIMITS`` (past ``max_contexts`` it raises ``SizeGuard``).  A
+    context that is not the walk's context of its id, or is given twice,
+    raises ``UsageError`` with its id in ``details``.  A block's joins are
+    one-to-one and grow exactly with the atom set (``oml._build``), so the
+    unions of a partition's cells are a Boolean subalgebra, and for two of
+    them V' <= V the masks in V of the atoms of V' partition V's atoms;
+    nothing is checked.  ``_elem_mask[i]`` inverts ``_mask_to_elem[i]``.
+    ``_least[j]`` maps the key of each element e of j, the elements of j
+    above it (``_up[e] & _elements[j]`` shifted down by ``_shift[j]``), to
+    the atom mask of e: the least element of j above any element p exists
+    iff p's key is in the map, and its mask is the coarse-graining of p,
+    for an atom of V its restriction to V'.  Only ``_least_above`` (which
+    names the element), ``_is_tight``, ``_monotone_witness`` and
+    ``_down_closure`` read ``_least``; ``_up_closure`` closes by the masks
+    of its components' elements.  Each closure walks the span of its points
+    in contexts with a neighbour its way, ``_has_below`` (a strict
+    subcontext) or ``_has_above`` (a strict supercontext); other points add
+    nothing, so with no inclusion it returns at once.  Entry b of
+    ``_context_of`` is the context of point b, so a span's ends are one
     index each; ``_every`` packs every point.  V' <= V iff V' has no
-    element outside V.  No pair is tested: each element gets a bitset
-    of the contexts holding it, and the AND of those over the elements of j
-    is exactly j and its strict supercontexts.  The work still grows with n
-    squared, over words rather than pairs.  Per inclusion the masks in V of
-    the atoms of V' must partition V's atoms: no two overlap, and their OR
-    is V's full mask.  ``_below[i]`` and ``_above[i]`` list the strict
+    element outside V.  No pair is tested: each element gets a bitset of
+    the contexts holding it, and the AND of those over the elements of j is
+    exactly j and its strict supercontexts, so the work grows with n
+    squared over words.  ``_below[i]`` and ``_above[i]`` list the strict
     subcontexts and supercontexts of i in ascending order.  Every table is
     built here and never changed; the poset holds no cache or other mutable
     state, so it is immutable and safe to share.
@@ -97,21 +92,17 @@ class ContextPoset:
         self._by_id = {c.id: i for i, c in enumerate(contexts)}
         n = len(contexts)
         self._full = full = tuple((1 << len(c.atoms)) - 1 for c in contexts)
-        down, up = structure._down, structure._up
+        up = structure._up
         if _tables is None:
-            _tables = []
-            for c in contexts:
-                top = 0
-                for a in c.atoms:
-                    top |= 1 << a
-                below = {down[e] & top: e for e in c.elements}
-                inverse = tuple([below[key] for key in sorted(below)])
-                mine = 0
-                for e in inverse:
-                    mine |= 1 << e
-                if not len(c.elements) == len(below) == 1 << len(c.atoms) or top & ~mine:
-                    raise AssertionError(f"context {c.id!r} is not Boolean (bug)")
-                _tables.append((inverse, mine))
+            walk: dict[str, tuple[tuple[int, ...], int]] = {}
+            known = {c.id: c for c in _contexts(structure, DEFAULT_LIMITS, walk)}
+            for i, c in enumerate(contexts):
+                if known.get(c.id) != c:
+                    raise UsageError(f"{c.id!r} is not a context of the structure",
+                                     context=c.id)
+                if self._by_id[c.id] != i:
+                    raise UsageError(f"context {c.id!r} is given twice", context=c.id)
+            _tables = [walk[c.id] for c in contexts]
         offsets, elem_mask, least, shifts, context_of = [], [], [], [], []
         holders = [0] * structure.n
         total = 0
@@ -140,26 +131,16 @@ class ContextPoset:
 
         below: list[list[int]] = [[] for _ in range(n)]
         above: list[list[int]] = [[] for _ in range(n)]
-        for j, c in enumerate(contexts):
-            m = (1 << n) - 1
-            for e in mask_to_elem[j]:
+        for j, elems in enumerate(mask_to_elem):
+            m = ~(1 << j)   # the holders' AND then leaves j's strict supercontexts
+            for e in elems:
                 m &= holders[e]
             while m:
                 low = m & -m
                 m ^= low
                 i = low.bit_length() - 1
-                masks = elem_mask[i]
-                cover = 0
-                for b in c.atoms:
-                    x = masks[b]
-                    if cover & x:
-                        raise AssertionError("preimages do not partition the atoms (bug)")
-                    cover |= x
-                if cover != full[i]:
-                    raise AssertionError("preimages do not partition the atoms (bug)")
-                if i != j:
-                    below[i].append(j)
-                    above[j].append(i)
+                below[i].append(j)
+                above[j].append(i)
         self._below = tuple(map(tuple, below))
         self._above = tuple(map(tuple, above))
         self._has_below = sum([f << o for f, o, b in zip(full, offsets, below) if b])

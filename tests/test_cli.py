@@ -497,8 +497,8 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     assert payload["message"].startswith(f"cannot write {path}: ")
 
 
-class _FailingStdout(io.StringIO):
-    """A stdout whose every write raises ``error``."""
+class _FailingStream(io.StringIO):
+    """A stdout or stderr whose every write raises ``error``."""
 
     def __init__(self, error):
         super().__init__()
@@ -512,8 +512,8 @@ class _FailingStdout(io.StringIO):
     ("validate", "--builtin", "boolean:3"),
     ("enumerate", "--list", "--builtin", "mo:2")], ids=["text", "listing"])
 @pytest.mark.parametrize("stdout", [
-    _FailingStdout(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))),
-    _FailingStdout(BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))),
+    _FailingStream(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))),
+    _FailingStream(BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))),
     None], ids=["full-disk", "closed-pipe", "closed"])
 def test_unwritable_stdout_is_a_usage_error(argv, stdout):
     """A failed write to stdout takes the path of a failed ``--output``:
@@ -528,6 +528,39 @@ def test_unwritable_stdout_is_a_usage_error(argv, stdout):
     assert payload["message"].startswith("cannot write <stdout>: ")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("das", "--element", "zz", "--builtin", "boolean:3"), 3),
+    (("validate", "--builtin", "boolean:1"), 1),
+    (("validate", "--builtin", "boolean:9"), 2)], ids=["usage", "validation", "guard"])
+@pytest.mark.parametrize("stderr", [
+    _FailingStream(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))),
+    None], ids=["full-disk", "closed"])
+def test_unwritable_stderr_keeps_the_exit_code(argv, code, stderr):
+    """The exit code names the error's class even where its one line
+    cannot be written; nothing goes to stdout instead."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(stderr):
+        assert run(list(argv)) == code
+    assert out.getvalue() == ""
+
+
+def test_unwritable_stdout_and_stderr_exit_3():
+    """A failed write to stdout is a usage error, whose line then fails
+    on stderr too: still exit 3."""
+    failing = _FailingStream(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+    with contextlib.redirect_stdout(failing), contextlib.redirect_stderr(failing):
+        assert run(["validate", "--builtin", "boolean:3"]) == 3
+
+
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this tree's
+    package, with the standard streams buffered as they are by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        str(pathlib.Path(cli.__file__).parents[1]), env.get("PYTHONPATH"))))
+    return env
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("stdout", ["full-disk", "closed-pipe", "closed"])
 def test_unwritable_stdout_exits_3_in_a_fresh_process(stdout):
@@ -535,9 +568,7 @@ def test_unwritable_stdout_exits_3_in_a_fresh_process(stdout):
     default, a full disk, a pipe with no reader and a closed stdout each
     exit 3 with one stderr line: no traceback, and nothing more when the
     interpreter flushes stdout at exit."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
-        str(pathlib.Path(cli.__file__).parents[1]), env.get("PYTHONPATH"))))
+    env = _fresh_env()
     argv = [sys.executable, "-m", "biheyt.cli", "validate", "--builtin",
             "boolean:3"]
     if stdout == "full-disk":
@@ -558,6 +589,26 @@ def test_unwritable_stdout_exits_3_in_a_fresh_process(stdout):
     err = proc.stderr.decode()
     assert proc.returncode == 3 and err.count("\n") == 1, err
     assert json.loads(err)["details"] == {"path": "<stdout>"}
+
+
+@pytest.mark.parametrize("stderr", [
+    pytest.param("full-disk", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full")),
+    "closed"])
+def test_unwritable_stderr_exits_3_in_a_fresh_process(stderr):
+    """In a process of its own, a usage error exits 3 with stderr on a full
+    disk or closed: the failed line changes neither the code nor, when the
+    interpreter flushes stderr at exit, the exit status."""
+    argv = [sys.executable, "-m", "biheyt.cli", "das", "--element", "zz",
+            "--builtin", "boolean:3"]
+    if stderr == "full-disk":
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(argv, stdout=subprocess.PIPE, stderr=full,
+                                  env=_fresh_env())
+    else:
+        proc = subprocess.run(["sh", "-c", '"$@" 2>&-', "sh", *argv],
+                              stdout=subprocess.PIPE, env=_fresh_env())
+    assert (proc.returncode, proc.stdout) == (3, b"")
 
 
 @pytest.mark.parametrize("command", [

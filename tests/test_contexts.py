@@ -14,6 +14,7 @@ from biheyt import (DEFAULT_LIMITS, ClopenSubobject, Context, ContextPoset,
                     builtin_structure, delta, delta_global, enumerate_contexts,
                     from_greechie, generate, make_subobject, maximal_above,
                     minimal_below, restrict, spectrum, validate)
+from biheyt import contexts as contexts_module
 from biheyt.contexts import _contexts
 from biheyt.oracle import _least_dominating
 from biheyt.serialize import _covers_up
@@ -361,45 +362,73 @@ def test_alpha_tables_on_tree_pastings(blocks):
     _check_tables(_poset(blocks))
 
 
-def test_corrupt_contexts_are_bugs(boolean3_poset):
+def _assert_refused(poset, family, bad_id):
+    """``family`` alone, and after the top context, is refused by the public
+    constructor with a ``UsageError`` that names ``bad_id``."""
+    top = poset.contexts[poset.maximal[0]]
+    for given in (family, (top, *family)):
+        with pytest.raises(UsageError) as info:
+            ContextPoset(poset.structure, given)
+        assert info.value.details == {"context": bad_id}
+
+
+def test_corrupt_contexts_are_refused(boolean3_poset):
+    """Families that are not contexts of the structure are refused, alone
+    and beside the top context, and so is a real context given twice."""
     st = boolean3_poset.structure
-    top = boolean3_poset.context("p|q|r")
     p, q = st.el("p"), st.el("q")
-    # alpha is a bijection on {0, p, q, 1}, but p and q do not cover the top
-    # context's atoms, so their preimages there are no partition
+    # alpha is a bijection on {0, p, q, 1}, but p v q is not 1: no Boolean
+    # subalgebra has p and q for its atoms
     fake = Context("p|q", (p, q), frozenset({st.zero, st.one, p, q}))
-    ContextPoset(st, (fake,))
-    with pytest.raises(AssertionError, match="partition"):
-        ContextPoset(st, (top, fake))
-    # more elements than atom masks, then fewer: each count alone misses one;
-    # then as many, one per mask, but p+r stands in for the atom p
+    # more elements than atom masks, then fewer; then as many, one per
+    # mask, but p+r stands in for the atom p
     lone = Context("p", (p,), boolean3_poset.context("p|q+r").elements)
     short = Context("p|q", (p, q), frozenset({st.zero, st.one, p}))
     stand_in = Context("p|q", (p, q),
                        frozenset({st.zero, st.one, st.el("p+r"), q}))
-    for bad in (lone, short, stand_in):
-        with pytest.raises(AssertionError, match="not Boolean"):
-            ContextPoset(st, (bad,))
+    for bad in (fake, lone, short, stand_in):
+        _assert_refused(boolean3_poset, (bad,), bad.id)
+    # the walk's own context under a changed field is no context either
+    real = boolean3_poset.context("p+q|r")
+    _assert_refused(boolean3_poset, (Context(real.id, real.atoms[::-1],
+                                             real.elements),), real.id)
+    _assert_refused(boolean3_poset, (real, real), real.id)
 
 
-def test_overlapping_preimages_are_bugs(boolean3_poset):
-    """The atoms p+q and q+r pass the Boolean check, but both lie above q:
-    their masks in the top context cover its atoms without partitioning
-    them."""
+def test_overlapping_preimages_are_refused(boolean3_poset):
+    """The atoms p+q and q+r both lie above q, so they are not orthogonal
+    and {0, p+q, q+r, 1} is no Boolean subalgebra.  It is refused alone and
+    beside the top context, where their masks would cover the top's atoms
+    without partitioning them."""
     st = boolean3_poset.structure
-    top = boolean3_poset.context("p|q|r")
     pq, qr = st.el("p+q"), st.el("q+r")
     fake = Context("p+q|q+r", (pq, qr), frozenset({st.zero, st.one, pq, qr}))
-    ContextPoset(st, (fake,))
-    with pytest.raises(AssertionError, match="partition"):
-        ContextPoset(st, (top, fake))
+    _assert_refused(boolean3_poset, (fake,), fake.id)
+
+
+def test_the_public_constructor_walks_under_the_default_limits(
+        boolean3_poset, monkeypatch):
+    """``ContextPoset(structure, contexts)`` enumerates the structure's
+    contexts under ``DEFAULT_LIMITS``, so past ``max_contexts`` it raises
+    the ``SizeGuard`` that ``enumerate_contexts`` raises, however few
+    contexts it is given."""
+    top = boolean3_poset.context("p|q|r")
+    monkeypatch.setattr(contexts_module, "DEFAULT_LIMITS",
+                        Limits(max_contexts=2))
+    with pytest.raises(SizeGuard) as info:
+        ContextPoset(boolean3_poset.structure, (top,))
+    assert info.value.details == {"limit": "max_contexts", "value": 2,
+                                  "reached": 3}
 
 
 class _SpreadReference(ContextPoset):
-    """The table build that the holder AND over elements replaced: the AND
-    of the holder bitsets over the atoms of j, an element test per context
-    so found, and a partition check that counts, per element, the atoms of
-    j above it in base-2^w digits."""
+    """Every table built from the order rows, never from the partition
+    walk: each element of a context keyed by its ``_down`` row ANDed with
+    the context's atoms, the sorted keys running through the atom masks in
+    order, with a check that the context is Boolean; the inclusions from
+    the AND of the holder bitsets over the atoms of j, an element test per
+    context so found, and a partition check that counts, per element, the
+    atoms of j above it in base-2^w digits."""
 
     def __init__(self, structure, contexts):
         self.structure = structure
@@ -469,17 +498,19 @@ class _SpreadReference(ContextPoset):
         self._above = tuple(map(tuple, above))
         self.minimal = tuple(i for i in range(n) if not below[i])
         self.maximal = tuple(i for i in range(n) if not above[i])
+        self._has_below, self._has_above = _neighbour_masks(self)
+        self._context_of = _points_by_context(self)
+        self._every = (1 << total) - 1
 
 
-_TABLES = ("_by_id", "_full", "_offsets", "total_bits", "_elements", "_shift",
-           "_elem_mask", "_mask_to_elem", "_least", "_below", "_above",
-           "minimal", "maximal")
+_TABLES = ("contexts", "_by_id", "_full", "_offsets", "total_bits",
+           "_elements", "_shift", "_elem_mask", "_mask_to_elem", "_least",
+           "_below", "_above", "minimal", "maximal", "_has_below",
+           "_has_above", "_context_of", "_every")
 
 
-def _assert_tables_match_the_spread_reference(structure):
-    contexts = _contexts(structure, DEFAULT_LIMITS)
-    poset = ContextPoset(structure, contexts)
-    reference = _SpreadReference(structure, contexts)
+def _assert_tables_match_the_spread_reference(poset):
+    reference = _SpreadReference(poset.structure, poset.contexts)
     for name in _TABLES:
         assert getattr(poset, name) == getattr(reference, name), name
 
@@ -491,25 +522,18 @@ def _assert_tables_match_the_spread_reference(structure):
     ids=lambda spec: spec if isinstance(spec, str) else
     f"explicit {spec[1]}" if spec[0] == "explicit" else f"{len(spec)} blocks")
 def test_tables_match_the_spread_reference(spec):
-    _assert_tables_match_the_spread_reference(_structure(spec))
+    """The public constructor, which runs the partition walk itself."""
+    structure = _structure(spec)
+    _assert_tables_match_the_spread_reference(
+        ContextPoset(structure, _contexts(structure, DEFAULT_LIMITS)))
 
 
 @given(blocks=tree_pasting())
 @settings(max_examples=40, deadline=None)
 def test_tables_match_the_spread_reference_on_trees(blocks):
-    _assert_tables_match_the_spread_reference(from_greechie(blocks))
-
-
-_WALK_TABLES = ("contexts", "_mask_to_elem", "_elements", "_elem_mask",
-                "_least", "_shift", "_offsets", "_below", "_above", "minimal",
-                "maximal", "_has_below", "_has_above", "_context_of", "_every")
-
-
-def _assert_walk_tables_match_the_checked_build(structure):
-    walked = enumerate_contexts(structure)
-    checked = ContextPoset(structure, walked.contexts)
-    for name in _WALK_TABLES:
-        assert getattr(walked, name) == getattr(checked, name), name
+    structure = from_greechie(blocks)
+    _assert_tables_match_the_spread_reference(
+        ContextPoset(structure, _contexts(structure, DEFAULT_LIMITS)))
 
 
 @pytest.mark.parametrize("spec", [
@@ -520,13 +544,14 @@ def _assert_walk_tables_match_the_checked_build(structure):
     ids=lambda spec: spec if isinstance(spec, str) else "/".join(spec[0])
     if len(spec) == 1 else f"{len(spec)}-block chain")
 def test_walk_tables_match_the_checked_build(spec):
-    _assert_walk_tables_match_the_checked_build(_structure(spec))
+    """``enumerate_contexts``, which passes the tables of its one walk."""
+    _assert_tables_match_the_spread_reference(enumerate_contexts(_structure(spec)))
 
 
 @given(blocks=tree_pasting())
 @settings(max_examples=40, deadline=None)
 def test_walk_tables_match_the_checked_build_on_trees(blocks):
-    _assert_walk_tables_match_the_checked_build(from_greechie(blocks))
+    _assert_tables_match_the_spread_reference(enumerate_contexts(from_greechie(blocks)))
 
 
 def test_delta_to_smaller_context(boolean3_poset):
