@@ -17,9 +17,9 @@ forms (the tested reference; a double negation composes two negations):
 Implication and subtraction are the two closures of the gap G = S ^ ~T on
 the points (V, a) ordered by restriction: S - T is the down-closure of G,
 and S => T the complement of its up-closure, each one call of
-``ContextPoset._down_closure`` or ``_up_closure``.  A closure walks the
-span of the gap's points in contexts with a neighbour in its direction, a
-strict subcontext going down and a strict supercontext going up.  By
+``ContextPoset._down_closure`` or ``_up_closure``.  A closure loops over
+the contexts with a neighbour in its direction, a strict subcontext going
+down and a strict supercontext going up.  By
 monotonicity they agree with the extremal forms above, which the tests pin.
 Both build their result in place, with ``object.__new__`` and the two slot
 setters that ``ClopenSubobject.__init__`` calls: on posets as small as the

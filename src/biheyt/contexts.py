@@ -17,7 +17,9 @@ finds the least element of V' above any P, the coarse-graining
 the same, and the restriction of an atom of V to V' is its coarse-graining.
 The inclusions come from per-element bitsets of the contexts holding each
 element, never from a test of every pair of contexts.  Scanning V' with
-``leq`` is left to the oracle, which checks against it.
+``leq`` is left to the oracle, which checks against it.  The closures
+under restriction loop over the contexts with a strict subcontext (down)
+or a strict supercontext (up), and no other.
 """
 from __future__ import annotations
 
@@ -70,19 +72,18 @@ class ContextPoset:
     for an atom of V its restriction to V'.  Only ``_least_above`` (which
     names the element), ``_is_tight``, ``_monotone_witness`` and
     ``_down_closure`` read ``_least``; ``_up_closure`` closes by the masks
-    of its components' elements.  Each closure walks the span of its points
-    in contexts with a neighbour its way, ``_has_below`` (a strict
-    subcontext) or ``_has_above`` (a strict supercontext); other points add
-    nothing, so with no inclusion it returns at once.  Entry b of
-    ``_context_of`` is the context of point b, so a span's ends are one
-    index each; ``_every`` packs every point.  V' <= V iff V' has no
-    element outside V.  No pair is tested: each element gets a bitset of
-    the contexts holding it, and the AND of those over the elements of j is
-    exactly j and its strict supercontexts, so the work grows with n
-    squared over words.  ``_below[i]`` and ``_above[i]`` list the strict
-    subcontexts and supercontexts of i in ascending order.  Every table is
-    built here and never changed; the poset holds no cache or other mutable
-    state, so it is immutable and safe to share.
+    of its components' elements.  Each closure loops over the contexts with
+    a neighbour its way, ``_with_below`` (a strict subcontext) or
+    ``_with_above`` (a strict supercontext), and maps each nonempty component
+    to all those neighbours at once; other points add nothing, so with no
+    inclusion it loops over nothing.  ``_every`` packs every point.  V' <= V
+    iff V' has no element outside V.  No pair is tested: each element gets a
+    bitset of the contexts holding it, and the AND of those over the
+    elements of j is exactly j and its strict supercontexts, so the work
+    grows with n squared over words.  ``_below[i]`` and ``_above[i]`` list
+    the strict subcontexts and supercontexts of i in ascending order.  Every
+    table is built here and never changed; the poset holds no cache or
+    other mutable state, so it is immutable and safe to share.
     """
 
     def __init__(self, structure: OrthoStructure, contexts: tuple[Context, ...],
@@ -91,7 +92,7 @@ class ContextPoset:
         self.contexts = contexts
         self._by_id = {c.id: i for i, c in enumerate(contexts)}
         n = len(contexts)
-        self._full = full = tuple((1 << len(c.atoms)) - 1 for c in contexts)
+        self._full = tuple((1 << len(c.atoms)) - 1 for c in contexts)
         up = structure._up
         if _tables is None:
             walk: dict[str, tuple[tuple[int, ...], int]] = {}
@@ -103,7 +104,7 @@ class ContextPoset:
                 if self._by_id[c.id] != i:
                     raise UsageError(f"context {c.id!r} is given twice", context=c.id)
             _tables = [walk[c.id] for c in contexts]
-        offsets, elem_mask, least, shifts, context_of = [], [], [], [], []
+        offsets, elem_mask, least, shifts = [], [], [], []
         holders = [0] * structure.n
         total = 0
         for i, (c, (inverse, mine)) in enumerate(zip(contexts, _tables)):
@@ -120,12 +121,11 @@ class ContextPoset:
             elem_mask.append(dict(zip(inverse, range(len(inverse)))))
             shifts.append(shift)
             offsets.append(total)
-            context_of += [i] * len(c.atoms)
             total += len(c.atoms)
         self._mask_to_elem = mask_to_elem = tuple([inv for inv, _ in _tables])
         self._elements = tuple([mine for _, mine in _tables])
         self._offsets, self.total_bits = tuple(offsets), total
-        self._context_of, self._every = tuple(context_of), (1 << total) - 1
+        self._every = (1 << total) - 1
         self._shift, self._elem_mask = tuple(shifts), tuple(elem_mask)
         self._least = tuple(least)
 
@@ -143,8 +143,8 @@ class ContextPoset:
                 above[j].append(i)
         self._below = tuple(map(tuple, below))
         self._above = tuple(map(tuple, above))
-        self._has_below = sum([f << o for f, o, b in zip(full, offsets, below) if b])
-        self._has_above = sum([f << o for f, o, a in zip(full, offsets, above) if a])
+        self._with_below = tuple(i for i in range(n) if below[i])
+        self._with_above = tuple(j for j in range(n) if above[j])
         self.minimal = tuple(i for i in range(n) if not below[i])
         self.maximal = tuple(i for i in range(n) if not above[i])
 
@@ -216,14 +216,10 @@ class ContextPoset:
 
     def _down_closure(self, bits: int) -> int:
         """``bits`` and the restrictions of its points to every subcontext."""
-        reach = bits & self._has_below
-        if not reach:
-            return bits
         offsets, full, least, out = self._offsets, self._full, self._least, bits
         up, elements, shifts = self.structure._up, self._elements, self._shift
-        for w in range(self._context_of[(reach & -reach).bit_length() - 1],
-                       self._context_of[reach.bit_length() - 1] + 1):
-            g = (reach >> offsets[w]) & full[w]
+        for w in self._with_below:
+            g = (bits >> offsets[w]) & full[w]
             if g:
                 row = up[self._mask_to_elem[w][g]]
                 for i in self._below[w]:
@@ -232,13 +228,9 @@ class ContextPoset:
 
     def _up_closure(self, bits: int) -> int:
         """``bits`` and the points of every supercontext restricting into it."""
-        reach = bits & self._has_above
-        if not reach:
-            return bits
         offsets, full, elem_mask, out = self._offsets, self._full, self._elem_mask, bits
-        for j in range(self._context_of[(reach & -reach).bit_length() - 1],
-                       self._context_of[reach.bit_length() - 1] + 1):
-            g = (reach >> offsets[j]) & full[j]
+        for j in self._with_above:
+            g = (bits >> offsets[j]) & full[j]
             if g:
                 e = self._mask_to_elem[j][g]
                 for i in self._above[j]:

@@ -51,12 +51,17 @@ class ClopenSubobject:
     Immutable; equality and hashing use the packed bitmask plus poset
     identity.  Subobjects from different poset objects never mix: the binary
     operators raise ``PosetMismatch``, and ``TypeError`` for an operand that
-    is no subobject.
+    is no subobject.  ``bits`` must be an int from 0 to ``poset._every``
+    (else ``UsageError``) and closed under restriction, which the
+    constructor does not check and ``make_subobject`` does.
     """
 
     __slots__ = ("poset", "bits")
 
     def __init__(self, poset: ContextPoset, bits: int):
+        if type(bits) is not int or not 0 <= bits <= poset._every:
+            raise UsageError("subobject bits must be an int from 0 to "
+                             "2**total_bits - 1", total_bits=poset.total_bits)
         _set_poset(self, poset)
         _set_bits(self, bits)
 
@@ -195,8 +200,12 @@ def make_subobject(poset: ContextPoset, family: Mapping) -> ClopenSubobject:
     ``family`` maps context (id or Context) to an element (label or index) of
     that context.  Raises ``NotASubobject`` with a witness inclusion pair when
     the family is not monotone; any shape problem, such as one context named
-    twice (by id and by index, say), raises ``UsageError``.
+    twice (by id and by index, say), or a family that is not a mapping,
+    raises ``UsageError``.
     """
+    if not isinstance(family, Mapping):
+        raise UsageError(f"a family must map contexts to elements, not "
+                         f"{type(family).__name__}")
     st = poset.structure
     masks = [None] * len(poset.contexts)
     for key, val in family.items():

@@ -53,15 +53,17 @@ def chain_pasting(blocks):
 # Tree pastings (blocks of >= 3 atoms chained by single shared atoms, no
 # loops) are orthomodular lattices.  Two-atom blocks cannot be chained: the
 # shared atom's complement would identify the leftover atom with a join of
-# the other block, collapsing the block into it.
+# the other block, collapsing the block into it.  The atoms come from a
+# drawn permutation of the labels, so a block's atoms, and the partition
+# walk's cells, can come out of label order.
 @st.composite
 def tree_pasting(draw):
     n_blocks = draw(st.integers(min_value=1, max_value=3))
+    fresh = iter(draw(st.permutations([f"a{i}" for i in range(10)])))
     if n_blocks == 1:
-        return [[f"a{i}" for i in range(draw(st.integers(2, 4)))]]
+        return [[next(fresh) for _ in range(draw(st.integers(2, 4)))]]
     sizes = [draw(st.integers(min_value=3, max_value=4))
              for _ in range(n_blocks)]
-    fresh = iter(f"a{i}" for i in range(20))
     blocks = [[next(fresh) for _ in range(sizes[0])]]
     for size in sizes[1:]:
         shared = draw(st.sampled_from(blocks[-1]))

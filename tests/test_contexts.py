@@ -208,37 +208,22 @@ def test_inclusion_tables_match_the_all_pairs_reference_on_trees(blocks):
     _assert_tables_match_all_pairs(_poset(blocks))
 
 
-def _neighbour_masks(poset):
-    """The points of the contexts with a strict subcontext, and those of the
-    contexts with a strict supercontext, from ``_below`` and ``_above``."""
-    below = above = 0
-    for c, off, down, up in zip(poset.contexts, poset._offsets, poset._below,
-                                poset._above):
-        points = (1 << len(c.atoms)) - 1 << off
-        if down:
-            below |= points
-        if up:
-            above |= points
-    return below, above
-
-
-def _points_by_context(poset):
-    """Each point's context, from where each context's points start."""
-    owner = [None] * poset.total_bits
-    for i, (off, f) in enumerate(zip(poset._offsets, poset._full)):
-        owner[off:off + f.bit_length()] = [i] * f.bit_length()
-    return tuple(owner)
+def _with_neighbours(poset):
+    """The contexts with a strict subcontext, and those with a strict
+    supercontext, ascending, by an element-set test of every pair."""
+    els = [c.elements for c in poset.contexts]
+    return (tuple(i for i, ei in enumerate(els) if any(ej < ei for ej in els)),
+            tuple(i for i, ei in enumerate(els) if any(ei < ej for ej in els)))
 
 
 def _assert_closure_laws(poset, seed):
-    """The closures' masks hold the points of the contexts with a neighbour
-    below or above, their span table each point's context, and ``_every``
-    every point.  Both closures are extensive, idempotent and monotone on
-    seeded point sets of every density; the down-closure and the complement
-    of the up-closure pass ``make_subobject``; and the down-closure of one
-    point (V, a) is that point and its ``restrict`` images at every V' <= V."""
-    assert (poset._has_below, poset._has_above) == _neighbour_masks(poset)
-    assert poset._context_of == _points_by_context(poset)
+    """The closures loop over the contexts with a neighbour below or above,
+    and ``_every`` holds every point.  Both closures are extensive,
+    idempotent and monotone on seeded point sets of every density; the
+    down-closure and the complement of the up-closure pass
+    ``make_subobject``; and the down-closure of one point (V, a) is that
+    point and its ``restrict`` images at every V' <= V."""
+    assert (poset._with_below, poset._with_above) == _with_neighbours(poset)
     assert poset._every == (1 << poset.total_bits) - 1
     rng = random.Random(seed)
     width = poset.total_bits
@@ -498,15 +483,15 @@ class _SpreadReference(ContextPoset):
         self._above = tuple(map(tuple, above))
         self.minimal = tuple(i for i in range(n) if not below[i])
         self.maximal = tuple(i for i in range(n) if not above[i])
-        self._has_below, self._has_above = _neighbour_masks(self)
-        self._context_of = _points_by_context(self)
+        self._with_below = tuple(i for i, down in enumerate(self._below) if down)
+        self._with_above = tuple(j for j, up in enumerate(self._above) if up)
         self._every = (1 << total) - 1
 
 
 _TABLES = ("contexts", "_by_id", "_full", "_offsets", "total_bits",
            "_elements", "_shift", "_elem_mask", "_mask_to_elem", "_least",
-           "_below", "_above", "minimal", "maximal", "_has_below",
-           "_has_above", "_context_of", "_every")
+           "_below", "_above", "minimal", "maximal", "_with_below",
+           "_with_above", "_every")
 
 
 def _assert_tables_match_the_spread_reference(poset):

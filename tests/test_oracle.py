@@ -26,6 +26,7 @@ from biheyt import (ClopenSubobject, ContextPoset, Limits, SizeGuard, bottom,
 from biheyt import biheyting, oracle
 from biheyt.cli import run
 from biheyt.oracle import AdjunctionReport, _brute_negations, _Columns
+from biheyt.presheaf import _set_bits, _set_poset
 
 from support import context_subposet, tree_pasting
 
@@ -283,10 +284,14 @@ def test_negations_are_compared_before_any_pair(mo2_poset, mo2_subs,
 
 def test_bits_outside_the_poset_are_scanned_like_the_rows(mo2_poset, mo2_subs):
     """No subobject holds a point past ``total_bits``, nor the infinitely
-    many points of a negative int."""
+    many points of a negative int.  The constructor refuses such bits, so
+    the fake is built in place, as implication and subtraction build their
+    results, and the oracle is shown to catch it there."""
     cols = _Columns(mo2_subs)
     for bits in (1 << mo2_poset.total_bits, -1):
-        odd = ClopenSubobject(mo2_poset, bits)
+        odd = object.__new__(ClopenSubobject)
+        _set_poset(odd, mo2_poset)
+        _set_bits(odd, bits)
         report = _assert_like_the_row_scan(mo2_poset,
                                            coheyting_sub=lambda s, u: odd)
         assert report.counterexample["law"] == "coheyting"
@@ -511,8 +516,8 @@ def test_check_laws_with_oracle_is_one_pass(capsys, monkeypatch):
 
 # _least maps to atom masks, as _elem_mask does, so the oracle reads neither
 _PRODUCTION_TABLES = {"_least", "_elem_mask", "_shift", "_least_above", "_below",
-                      "_above", "_down_closure", "_up_closure", "_has_below",
-                      "_has_above", "_context_of", "_is_tight", "_monotone_witness"}
+                      "_above", "_down_closure", "_up_closure", "_with_below",
+                      "_with_above", "_is_tight", "_monotone_witness"}
 
 
 def _names(path):
@@ -581,7 +586,7 @@ def _assert_laws_ignore_labels(blocks, keep=lambda key: True):
     """``check_adjunctions`` on the contexts of ``blocks`` that ``keep``
     picks gives the same report under each seeded relabelling of the atoms,
     drawn as ``laws_oracle`` draws its labels.  A relabelling reorders the
-    contexts, and with them the closures' spans; returns whether any of
+    contexts, and with them the closures' loop order; returns whether any of
     the relabellings put the picked contexts in another order."""
     def checked(blocks, rename):
         poset = enumerate_contexts(from_greechie(blocks))

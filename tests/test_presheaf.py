@@ -19,10 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 from biheyt import presheaf
 from biheyt.oml import CABELLO18_BLOCKS
-from biheyt import (ContextPoset, Limits, NotASubobject, PosetMismatch,
-                    SizeGuard, UsageError, alpha, alpha_inv, daseinise, delta,
-                    enumerate_contexts, enumerate_subobjects, from_greechie,
-                    generate, global_sections, make_subobject, restrict,
+from biheyt import (ClopenSubobject, ContextPoset, Limits, NotASubobject,
+                    PosetMismatch, SizeGuard, UsageError, alpha, alpha_inv,
+                    bottom, daseinise, delta, enumerate_contexts,
+                    enumerate_subobjects, from_greechie, generate,
+                    global_sections, make_subobject, restrict,
                     restriction_image_projection, spectrum)
 
 from support import (DAS_P, FOUR_LOOP, PENTAGON, THREE_CHAIN,
@@ -203,6 +204,26 @@ def test_make_subobject_shape_errors(boolean3_poset):
         make_subobject(boolean3_poset, dict(DAS_P, **{"p|q|r": "nope"}))
     with pytest.raises(UsageError):
         make_subobject(boolean3_poset, dict(DAS_P, **{"p+q|r": "p"}))
+    for family in ([], [("p|q|r", "1")], None):   # not mappings
+        with pytest.raises(UsageError):
+            make_subobject(boolean3_poset, family)
+
+
+def test_bits_outside_the_poset_are_refused(boolean3_poset):
+    """A point past ``total_bits``, the infinitely many points of a negative
+    int, or bits that are no int at all name no subobject: a stray point
+    would make two subobjects with one mapping unequal and ride along into
+    implication and subtraction, so the constructor refuses them."""
+    poset = boolean3_poset
+    assert poset.total_bits == 9
+    for bits in (1 << 9, 1 << 40, (1 << 10) - 1, -1, -(1 << 9), 1.0, "0",
+                 None, True):
+        with pytest.raises(UsageError) as info:
+            ClopenSubobject(poset, bits)
+        assert info.value.details == {"total_bits": 9}
+    assert ClopenSubobject(poset, 0) == bottom(poset)
+    assert ClopenSubobject(poset, (1 << 9) - 1).to_mapping() == {
+        c.id: "1" for c in poset.contexts}
 
 
 def test_subobject_counts_against_brute_oracle(boolean2_poset, boolean3_poset,
