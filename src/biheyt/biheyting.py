@@ -21,10 +21,12 @@ and S => T the complement of its up-closure, each one call of
 the contexts with a neighbour in its direction, a strict subcontext going
 down and a strict supercontext going up.  By
 monotonicity they agree with the extremal forms above, which the tests pin.
-Both build their result in place, with ``object.__new__`` and the two slot
-setters that ``ClopenSubobject.__init__`` calls: on posets as small as the
-ones ``check laws`` covers, a call is mostly fixed cost, not closure work,
-and the ``__init__`` call frame was a measurable part of it.
+Both build their result in place, as ``enumerate_subobjects`` does: a
+bare ``presheaf._Slots`` gets its two slots by plain stores and then the
+class ``ClopenSubobject``, which shares its layout.  On posets as small as
+the ones ``check laws`` covers, a call is mostly fixed cost, not closure
+work, and the ``__init__`` call frame and slot setter calls were a
+measurable part of it.
 
 ``coheyting_not(S) ^ S`` need not be empty: the co-Heyting side is
 paraconsistent.  ``heyting_not`` is always below ``coheyting_not``.
@@ -35,7 +37,7 @@ from typing import Iterable
 
 from .contexts import ContextPoset
 from .errors import PosetMismatch, UsageError
-from .presheaf import ClopenSubobject, _same_poset, _set_bits, _set_poset
+from .presheaf import ClopenSubobject, _same_poset, _Slots
 
 
 def _poset_of(subobjects: Iterable[ClopenSubobject],
@@ -86,9 +88,10 @@ def heyting_implies(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobject:
     poset = s.poset
     if t.poset is not poset:
         _same_poset(s, t)   # raises
-    r = object.__new__(ClopenSubobject)
-    _set_poset(r, poset)
-    _set_bits(r, poset._up_closure(s.bits & ~t.bits) ^ poset._every)
+    r = _Slots()
+    r.poset = poset
+    r.bits = poset._up_closure(s.bits & ~t.bits) ^ poset._every
+    r.__class__ = ClopenSubobject
     return r
 
 
@@ -106,9 +109,10 @@ def coheyting_subtract(s: ClopenSubobject, t: ClopenSubobject) -> ClopenSubobjec
     poset = s.poset
     if t.poset is not poset:
         _same_poset(s, t)   # raises
-    r = object.__new__(ClopenSubobject)
-    _set_poset(r, poset)
-    _set_bits(r, poset._down_closure(s.bits & ~t.bits))
+    r = _Slots()
+    r.poset = poset
+    r.bits = poset._down_closure(s.bits & ~t.bits)
+    r.__class__ = ClopenSubobject
     return r
 
 

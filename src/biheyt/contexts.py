@@ -298,6 +298,12 @@ def maximal_above(poset: ContextPoset, ctx) -> tuple[Context, ...]:
                  if not poset._above[j])
 
 
+def _require_poset(poset) -> None:
+    """The check that the entry points taking a poset first share."""
+    if not isinstance(poset, ContextPoset):
+        raise UsageError(f"expected a ContextPoset, not {type(poset).__name__}")
+
+
 def _require_subcontext(poset: ContextPoset, i: int, j: int) -> None:
     """The check that ``delta`` and ``restrict`` share: context j <= i."""
     if poset._elements[j] & ~poset._elements[i]:

@@ -10,13 +10,14 @@ meets: ``daseinise(p ^ q) <= daseinise(p) ^ daseinise(q)``, strictly in general.
 """
 from __future__ import annotations
 
-from .contexts import ContextPoset, delta_global
+from .contexts import ContextPoset, _require_poset, delta_global
 from .presheaf import ClopenSubobject
 
 
 def daseinise(poset: ContextPoset, p: int | str) -> ClopenSubobject:
     """The down-closure of p's least dominators at the maximal contexts; on a
     miss ``delta_global`` raises at the first context with none, by index."""
+    _require_poset(poset)
     p = poset.structure.el(p)
     bits = 0
     for m in poset.maximal:

@@ -22,7 +22,7 @@ from math import prod
 from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .contexts import Context, ContextPoset, _require_subcontext
+from .contexts import Context, ContextPoset, _require_poset, _require_subcontext
 from .errors import NotASubobject, PosetMismatch, SizeGuard, UsageError
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -45,20 +45,33 @@ def _point(context_id: str, atom: int, label: str) -> SpectrumPoint:
     return pt
 
 
-class ClopenSubobject:
+class _Slots:
+    """The slots of ``ClopenSubobject``, writable: a result is built in
+    place as a ``_Slots`` whose two slots are stored and whose class is
+    then set to ``ClopenSubobject``, the same layout, so no ``__init__``
+    or setter call runs."""
+
+    __slots__ = ("poset", "bits")
+
+
+class ClopenSubobject(_Slots):
     """A monotone family of projections, one per context.
 
     Immutable; equality and hashing use the packed bitmask plus poset
     identity.  Subobjects from different poset objects never mix: the binary
     operators raise ``PosetMismatch``, and ``TypeError`` for an operand that
-    is no subobject.  ``bits`` must be an int from 0 to ``poset._every``
-    (else ``UsageError``) and closed under restriction, which the
-    constructor does not check and ``make_subobject`` does.
+    is no subobject.  ``poset`` must be a ``ContextPoset`` and ``bits`` an
+    int from 0 to ``poset._every`` (else ``UsageError``), closed under
+    restriction, which the constructor does not check and
+    ``make_subobject`` does.  Every assignment raises ``AttributeError``,
+    to ``__class__`` too, so a result built in place as a ``_Slots``
+    stays a ``ClopenSubobject``.
     """
 
-    __slots__ = ("poset", "bits")
+    __slots__ = ()
 
     def __init__(self, poset: ContextPoset, bits: int):
+        _require_poset(poset)
         if type(bits) is not int or not 0 <= bits <= poset._every:
             raise UsageError("subobject bits must be an int from 0 to "
                              "2**total_bits - 1", total_bits=poset.total_bits)
@@ -120,9 +133,10 @@ class ClopenSubobject:
         return f"ClopenSubobject({parts})"
 
 
-# the slot descriptors' setters, which ``__setattr__`` above refuses
-_set_poset = ClopenSubobject.poset.__set__
-_set_bits = ClopenSubobject.bits.__set__
+# the slot descriptors' setters, which ``__setattr__`` above refuses; only
+# ``__init__`` calls them, the in-place builders store into a ``_Slots``
+_set_poset = _Slots.poset.__set__
+_set_bits = _Slots.bits.__set__
 
 
 def _same_poset(a: ClopenSubobject, b: ClopenSubobject) -> None:
@@ -148,12 +162,16 @@ class GlobalSection:
 
 def spectrum(poset: ContextPoset, ctx) -> tuple[SpectrumPoint, ...]:
     """The spectrum at a context: its atoms, in canonical order."""
+    _require_poset(poset)
     c, labels = poset.contexts[poset.index(ctx)], poset.structure.labels
     return tuple([_point(c.id, a, labels[a]) for a in c.atoms])
 
 
 def restrict(poset: ContextPoset, point: SpectrumPoint, sub) -> SpectrumPoint:
     """Restrict a spectrum point to a subcontext (unique dominating atom)."""
+    _require_poset(poset)
+    if not isinstance(point, SpectrumPoint):
+        raise UsageError(f"expected a SpectrumPoint, not {type(point).__name__}")
     i = poset.index(point.context_id)
     j = poset.index(sub)
     _require_subcontext(poset, i, j)
@@ -203,6 +221,7 @@ def make_subobject(poset: ContextPoset, family: Mapping) -> ClopenSubobject:
     twice (by id and by index, say), or a family that is not a mapping,
     raises ``UsageError``.
     """
+    _require_poset(poset)
     if not isinstance(family, Mapping):
         raise UsageError(f"a family must map contexts to elements, not "
                          f"{type(family).__name__}")
@@ -277,9 +296,11 @@ def enumerate_subobjects(poset: ContextPoset, *,
     ``limits.max_subobjects`` it raises ``SizeGuard`` with the count
     ``reached`` at the end of the first last-context batch past the limit,
     the run of tails that differ only at the last context.  Here each
-    object is built by ORing a tail into the assigned components and
-    setting the slots with no ``__init__`` call; ``biheyt enumerate``
-    without ``--list`` sums the batch lengths and builds none.
+    object is built in place from a tail ORed into the assigned
+    components: a bare ``_Slots`` takes ``poset`` and ``bits`` by plain
+    stores and then the class ``ClopenSubobject``, so no ``__init__`` or
+    slot setter call runs; ``biheyt enumerate`` without ``--list`` sums
+    the batch lengths and builds none.
 
     The collector is paused while the tuple is built, and the caller's
     setting restored after it, also on an error.  The walk makes no cycles,
@@ -291,14 +312,14 @@ def enumerate_subobjects(poset: ContextPoset, *,
     process-wide: not thread-safe.
     """
     out: list[ClopenSubobject] = []
-    append, new, cls = out.append, object.__new__, ClopenSubobject
-    set_poset, set_bits = _set_poset, _set_bits
+    append, new, cls = out.append, _Slots, ClopenSubobject
     with _collector_paused(poset):
         for lower, batch in _subobject_batches(poset, limits):
             for b in batch:
-                s = new(cls)
-                set_poset(s, poset)
-                set_bits(s, lower | b)
+                s = new()
+                s.poset = poset
+                s.bits = lower | b
+                s.__class__ = cls
                 append(s)
         return tuple(out)
 

@@ -7,7 +7,8 @@ import math
 
 from hypothesis import strategies as st
 
-from biheyt import ContextPoset, SizeGuard, enumerate_contexts, from_greechie
+from biheyt import (ContextPoset, SizeGuard, enumerate_contexts, from_greechie,
+                    generate)
 
 # Benzene ring O6: two chains 0 < a < b < 1 and 0 < b' < a' < 1 with a/a',
 # b/b' complementary.  It is an ortholattice but not orthomodular.
@@ -37,6 +38,9 @@ TRIANGLE = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "a"]]
 # Three three-atom blocks in a chain: 63,286 subobjects, and the tails are
 # memoised from the fifth context on.
 THREE_CHAIN = [["a", "b", "c"], ["c", "d", "e"], ["e", "f", "g"]]
+
+# first arguments that are no ContextPoset, the structure among them
+NOT_POSETS = ("x", None, 0, {}, generate("boolean", 2))
 
 # the builtins the context and pointwise tests sweep
 BUILTINS = ["boolean:2", "boolean:3", "boolean:4", "boolean:5", "boolean:6",

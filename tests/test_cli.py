@@ -21,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biheyt import (DEFAULT_LIMITS, BiheytError, ContextPoset, Limits,
-                    SizeGuard, canonical_json, cli, enumerate_contexts,
-                    enumerate_subobjects, from_greechie, generate,
-                    global_sections, presheaf)
+                    SizeGuard, biheyting, canonical_json, cli,
+                    enumerate_contexts, enumerate_subobjects, from_greechie,
+                    generate, global_sections, presheaf)
 from biheyt.cli import run
 
 from support import (DAS_P, O6, PENTAGON, THREE_CHAIN, _dump_explicit,
@@ -995,6 +995,17 @@ def test_both_subobject_paths_trip_the_same_guard(tmp_path, argv, budgets):
         assert json.loads(count[2])["details"]["value"] == int(budget)
 
 
+def _refuse_subobjects(monkeypatch):
+    """Make every way of building a subobject raise: the constructor's slot
+    setter and the bare ``_Slots`` that the in-place builders fill."""
+    def refuse(*_):
+        raise AssertionError("a subobject was built")
+
+    for module, name in ((presheaf, "_set_bits"), (presheaf, "_Slots"),
+                         (biheyting, "_Slots")):
+        monkeypatch.setattr(module, name, refuse)
+
+
 def test_the_subobject_count_builds_no_subobject(monkeypatch):
     """Neither the count nor the listing builds a subobject; the listing
     writes the bytes of the built subobjects' mappings all the same."""
@@ -1005,10 +1016,7 @@ def test_the_subobject_count_builds_no_subobject(monkeypatch):
         want[spec] = canonical_json({"count": len(subs), "subobjects":
                                      [s.to_mapping() for s in subs]}) + "\n"
 
-    def refuse(*_):
-        raise AssertionError("a subobject was built")
-
-    monkeypatch.setattr(presheaf, "_set_bits", refuse)
+    _refuse_subobjects(monkeypatch)
     assert _quiet(["enumerate", "--builtin", "boolean:3"]) \
         == (0, '{"count":95}\n', "")
     for spec, out in want.items():
@@ -1025,10 +1033,7 @@ def test_a_refused_listing_or_law_check_builds_no_subobject(monkeypatch,
                                                            argv):
     """Both count first, so each guard trips before a subobject is built,
     with the bytes the count alone writes."""
-    def refuse(*_):
-        raise AssertionError("a subobject was built")
-
-    monkeypatch.setattr(presheaf, "_set_bits", refuse)
+    _refuse_subobjects(monkeypatch)
     code, out, err = _quiet(argv)
     assert (code, out) == (2, "")
     if "--max-subobjects" in argv:

@@ -6,9 +6,11 @@ pinned to exact witnesses on both test structures.
 """
 import pytest
 
-from biheyt import (NoLeastUpperWitness, bottom, daseinise,
+from biheyt import (NoLeastUpperWitness, UsageError, bottom, daseinise,
                     is_coheyting_regular, is_heyting_regular, is_tight, join,
                     meet, top)
+
+from support import NOT_POSETS
 
 DAS_P = {"p+q|r": "p+q", "p+r|q": "p+r", "p|q+r": "p", "p|q|r": "p"}
 
@@ -128,3 +130,9 @@ def test_meet_defect_needs_a_global_meet(cabello18_poset):
     c2 = st.ortho[st.el("0010")]
     # no global meet, so the left side of the inequality is not defined
     assert st.glb(c1, c2) is None
+
+
+def test_daseinise_refuses_what_is_no_poset():
+    for poset in NOT_POSETS:
+        with pytest.raises(UsageError, match="expected a ContextPoset"):
+            daseinise(poset, "p")

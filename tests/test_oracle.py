@@ -26,7 +26,7 @@ from biheyt import (ClopenSubobject, ContextPoset, Limits, SizeGuard, bottom,
 from biheyt import biheyting, oracle
 from biheyt.cli import run
 from biheyt.oracle import AdjunctionReport, _brute_negations, _Columns
-from biheyt.presheaf import _set_bits, _set_poset
+from biheyt.presheaf import _Slots
 
 from support import context_subposet, tree_pasting
 
@@ -289,9 +289,9 @@ def test_bits_outside_the_poset_are_scanned_like_the_rows(mo2_poset, mo2_subs):
     results, and the oracle is shown to catch it there."""
     cols = _Columns(mo2_subs)
     for bits in (1 << mo2_poset.total_bits, -1):
-        odd = object.__new__(ClopenSubobject)
-        _set_poset(odd, mo2_poset)
-        _set_bits(odd, bits)
+        odd = _Slots()
+        odd.poset, odd.bits = mo2_poset, bits
+        odd.__class__ = ClopenSubobject
         report = _assert_like_the_row_scan(mo2_poset,
                                            coheyting_sub=lambda s, u: odd)
         assert report.counterexample["law"] == "coheyting"

@@ -21,12 +21,13 @@ from biheyt import presheaf
 from biheyt.oml import CABELLO18_BLOCKS
 from biheyt import (ClopenSubobject, ContextPoset, Limits, NotASubobject,
                     PosetMismatch, SizeGuard, UsageError, alpha, alpha_inv,
-                    bottom, daseinise, delta, enumerate_contexts,
-                    enumerate_subobjects, from_greechie, generate,
-                    global_sections, make_subobject, restrict,
-                    restriction_image_projection, spectrum)
+                    bottom, coheyting_subtract, daseinise, delta,
+                    enumerate_contexts, enumerate_subobjects, from_greechie,
+                    generate, global_sections, heyting_implies,
+                    make_subobject, restrict, restriction_image_projection,
+                    spectrum)
 
-from support import (DAS_P, FOUR_LOOP, PENTAGON, THREE_CHAIN,
+from support import (DAS_P, FOUR_LOOP, NOT_POSETS, PENTAGON, THREE_CHAIN,
                      _reference_walk, chain_pasting, context_subposet,
                      tree_pasting)
 
@@ -153,6 +154,22 @@ def test_restrict_rejects_bad_input(boolean3_poset):
         restrict(boolean3_poset, pt, "p+q|r")   # not a subcontext
 
 
+def test_restrict_refuses_what_is_no_poset_or_point(boolean3_poset):
+    pt = spectrum(boolean3_poset, "p|q|r")[0]
+    for poset in NOT_POSETS:
+        with pytest.raises(UsageError, match="expected a ContextPoset"):
+            restrict(poset, pt, "p|q+r")
+    for point in (None, "p", ("p|q|r", pt.atom, "p"), 0):
+        with pytest.raises(UsageError, match="expected a SpectrumPoint"):
+            restrict(boolean3_poset, point, "p|q+r")
+
+
+def test_spectrum_refuses_what_is_no_poset():
+    for poset in NOT_POSETS:
+        with pytest.raises(UsageError, match="expected a ContextPoset"):
+            spectrum(poset, 0)
+
+
 def test_alpha_is_an_order_isomorphism(boolean3_poset, mo2_poset):
     for poset in (boolean3_poset, mo2_poset):
         st = poset.structure
@@ -207,6 +224,36 @@ def test_make_subobject_shape_errors(boolean3_poset):
     for family in ([], [("p|q|r", "1")], None):   # not mappings
         with pytest.raises(UsageError):
             make_subobject(boolean3_poset, family)
+
+
+def test_make_subobject_refuses_what_is_no_poset():
+    for poset in NOT_POSETS:
+        with pytest.raises(UsageError, match="expected a ContextPoset"):
+            make_subobject(poset, DAS_P)
+
+
+def test_the_constructor_refuses_what_is_no_poset():
+    for poset in NOT_POSETS:
+        with pytest.raises(UsageError, match="expected a ContextPoset"):
+            ClopenSubobject(poset, 0)
+
+
+def test_results_built_in_place_are_whole_subobjects(boolean3_poset,
+                                                     boolean3_subs):
+    """Enumeration, implication and subtraction build their results in
+    place, not through the constructor; each is a ``ClopenSubobject`` that
+    refuses every assignment and stands for the constructor's object."""
+    poset, subs = boolean3_poset, boolean3_subs
+    s, t = subs[40], subs[7]
+    for r in (*subs, heyting_implies(s, t), coheyting_subtract(s, t)):
+        assert type(r) is ClopenSubobject
+        for name, value in (("bits", 0), ("poset", poset),
+                            ("__class__", presheaf._Slots)):
+            with pytest.raises(AttributeError):
+                setattr(r, name, value)
+        assert type(r) is ClopenSubobject and r.poset is poset
+        same = ClopenSubobject(poset, r.bits)
+        assert r == same and hash(r) == hash(same)
 
 
 def test_bits_outside_the_poset_are_refused(boolean3_poset):
